@@ -167,6 +167,7 @@ pub fn run_session(
         Err(e) => return SessionOutcome::Transport(format!("connect: {e}")),
     };
     let _ = sock.set_read_timeout(Some(opts.read_timeout));
+    let _ = sock.set_nodelay(true);
     let mut reader = match sock.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(e) => return SessionOutcome::Transport(format!("clone socket: {e}")),

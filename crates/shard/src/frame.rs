@@ -34,6 +34,16 @@
 //! `Reports` (the padded tail) followed by `Done`. `Reload` may arrive
 //! instead of `Chunk` on any connection; the server answers `Reloaded`
 //! with the new epoch. Fatal problems answer `Error` and close.
+//!
+//! ## Sending
+//!
+//! `encode_into` appends a whole frame to a buffer and `write_to` hands
+//! it to the writer as one `write_all`, so a frame is never split over
+//! two segments by its sender. A header written apart from its payload
+//! leaves as a small segment; Nagle then holds the payload until that
+//! segment is acknowledged, and a peer with nothing to send delays the
+//! acknowledgement by ~40 ms — once per frame on a lock-step connection.
+//! Senders should also set `TCP_NODELAY`.
 
 use std::io::{Read, Write};
 
@@ -311,56 +321,92 @@ pub fn decode_server(body: &[u8]) -> Result<ServerFrame, FrameError> {
     }
 }
 
-fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> std::io::Result<()> {
-    let len = 1 + payload.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&[opcode])?;
-    w.write_all(payload)
+fn too_long(what: &'static str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, what)
+}
+
+/// Appends a frame's header — the length prefix, then the opcode — for a
+/// payload of `payload_len` bytes the caller appends next, reserving
+/// room for the whole frame. A payload the `u32` prefix cannot describe
+/// is refused before a byte is appended.
+fn begin_frame(buf: &mut Vec<u8>, opcode: u8, payload_len: usize) -> std::io::Result<()> {
+    let len = u32::try_from(payload_len)
+        .ok()
+        .and_then(|n| n.checked_add(1))
+        .ok_or_else(|| too_long("frame payload does not fit the u32 length prefix"))?;
+    buf.reserve(5 + payload_len);
+    buf.extend_from_slice(&len.to_be_bytes());
+    buf.push(opcode);
+    Ok(())
 }
 
 impl ClientFrame {
-    /// Serializes the frame (length prefix included) onto `w`.
+    /// Appends the complete frame (length prefix included) to `buf`, so
+    /// that it can leave in a single write.
     ///
     /// # Errors
     ///
-    /// Propagates transport errors.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+    /// `InvalidInput` when a length field cannot describe its data (a
+    /// payload of 4 GiB − 1 or more, a tenant name over 64 KiB − 1);
+    /// `buf` is left as it was.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> std::io::Result<()> {
         match self {
             ClientFrame::Hello { version, tenant } => {
-                let mut p = Vec::with_capacity(4 + tenant.len());
-                p.extend_from_slice(&version.to_be_bytes());
-                p.extend_from_slice(&(tenant.len() as u16).to_be_bytes());
-                p.extend_from_slice(tenant.as_bytes());
-                write_frame(w, 0x01, &p)
+                let tenant_len = u16::try_from(tenant.len())
+                    .map_err(|_| too_long("tenant name does not fit its u16 length field"))?;
+                begin_frame(buf, 0x01, 4 + tenant.len())?;
+                buf.extend_from_slice(&version.to_be_bytes());
+                buf.extend_from_slice(&tenant_len.to_be_bytes());
+                buf.extend_from_slice(tenant.as_bytes());
             }
-            ClientFrame::Chunk(bytes) => write_frame(w, 0x02, bytes),
-            ClientFrame::Finish => write_frame(w, 0x03, &[]),
-            ClientFrame::Reload(anml) => write_frame(w, 0x04, anml.as_bytes()),
+            ClientFrame::Chunk(bytes) => {
+                begin_frame(buf, 0x02, bytes.len())?;
+                buf.extend_from_slice(bytes);
+            }
+            ClientFrame::Finish => begin_frame(buf, 0x03, 0)?,
+            ClientFrame::Reload(anml) => {
+                begin_frame(buf, 0x04, anml.len())?;
+                buf.extend_from_slice(anml.as_bytes());
+            }
         }
+        Ok(())
+    }
+
+    /// Serializes the frame (length prefix included) onto `w` as exactly
+    /// one `write_all`: a frame split over two writes meets Nagle and the
+    /// peer's delayed ACK on a lock-step connection.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport errors and [`ClientFrame::encode_into`]'s.
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        w.write_all(&buf)
     }
 }
 
 impl ServerFrame {
-    /// Serializes the frame (length prefix included) onto `w`.
+    /// Appends the complete frame (length prefix included) to `buf`, so
+    /// that it can leave in a single write.
     ///
     /// # Errors
     ///
-    /// Propagates transport errors.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+    /// `InvalidInput` when the payload is 4 GiB − 1 or more; `buf` is
+    /// left as it was.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> std::io::Result<()> {
         match self {
             ServerFrame::HelloAck { version, epoch } => {
-                let mut p = Vec::with_capacity(10);
-                p.extend_from_slice(&version.to_be_bytes());
-                p.extend_from_slice(&epoch.to_be_bytes());
-                write_frame(w, 0x81, &p)
+                begin_frame(buf, 0x81, 10)?;
+                buf.extend_from_slice(&version.to_be_bytes());
+                buf.extend_from_slice(&epoch.to_be_bytes());
             }
             ServerFrame::Reports(reports) => {
-                let mut p = Vec::with_capacity(reports.len() * 12);
+                begin_frame(buf, 0x82, reports.len().saturating_mul(12))?;
                 for (pos, rule) in reports {
-                    p.extend_from_slice(&pos.to_be_bytes());
-                    p.extend_from_slice(&rule.to_be_bytes());
+                    buf.extend_from_slice(&pos.to_be_bytes());
+                    buf.extend_from_slice(&rule.to_be_bytes());
                 }
-                write_frame(w, 0x82, &p)
             }
             ServerFrame::Done {
                 chunks,
@@ -368,26 +414,41 @@ impl ServerFrame {
                 reports,
                 epoch,
             } => {
-                let mut p = Vec::with_capacity(32);
+                begin_frame(buf, 0x83, 32)?;
                 for v in [chunks, bytes, reports, epoch] {
-                    p.extend_from_slice(&v.to_be_bytes());
+                    buf.extend_from_slice(&v.to_be_bytes());
                 }
-                write_frame(w, 0x83, &p)
             }
             ServerFrame::Error { code, message } => {
-                let mut p = Vec::with_capacity(2 + message.len());
-                p.extend_from_slice(&code.to_be_bytes());
-                p.extend_from_slice(message.as_bytes());
-                write_frame(w, 0x84, &p)
+                begin_frame(buf, 0x84, 2 + message.len())?;
+                buf.extend_from_slice(&code.to_be_bytes());
+                buf.extend_from_slice(message.as_bytes());
             }
-            ServerFrame::Reloaded { epoch } => write_frame(w, 0x85, &epoch.to_be_bytes()),
+            ServerFrame::Reloaded { epoch } => {
+                begin_frame(buf, 0x85, 8)?;
+                buf.extend_from_slice(&epoch.to_be_bytes());
+            }
         }
+        Ok(())
+    }
+
+    /// Serializes the frame (length prefix included) onto `w` as exactly
+    /// one `write_all` (see [`ClientFrame::write_to`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport errors and [`ServerFrame::encode_into`]'s.
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        w.write_all(&buf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     fn round_trip_client(frame: ClientFrame) {
@@ -435,6 +496,200 @@ mod tests {
             message: "bad frame".into(),
         });
         round_trip_server(ServerFrame::Reloaded { epoch: 4 });
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every client variant, the variable-length ones carrying `n`
+    /// payload bytes (a tenant name stops at its `u16` field).
+    fn client_frames(n: usize) -> Vec<ClientFrame> {
+        vec![
+            ClientFrame::Hello {
+                version: PROTOCOL_VERSION,
+                tenant: "t".repeat(n.min(usize::from(u16::MAX))),
+            },
+            ClientFrame::Chunk(vec![0xA5; n]),
+            ClientFrame::Finish,
+            ClientFrame::Reload("<".repeat(n)),
+        ]
+    }
+
+    /// Every server variant, the variable-length ones carrying about `n`
+    /// payload bytes.
+    fn server_frames(n: usize) -> Vec<ServerFrame> {
+        vec![
+            ServerFrame::HelloAck {
+                version: PROTOCOL_VERSION,
+                epoch: 9,
+            },
+            ServerFrame::Reports((0..n / 12).map(|i| (i as u64, i as u32)).collect()),
+            ServerFrame::Done {
+                chunks: 1,
+                bytes: 2,
+                reports: 3,
+                epoch: 4,
+            },
+            ServerFrame::Error {
+                code: ERR_INTERNAL,
+                message: "e".repeat(n),
+            },
+            ServerFrame::Reloaded { epoch: 5 },
+        ]
+    }
+
+    /// `write` must reach the writer as one `write` call carrying exactly
+    /// `encoded`, both directly and through a default `BufWriter`.
+    fn assert_single_write(
+        what: &str,
+        encoded: &[u8],
+        write: &dyn Fn(&mut dyn Write) -> std::io::Result<()>,
+    ) {
+        let declared = u32::from_be_bytes(encoded[..4].try_into().unwrap());
+        assert_eq!(declared as usize, encoded.len() - 4, "{what}: prefix");
+
+        let mut direct = CountingWriter::default();
+        write(&mut direct).unwrap();
+        assert_eq!(direct.writes, [encoded.len()], "{what}: direct");
+        assert_eq!(direct.bytes, encoded, "{what}: direct");
+
+        let mut buffered = std::io::BufWriter::new(CountingWriter::default());
+        write(&mut buffered).unwrap();
+        buffered.flush().unwrap();
+        let inner = buffered.get_ref();
+        assert_eq!(inner.writes, [encoded.len()], "{what}: BufWriter + flush");
+        assert_eq!(inner.bytes, encoded, "{what}: BufWriter + flush");
+    }
+
+    #[test]
+    fn every_frame_leaves_as_exactly_one_write() {
+        for n in [0, 1, 1024, 8192 - 5, 8192, 16 * 1024, 256 * 1024] {
+            for frame in client_frames(n) {
+                let mut encoded = Vec::new();
+                frame.encode_into(&mut encoded).unwrap();
+                let what = format!("client opcode {:#04x}, {n} bytes", encoded[4]);
+                assert_single_write(&what, &encoded, &|mut w| frame.write_to(&mut w));
+            }
+            for frame in server_frames(n) {
+                let mut encoded = Vec::new();
+                frame.encode_into(&mut encoded).unwrap();
+                let what = format!("server opcode {:#04x}, {n} bytes", encoded[4]);
+                assert_single_write(&what, &encoded, &|mut w| frame.write_to(&mut w));
+            }
+        }
+    }
+
+    #[test]
+    fn lengths_the_prefix_cannot_describe_are_refused_not_truncated() {
+        let mut buf = vec![0xEE];
+        for payload_len in [u32::MAX as usize, usize::MAX] {
+            let err = begin_frame(&mut buf, 0x02, payload_len).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        }
+        let err = ClientFrame::Hello {
+            version: PROTOCOL_VERSION,
+            tenant: "t".repeat(usize::from(u16::MAX) + 1),
+        }
+        .encode_into(&mut buf)
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(buf, [0xEE], "a refused frame appends nothing");
+    }
+
+    fn ascii(max: usize) -> impl Strategy<Value = String> {
+        prop::collection::vec(0x20u8..0x7F, 0..max)
+            .prop_map(|b| String::from_utf8(b).expect("printable ASCII"))
+    }
+
+    fn any_client_frame() -> impl Strategy<Value = ClientFrame> {
+        prop_oneof![
+            ascii(40).prop_map(|tenant| ClientFrame::Hello {
+                version: PROTOCOL_VERSION,
+                tenant,
+            }),
+            prop::collection::vec(any::<u8>(), 0..600).prop_map(ClientFrame::Chunk),
+            Just(ClientFrame::Finish),
+            ascii(300).prop_map(ClientFrame::Reload),
+        ]
+    }
+
+    fn any_server_frame() -> impl Strategy<Value = ServerFrame> {
+        prop_oneof![
+            (any::<u16>(), any::<u64>())
+                .prop_map(|(version, epoch)| ServerFrame::HelloAck { version, epoch }),
+            prop::collection::vec((any::<u64>(), any::<u32>()), 0..60)
+                .prop_map(ServerFrame::Reports),
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+                |(chunks, bytes, reports, epoch)| ServerFrame::Done {
+                    chunks,
+                    bytes,
+                    reports,
+                    epoch,
+                }
+            ),
+            (any::<u16>(), ascii(80))
+                .prop_map(|(code, message)| ServerFrame::Error { code, message }),
+            any::<u64>().prop_map(|epoch| ServerFrame::Reloaded { epoch }),
+        ]
+    }
+
+    /// `wire` holds exactly `frames`, back to back.
+    fn assert_decodes_back_to_back<F: PartialEq + std::fmt::Debug>(
+        wire: &[u8],
+        frames: [&F; 2],
+        decode: fn(&[u8]) -> Result<F, FrameError>,
+    ) -> Result<(), TestCaseError> {
+        let mut r = Cursor::new(wire);
+        for frame in frames {
+            let body = read_raw(&mut r, DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .expect("a frame");
+            prop_assert_eq!(&decode(&body).unwrap(), frame);
+        }
+        prop_assert_eq!(read_raw(&mut r, DEFAULT_MAX_FRAME_BYTES).unwrap(), None);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn client_frames_appended_to_one_buffer_decode_back_to_back(
+            first in any_client_frame(),
+            second in any_client_frame(),
+        ) {
+            let mut wire = Vec::new();
+            first.encode_into(&mut wire).unwrap();
+            second.encode_into(&mut wire).unwrap();
+            assert_decodes_back_to_back(&wire, [&first, &second], decode_client)?;
+        }
+
+        #[test]
+        fn server_frames_appended_to_one_buffer_decode_back_to_back(
+            first in any_server_frame(),
+            second in any_server_frame(),
+        ) {
+            let mut wire = Vec::new();
+            first.encode_into(&mut wire).unwrap();
+            second.encode_into(&mut wire).unwrap();
+            assert_decodes_back_to_back(&wire, [&first, &second], decode_server)?;
+        }
     }
 
     #[test]

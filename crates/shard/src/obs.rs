@@ -11,8 +11,9 @@
 //!   server is draining or a hot reload is compiling the next epoch;
 //! * `GET /statusz` — a JSON document ([`status_json`]): live sessions,
 //!   per-tenant quota usage, queue depth, cache hit rate, DB epoch, and
-//!   per-tenant latency quantiles. The stdin `status` command of
-//!   `sunder serve` prints the *same* document — one source of truth.
+//!   per-tenant chunk-service and reply-write latency quantiles. The
+//!   stdin `status` command of `sunder serve` prints the *same*
+//!   document — one source of truth.
 //!
 //! The listener is plain `std::net`: a nonblocking accept loop on its
 //! own thread, one short-lived request handled at a time (scrapes are
@@ -236,7 +237,17 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
 
     let snap = sunder_telemetry::snapshot();
     let mut latency = Vec::new();
+    let mut reply_write = Vec::new();
     let mut slo = Vec::new();
+    let quantiles = |h: &sunder_telemetry::Pow2Histogram| {
+        let q = |p: f64| Json::Num(h.quantile(p).unwrap_or(0.0));
+        Json::Obj(vec![
+            ("count".into(), Json::Num(h.count() as f64)),
+            ("mean_us".into(), Json::Num(h.mean())),
+            ("p50_us".into(), q(0.5)),
+            ("p99_us".into(), q(0.99)),
+        ])
+    };
     for e in &snap.entries {
         let tenant = e
             .labels
@@ -248,17 +259,9 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
                 sunder_telemetry::MetricValue::Histogram(h),
                 "serve_chunk_service_us",
                 Some(tenant),
-            ) => {
-                let q = |p: f64| Json::Num(h.quantile(p).unwrap_or(0.0));
-                latency.push((
-                    tenant,
-                    Json::Obj(vec![
-                        ("count".into(), Json::Num(h.count() as f64)),
-                        ("mean_us".into(), Json::Num(h.mean())),
-                        ("p50_us".into(), q(0.5)),
-                        ("p99_us".into(), q(0.99)),
-                    ]),
-                ));
+            ) => latency.push((tenant, quantiles(h))),
+            (sunder_telemetry::MetricValue::Histogram(h), "serve_reply_write_us", Some(tenant)) => {
+                reply_write.push((tenant, quantiles(h)))
             }
             (
                 sunder_telemetry::MetricValue::Counter(c),
@@ -329,6 +332,7 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
             ]),
         ),
         ("latency_us".into(), Json::Obj(latency)),
+        ("reply_write_us".into(), Json::Obj(reply_write)),
         ("slo_violations".into(), Json::Obj(slo)),
     ])
 }

@@ -32,8 +32,8 @@
 //! so injection is deterministic no matter the order connections land.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -198,7 +198,7 @@ impl WorkQueue {
 /// Per-connection registry entry so drain can reach into live sessions.
 pub(crate) struct ConnHandle {
     cancel: CancelToken,
-    sock: TcpStream,
+    sock: Arc<TcpStream>,
 }
 
 pub(crate) struct ServerInner {
@@ -270,9 +270,6 @@ impl MatchServer {
             .get_or_compile(nfa, cfg.config)
             .map_err(|e| format!("compile pattern DB: {e}"))?;
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set nonblocking: {e}"))?;
         let local = listener.local_addr().map_err(|e| e.to_string())?;
         let inner = Arc::new(ServerInner {
             cfg,
@@ -377,6 +374,9 @@ impl MatchServer {
         let started = Instant::now();
         let _span = sunder_telemetry::span("serve.drain");
         self.inner.draining.store(true, Ordering::Release);
+        if self.accept.is_some() {
+            wake_acceptor(self.addr);
+        }
         let deadline = started + self.inner.cfg.drain_deadline;
         let at_start = self.inner.active.load(Ordering::Acquire);
         while self.inner.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
@@ -391,10 +391,10 @@ impl MatchServer {
                 let _ = conn.sock.shutdown(Shutdown::Both);
             }
         }
-        let mut workers = Vec::new();
-        if let Some(accept) = self.accept.take() {
-            workers = accept.join().unwrap_or_default();
-        }
+        let workers = match self.accept.take() {
+            Some(accept) => join_acceptor(accept, self.addr, ACCEPT_WAKE_LIMIT),
+            None => Vec::new(),
+        };
         for w in workers {
             let _ = w.join();
         }
@@ -483,47 +483,129 @@ fn reload_db(inner: &ServerInner, nfa: &Nfa) -> Result<u64, AutomataError> {
 }
 
 /// Accepts until drain; returns the connection thread handles so drain
-/// can join them.
+/// can join them. `accept()` blocks: [`wake_acceptor`] ends the wait.
 fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !inner.is_draining() {
-        match listener.accept() {
-            Ok((sock, _peer)) => {
-                if inner.is_draining() {
-                    refuse(&sock, ERR_SHUTDOWN, "server is draining");
-                    continue;
-                }
-                if inner.active.load(Ordering::Acquire) >= inner.cfg.max_sessions {
-                    sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "busy")], 1);
-                    refuse(&sock, ERR_BUSY, "session cap reached");
-                    continue;
-                }
-                inner.active.fetch_add(1, Ordering::AcqRel);
-                let conn_inner = Arc::clone(inner);
-                let handle = std::thread::Builder::new()
-                    .name("serve-conn".into())
-                    .spawn(move || serve_connection(&conn_inner, sock))
-                    .expect("spawn connection thread");
-                conns.push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+        let sock = match listener.accept() {
+            Ok((sock, _peer)) => Arc::new(sock),
+            Err(_) => {
+                // A failing accept (out of descriptors, say) returns at
+                // once; pause so the failure does not become a spin.
                 std::thread::sleep(Duration::from_millis(5));
+                continue;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        };
+        // Replies are whole frames in one write: never hold one back.
+        let _ = sock.set_nodelay(true);
+        if inner.is_draining() {
+            refuse(&sock, ERR_SHUTDOWN, "server is draining");
+            continue;
+        }
+        if inner.active.load(Ordering::Acquire) >= inner.cfg.max_sessions {
+            sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "busy")], 1);
+            refuse(&sock, ERR_BUSY, "session cap reached");
+            continue;
+        }
+        inner.active.fetch_add(1, Ordering::AcqRel);
+        let (conn_inner, conn_sock) = (Arc::clone(inner), Arc::clone(&sock));
+        match std::thread::Builder::new()
+            .name("serve-conn".into())
+            .spawn(move || serve_connection(&conn_inner, &conn_sock))
+        {
+            Ok(handle) => conns.push(handle),
+            Err(_) => {
+                // Out of threads: shed this connection, keep accepting.
+                inner.active.fetch_sub(1, Ordering::AcqRel);
+                sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "spawn")], 1);
+                refuse(&sock, ERR_BUSY, "no thread for the session");
+            }
         }
     }
     conns
 }
 
-fn refuse(sock: &TcpStream, code: u16, message: &str) {
-    let mut w = BufWriter::new(sock);
-    let _ = ServerFrame::Error {
-        code,
-        message: message.to_string(),
+/// Gets the acceptor out of its blocking `accept()` once `draining` is
+/// set, with a throw-away connection to the listener's own port. One
+/// connect can fail with the acceptor still parked (ephemeral ports
+/// exhausted, a local firewall rule): [`join_acceptor`] retries.
+fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
     }
-    .write_to(&mut w);
-    let _ = w.flush();
+    let _ = TcpStream::connect(addr);
+}
+
+/// How long drain keeps re-waking a parked acceptor before giving it up.
+const ACCEPT_WAKE_LIMIT: Duration = Duration::from_secs(1);
+
+/// Joins the acceptor, waking it again for as long as it stays parked.
+/// Past `limit` the thread is left behind with its listener and the
+/// connection handles it holds — those sessions have ended or been forced
+/// by now — because a drain that never returns is the worse failure.
+fn join_acceptor(
+    accept: JoinHandle<Vec<JoinHandle<()>>>,
+    addr: SocketAddr,
+    limit: Duration,
+) -> Vec<JoinHandle<()>> {
+    let give_up = Instant::now() + limit;
+    while !accept.is_finished() {
+        if Instant::now() >= give_up {
+            sunder_telemetry::instant("serve.acceptor_abandoned", &[]);
+            return Vec::new();
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        wake_acceptor(addr);
+    }
+    accept.join().unwrap_or_default()
+}
+
+fn refuse(sock: &TcpStream, code: u16, message: &str) {
+    FrameWriter::new(sock).error(code, message);
     let _ = sock.shutdown(Shutdown::Both);
+}
+
+/// A connection's send half. Only the worker thread ever sends, so it is
+/// plain owned state: each frame is encoded into the reusable buffer and
+/// leaves as one `write_all` on the raw socket.
+struct FrameWriter<'a> {
+    sock: &'a TcpStream,
+    buf: Vec<u8>,
+}
+
+/// The encode buffer is cut back to this after a send: small frames reuse
+/// it, a large reply goes back to the allocator (DESIGN.md, *Wire path*).
+const KEEP_ENCODE_BUF_BYTES: usize = 64 * 1024;
+
+impl<'a> FrameWriter<'a> {
+    fn new(sock: &'a TcpStream) -> FrameWriter<'a> {
+        FrameWriter {
+            sock,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Sends the `Error` frame that ends a session.
+    fn error(&mut self, code: u16, message: impl Into<String>) {
+        self.send(&ServerFrame::Error {
+            code,
+            message: message.into(),
+        });
+    }
+
+    /// Sends one frame; `false` when the connection is gone.
+    fn send(&mut self, frame: &ServerFrame) -> bool {
+        let sent = frame
+            .encode_into(&mut self.buf)
+            .and_then(|()| self.sock.write_all(&self.buf))
+            .is_ok();
+        self.buf.clear();
+        self.buf.shrink_to(KEEP_ENCODE_BUF_BYTES);
+        sent
+    }
 }
 
 /// The trailing integer of a tenant name (`"s17"` → 17), used to key
@@ -572,6 +654,35 @@ fn session_fault(tenant: &str, kind: &str) {
     );
 }
 
+/// The `ERR_*` code a frame that failed to parse is answered with.
+fn frame_error_code(e: &FrameError) -> u16 {
+    match e {
+        FrameError::UnknownVersion(_) => ERR_VERSION,
+        _ => ERR_PROTOCOL,
+    }
+}
+
+/// Attributes a failed `feed`/`finish` — `None`: the worker panicked —
+/// and sends the `Error` frame that ends the session.
+fn fail_session(
+    tenant: &str,
+    obs: &mut SessionObs,
+    writer: &mut FrameWriter<'_>,
+    error: Option<&SessionError>,
+) {
+    let (code, kind, dump) = match error {
+        Some(SessionError::Interrupted(_)) => (ERR_DEADLINE, "deadline", Some("deadline")),
+        Some(_) => (ERR_INTERNAL, "internal", None),
+        None => (ERR_PANIC, "panic", Some("panic")),
+    };
+    session_fault(tenant, kind);
+    obs.fault(kind, dump);
+    match error {
+        Some(e) => writer.error(code, e.to_string()),
+        None => writer.error(code, "session worker panicked (isolated)"),
+    }
+}
+
 /// Per-session observability: label handles interned once at session
 /// open (per-chunk recording is an atomic or an uncontended lock, never
 /// a string allocation), the SLO burn counter, and the optional flight
@@ -579,6 +690,7 @@ fn session_fault(tenant: &str, kind: &str) {
 struct SessionObs {
     service_us: sunder_telemetry::HistogramHandle,
     queue_wait_us: sunder_telemetry::HistogramHandle,
+    reply_write_us: sunder_telemetry::HistogramHandle,
     slo_violations: sunder_telemetry::CounterHandle,
     chunks_total: sunder_telemetry::CounterHandle,
     bytes_total: sunder_telemetry::CounterHandle,
@@ -601,15 +713,11 @@ impl SessionObs {
                 &[("tenant", tenant.to_string()), ("epoch", epoch.to_string())],
             );
         }
+        let stage_us = |name| sunder_telemetry::histogram_handle(name, &[("tenant", tenant)]);
         SessionObs {
-            service_us: sunder_telemetry::histogram_handle(
-                "serve_chunk_service_us",
-                &[("tenant", tenant)],
-            ),
-            queue_wait_us: sunder_telemetry::histogram_handle(
-                "serve_queue_wait_us",
-                &[("tenant", tenant)],
-            ),
+            service_us: stage_us("serve_chunk_service_us"),
+            queue_wait_us: stage_us("serve_queue_wait_us"),
+            reply_write_us: stage_us("serve_reply_write_us"),
             slo_violations: sunder_telemetry::counter_handle(
                 "serve_slo_violations_total",
                 &[("tenant", tenant)],
@@ -625,14 +733,27 @@ impl SessionObs {
     }
 
     /// Accounts one served chunk; dumps the flight recorder when the
-    /// chunk crossed the slow-session threshold.
-    fn chunk(&mut self, bytes: usize, wait: Duration, service: Duration, reports: usize) {
+    /// chunk crossed the slow-session threshold. `reply` is the `reply`
+    /// stage — encoding the `Reports` frame and writing it to the socket
+    /// — and `None` for a chunk that failed before it had one.
+    fn chunk(
+        &mut self,
+        bytes: usize,
+        wait: Duration,
+        service: Duration,
+        reports: usize,
+        reply: Option<Duration>,
+    ) {
         let service_us = service.as_micros() as u64;
+        let reply_us = reply.map(|r| r.as_micros() as u64);
         self.chunks_total.add(1);
         self.bytes_total.add(bytes as u64);
         self.reports_total.add(reports as u64);
         self.service_us.record(service_us);
         self.queue_wait_us.record(wait.as_micros() as u64);
+        if let Some(us) = reply_us {
+            self.reply_write_us.record(us);
+        }
         if service > self.chunk_slo {
             self.slo_violations.add(1);
         }
@@ -643,6 +764,7 @@ impl SessionObs {
                     ("bytes", bytes.to_string()),
                     ("wait_us", wait.as_micros().to_string()),
                     ("service_us", service_us.to_string()),
+                    ("reply_us", reply_us.unwrap_or(0).to_string()),
                     ("reports", reports.to_string()),
                 ],
             );
@@ -683,22 +805,19 @@ impl SessionObs {
 /// Runs one connection to completion: handshake, reader-thread spawn,
 /// worker loop. Always decrements the active count and deregisters on
 /// the way out.
-fn serve_connection(inner: &Arc<ServerInner>, sock: TcpStream) {
+fn serve_connection(inner: &Arc<ServerInner>, sock: &Arc<TcpStream>) {
     let conn_id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
     let cancel = CancelToken::new();
-    if let Ok(clone) = sock.try_clone() {
-        inner.conns.lock().unwrap().insert(
-            conn_id,
-            ConnHandle {
-                cancel: cancel.clone(),
-                sock: clone,
-            },
-        );
-    }
+    inner.conns.lock().unwrap().insert(
+        conn_id,
+        ConnHandle {
+            cancel: cancel.clone(),
+            sock: Arc::clone(sock),
+        },
+    );
     sunder_telemetry::counter_add("serve_sessions_total", &[], 1);
     inner.sessions_started.fetch_add(1, Ordering::Relaxed);
-    let tenant = run_session(inner, &sock, &cancel, conn_id);
-    if let Some(tenant) = tenant {
+    if let Some(tenant) = run_session(inner, sock, &cancel, conn_id) {
         let mut tenants = inner.tenants.lock().unwrap();
         if let Some(n) = tenants.get_mut(&tenant) {
             *n -= 1;
@@ -720,47 +839,24 @@ fn run_session(
     cancel: &CancelToken,
     conn_id: u64,
 ) -> Option<String> {
-    let mut reader = BufReader::new(sock.try_clone().ok()?);
-    let writer = Arc::new(Mutex::new(BufWriter::new(sock.try_clone().ok()?)));
+    let mut reader = BufReader::new(sock);
+    let mut writer = FrameWriter::new(sock);
     let max_frame = inner.cfg.max_frame_bytes;
 
-    let send = |frame: &ServerFrame| -> bool {
-        let mut w = writer.lock().unwrap();
-        frame.write_to(&mut *w).and_then(|()| w.flush()).is_ok()
-    };
-
     // Handshake: the first frame must be a well-formed Hello.
-    let tenant = match read_raw(&mut reader, max_frame) {
-        Ok(Some(body)) => match decode_client(&body) {
-            Ok(ClientFrame::Hello { tenant, .. }) => tenant,
-            Ok(_) => {
-                send(&ServerFrame::Error {
-                    code: ERR_PROTOCOL,
-                    message: "expected Hello".into(),
-                });
-                return None;
-            }
-            Err(e @ FrameError::UnknownVersion(_)) => {
-                send(&ServerFrame::Error {
-                    code: ERR_VERSION,
-                    message: e.to_string(),
-                });
-                return None;
-            }
-            Err(e) => {
-                send(&ServerFrame::Error {
-                    code: ERR_PROTOCOL,
-                    message: e.to_string(),
-                });
-                return None;
-            }
-        },
+    let hello = match read_raw(&mut reader, max_frame) {
+        Ok(Some(body)) => decode_client(&body),
         Ok(None) => return None,
+        Err(e) => Err(e),
+    };
+    let tenant = match hello {
+        Ok(ClientFrame::Hello { tenant, .. }) => tenant,
+        Ok(_) => {
+            writer.error(ERR_PROTOCOL, "expected Hello");
+            return None;
+        }
         Err(e) => {
-            send(&ServerFrame::Error {
-                code: ERR_PROTOCOL,
-                message: e.to_string(),
-            });
+            writer.error(frame_error_code(&e), e.to_string());
             return None;
         }
     };
@@ -772,10 +868,10 @@ fn run_session(
         if *n >= inner.cfg.per_tenant_sessions {
             drop(tenants);
             sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "quota")], 1);
-            send(&ServerFrame::Error {
-                code: ERR_QUOTA,
-                message: format!("tenant {tenant:?} is at its session quota"),
-            });
+            writer.error(
+                ERR_QUOTA,
+                format!("tenant {tenant:?} is at its session quota"),
+            );
             return None;
         }
         *n += 1;
@@ -784,7 +880,7 @@ fn run_session(
     // Pin the current epoch for the whole session.
     let db = Arc::clone(&inner.db.lock().unwrap());
     let mut session = StreamSession::new(Arc::clone(&db.pipeline), db.epoch);
-    if !send(&ServerFrame::HelloAck {
+    if !writer.send(&ServerFrame::HelloAck {
         version: PROTOCOL_VERSION,
         epoch: db.epoch,
     }) {
@@ -847,7 +943,7 @@ fn run_session(
             &faults,
             &queue,
             cancel,
-            &send,
+            &mut writer,
             &mut obs,
         );
         // Unblock the socket so the reader thread (possibly mid-read)
@@ -865,7 +961,7 @@ fn worker_loop(
     faults: &InjectedFaults,
     queue: &WorkQueue,
     cancel: &CancelToken,
-    send: &dyn Fn(&ServerFrame) -> bool,
+    writer: &mut FrameWriter<'_>,
     obs: &mut SessionObs,
 ) {
     let mut first_chunk = true;
@@ -895,35 +991,22 @@ fn worker_loop(
                 let service = started.elapsed();
                 match result {
                     Ok(Ok(reports)) => {
-                        obs.chunk(bytes.len(), wait, service, reports.len());
-                        if !send(&ServerFrame::Reports(reports)) {
+                        let count = reports.len();
+                        let replying = Instant::now();
+                        let sent = writer.send(&ServerFrame::Reports(reports));
+                        obs.chunk(bytes.len(), wait, service, count, Some(replying.elapsed()));
+                        if !sent {
                             return;
                         }
                     }
                     Ok(Err(e)) => {
-                        obs.chunk(bytes.len(), wait, service, 0);
-                        let (code, kind, dump) = match &e {
-                            SessionError::Interrupted(_) => {
-                                (ERR_DEADLINE, "deadline", Some("deadline"))
-                            }
-                            _ => (ERR_INTERNAL, "internal", None),
-                        };
-                        session_fault(tenant, kind);
-                        obs.fault(kind, dump);
-                        send(&ServerFrame::Error {
-                            code,
-                            message: e.to_string(),
-                        });
+                        obs.chunk(bytes.len(), wait, service, 0, None);
+                        fail_session(tenant, obs, writer, Some(&e));
                         return;
                     }
                     Err(_) => {
-                        obs.chunk(bytes.len(), wait, service, 0);
-                        session_fault(tenant, "panic");
-                        obs.fault("panic", Some("panic"));
-                        send(&ServerFrame::Error {
-                            code: ERR_PANIC,
-                            message: "session worker panicked (isolated)".into(),
-                        });
+                        obs.chunk(bytes.len(), wait, service, 0, None);
+                        fail_session(tenant, obs, writer, None);
                         return;
                     }
                 }
@@ -946,8 +1029,8 @@ fn worker_loop(
                                 ("reports", summary.reports.to_string()),
                             ],
                         );
-                        if send(&ServerFrame::Reports(tail)) {
-                            send(&ServerFrame::Done {
+                        if writer.send(&ServerFrame::Reports(tail)) {
+                            writer.send(&ServerFrame::Done {
                                 chunks: summary.chunks,
                                 bytes: summary.bytes,
                                 reports: summary.reports,
@@ -955,60 +1038,27 @@ fn worker_loop(
                             });
                         }
                     }
-                    Ok(Err(e)) => {
-                        let (code, kind, dump) = match &e {
-                            SessionError::Interrupted(_) => {
-                                (ERR_DEADLINE, "deadline", Some("deadline"))
-                            }
-                            _ => (ERR_INTERNAL, "internal", None),
-                        };
-                        session_fault(tenant, kind);
-                        obs.fault(kind, dump);
-                        send(&ServerFrame::Error {
-                            code,
-                            message: e.to_string(),
-                        });
-                    }
-                    Err(_) => {
-                        session_fault(tenant, "panic");
-                        obs.fault("panic", Some("panic"));
-                        send(&ServerFrame::Error {
-                            code: ERR_PANIC,
-                            message: "session worker panicked (isolated)".into(),
-                        });
-                    }
+                    Ok(Err(e)) => fail_session(tenant, obs, writer, Some(&e)),
+                    Err(_) => fail_session(tenant, obs, writer, None),
                 }
                 return;
             }
-            Work::Frame(ClientFrame::Reload(text)) => match anml::parse(&text) {
-                Ok(nfa) => match reload_db(inner, &nfa) {
+            Work::Frame(ClientFrame::Reload(text)) => {
+                match anml::parse(&text).and_then(|nfa| reload_db(inner, &nfa)) {
                     Ok(epoch) => {
                         obs.event("reload", &[("epoch", epoch.to_string())]);
-                        if !send(&ServerFrame::Reloaded { epoch }) {
+                        if !writer.send(&ServerFrame::Reloaded { epoch }) {
                             return;
                         }
                     }
                     Err(e) => {
-                        send(&ServerFrame::Error {
-                            code: ERR_RELOAD,
-                            message: format!("reload failed: {e}"),
-                        });
+                        writer.error(ERR_RELOAD, format!("reload failed: {e}"));
                         return;
                     }
-                },
-                Err(e) => {
-                    send(&ServerFrame::Error {
-                        code: ERR_RELOAD,
-                        message: format!("reload failed: {e}"),
-                    });
-                    return;
                 }
-            },
+            }
             Work::Frame(ClientFrame::Hello { .. }) => {
-                send(&ServerFrame::Error {
-                    code: ERR_PROTOCOL,
-                    message: "duplicate Hello".into(),
-                });
+                writer.error(ERR_PROTOCOL, "duplicate Hello");
                 return;
             }
             Work::Bad(e) => {
@@ -1021,14 +1071,7 @@ fn worker_loop(
                 };
                 session_fault(tenant, kind);
                 obs.fault(kind, None);
-                let code = match e {
-                    FrameError::UnknownVersion(_) => ERR_VERSION,
-                    _ => ERR_PROTOCOL,
-                };
-                send(&ServerFrame::Error {
-                    code,
-                    message: e.to_string(),
-                });
+                writer.error(frame_error_code(&e), e.to_string());
                 return;
             }
             Work::Eof => {
@@ -1054,6 +1097,36 @@ mod tests {
         assert_eq!(tenant_item("tenant-003"), Some(3));
         assert_eq!(tenant_item("alpha"), None);
         assert_eq!(tenant_item(""), None);
+    }
+
+    #[test]
+    fn join_acceptor_gives_up_on_an_acceptor_no_connect_can_wake() {
+        // A port nothing listens on: every wake connect is refused.
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let accept = std::thread::spawn(move || {
+            let _ = parked.recv();
+            Vec::new()
+        });
+        let started = Instant::now();
+        let workers = join_acceptor(accept, dead, Duration::from_millis(50));
+        assert!(workers.is_empty());
+        assert!(started.elapsed() < Duration::from_secs(5), "drain hung");
+        drop(release);
+    }
+
+    #[test]
+    fn join_acceptor_retries_until_a_wake_lands() {
+        // The first wake is never sent (as if that connect had failed):
+        // the retry loop alone has to get the acceptor out.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accept = std::thread::spawn(move || {
+            let _ = listener.accept();
+            vec![std::thread::spawn(|| {})]
+        });
+        let workers = join_acceptor(accept, addr, Duration::from_secs(5));
+        assert_eq!(workers.len(), 1, "the acceptor's handles come back");
     }
 
     #[test]

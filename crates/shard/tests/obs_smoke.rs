@@ -134,6 +134,10 @@ fn obs_smoke_scrapes_flight_artifact_and_readiness() {
     assert_eq!(summary.reason, "panic");
     assert_eq!(summary.epoch, 1);
     assert!(summary.events > 0, "flight ring was empty");
+    assert!(
+        text.contains("\"wait_us\"") && text.contains("\"reply_us\""),
+        "chunk events carry the stage timings: {text}"
+    );
 
     // /statusz reflects the traffic: sessions started, per-tenant
     // latency quantiles present for a surviving tenant.
@@ -146,11 +150,13 @@ fn obs_smoke_scrapes_flight_artifact_and_readiness() {
         .and_then(Json::as_u64)
         .unwrap();
     assert!(started >= SESSIONS as u64, "started {started}");
-    let latency = doc.get("latency_us").expect("latency block");
-    assert!(
-        latency.get("s0").and_then(|t| t.get("p50_us")).is_some(),
-        "no latency quantiles for s0: {body}"
-    );
+    for block in ["latency_us", "reply_write_us"] {
+        let quantiles = doc.get(block).unwrap_or_else(|| panic!("no {block} block"));
+        assert!(
+            quantiles.get("s0").and_then(|t| t.get("p50_us")).is_some(),
+            "no {block} quantiles for s0: {body}"
+        );
+    }
 
     // Hold a session open, then drain: /readyz must flip to 503 while
     // the drain window runs, and the held session gets forced.

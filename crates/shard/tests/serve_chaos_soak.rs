@@ -60,12 +60,15 @@ fn chaos_soak_64_sessions_with_faults_reload_and_drain() {
         .collect();
 
     // Connection-level chaos: disconnects, drips, malformed frames of
-    // every mode, and one reload mid-burst.
+    // every mode, and one reload mid-burst. Session 33's drip (32–64
+    // chunks, 10 ms apart) is what sets the soak's length: no other wait
+    // is left on the wire to stretch it, and the scraper below needs a
+    // few hundred ms of live sessions to overlap.
     let plan = FaultPlan::from_text(concat!(
         "disconnect 5 2\n",
         "disconnect 21 0\n",
         "slow-drip 9 16 2\n",
-        "slow-drip 33 8 1\n",
+        "slow-drip 33 8 10\n",
         "malformed-frame 13 0\n",
         "malformed-frame 17 1\n",
         "malformed-frame 25 2\n",
@@ -82,7 +85,7 @@ fn chaos_soak_64_sessions_with_faults_reload_and_drain() {
         read_timeout: Duration::from_secs(30),
     };
 
-    // Concurrent scraper: poll /metrics and /statusz at 10 Hz while the
+    // Concurrent scraper: poll /metrics and /statusz at 50 Hz while the
     // chaos runs. A scrape that fails to parse fails the soak — the
     // exposition must stay well-formed no matter what the sessions are
     // doing to the registry concurrently.
@@ -107,7 +110,7 @@ fn chaos_soak_64_sessions_with_faults_reload_and_drain() {
                 sunder_telemetry::json::parse(&body)
                     .unwrap_or_else(|e| panic!("scrape {scrapes}: statusz not JSON: {e}"));
                 scrapes += 1;
-                std::thread::sleep(Duration::from_millis(100));
+                std::thread::sleep(Duration::from_millis(20));
             }
             scrapes
         })

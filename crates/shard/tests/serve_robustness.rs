@@ -9,7 +9,7 @@
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sunder_automata::regex::compile_rule_set;
 use sunder_automata::{anml, Nfa};
@@ -128,6 +128,56 @@ fn wire_session_is_byte_identical_to_whole_input_run() {
     }
     let report = server.drain();
     assert_eq!(report.forced, 0);
+}
+
+/// One report per input byte: a `CHUNK`-byte chunk answers ~12 × `CHUNK`
+/// bytes, so both directions carry frames larger than a `BufWriter`.
+const LOCK_STEP_CHUNK: usize = 16 * 1024;
+
+#[test]
+fn lock_step_large_frames_never_wait_on_nagle_and_delayed_ack() {
+    let nfa = compile_rule_set(&["[a-z]"]).unwrap();
+    let cfg = ServerConfig {
+        config: PipelineConfig::Identity,
+        ..config()
+    };
+    let input: Vec<u8> = (0..32 * LOCK_STEP_CHUNK)
+        .map(|i| if i % 8 == 0 { b'a' } else { b'.' })
+        .collect();
+    let expected = reference(&nfa, &cfg, &input);
+    assert_eq!(expected.len(), input.len() / 8);
+    let mut server = MatchServer::start("127.0.0.1:0", &nfa, cfg).unwrap();
+
+    // `Client` frames like the benchmark's: `BufWriter`, one flush per
+    // frame, no socket options. A frame that leaves as header + payload
+    // costs a delayed ACK (~40 ms) per chunk; the work is microseconds.
+    let mut c = Client::connect(&server, "lockstep");
+    c.expect_ack();
+    let mut reports = Vec::new();
+    let mut round_trips = Vec::new();
+    for piece in input.chunks(LOCK_STEP_CHUNK) {
+        let sent = Instant::now();
+        c.send(&ClientFrame::Chunk(piece.to_vec()));
+        match c.recv() {
+            ServerFrame::Reports(r) => reports.extend(r),
+            other => panic!("expected Reports, got {other:?}"),
+        }
+        round_trips.push(sent.elapsed());
+    }
+    c.send(&ClientFrame::Finish);
+    match c.recv() {
+        ServerFrame::Reports(r) => reports.extend(r),
+        other => panic!("expected tail Reports, got {other:?}"),
+    }
+    assert!(matches!(c.recv(), ServerFrame::Done { .. }));
+    assert_eq!(reports, expected);
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median lock-step round trip {median:?} (all: {round_trips:?})"
+    );
+    server.drain();
 }
 
 #[test]

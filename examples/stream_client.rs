@@ -28,6 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    epoch this session pinned: a hot reload mid-stream won't change
     //    what *we* match against.
     let sock = TcpStream::connect(addr)?;
+    // Every frame leaves in one write (`write_to`); with Nagle off none
+    // of them waits for the previous one's acknowledgement either.
+    sock.set_nodelay(true)?;
     let mut reader = BufReader::new(sock.try_clone()?);
     let mut writer = BufWriter::new(&sock);
 

@@ -656,11 +656,13 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
         if let Some(Json::Obj(tenants)) = doc.get("latency_us") {
             for (tenant, stats) in tenants {
                 println!(
-                    "         tenant {tenant}: n={} mean={:.0}us p50={:.0}us p99={:.0}us",
+                    "         tenant {tenant}: n={} mean={:.0}us p50={:.0}us p99={:.0}us reply p50={:.0}us p99={:.0}us",
                     num(stats, &["count"]),
                     num(stats, &["mean_us"]),
                     num(stats, &["p50_us"]),
                     num(stats, &["p99_us"]),
+                    num(&doc, &["reply_write_us", tenant, "p50_us"]),
+                    num(&doc, &["reply_write_us", tenant, "p99_us"]),
                 );
             }
         }
