@@ -21,7 +21,7 @@ use sunder_automata::{InputView, Nfa};
 use sunder_oracle::check::Divergence;
 use sunder_oracle::fuzz::{generate_case, render_reproducer, shrink, Failure, FuzzOptions};
 use sunder_oracle::{check_pipelines, PipelineConfig};
-use sunder_sim::{EngineKind, ReportEvent, TraceSink};
+use sunder_sim::{Budget, CancelToken, EngineKind, ReportEvent, RunOutcome, TraceSink};
 
 /// Writes a failing case as a reproducer file under the test temp dir and
 /// returns its path.
@@ -76,6 +76,25 @@ fn run_positions(transformed: &Nfa, kind: EngineKind, input: &[u8]) -> Vec<(u64,
     let mut trace = TraceSink::new();
     engine.run(&view, &mut trace);
     trace.position_id_pairs(transformed.stride())
+}
+
+/// Like [`run_whole`] but through `run_budgeted` under a live token that
+/// never fires, polled every `check_every` cycles — the daemon's path.
+/// Window boundaries land mid-skip, mid-stride and on the padded tail.
+fn run_budgeted(
+    transformed: &Nfa,
+    kind: EngineKind,
+    input: &[u8],
+    check_every: u32,
+) -> Vec<ReportEvent> {
+    let view = InputView::new(input, transformed.symbol_bits(), transformed.stride())
+        .expect("input framing");
+    let budget = Budget::with_cancel(CancelToken::new()).check_every(check_every);
+    let mut engine = kind.build(transformed);
+    let mut trace = TraceSink::new();
+    let outcome = engine.run_budgeted(&view, &mut trace, &budget);
+    assert_eq!(outcome, RunOutcome::Completed);
+    trace.events
 }
 
 /// Runs `engine` over `input` one explicit `step` at a time — the path
@@ -190,18 +209,21 @@ proptest! {
 
     /// Prefilter and quiet-step transparency: the whole-stream `run`
     /// entry (which may skip provably idle cycles and drop activity
-    /// callbacks for trace sinks) produces the byte-identical report
-    /// trace of an explicit per-cycle `step` loop, which can never skip.
+    /// callbacks for trace sinks) and `run_budgeted` under a budget that
+    /// never fires both produce the byte-identical report trace of an
+    /// explicit per-cycle `step` loop, which can never skip.
     #[test]
     fn prefiltered_run_matches_stepwise_run(case in 0u64..4096) {
         let options = FuzzOptions::default();
         let (nfa, input) = generate_case(&options, case);
+        let check_every = 1 + (case % 97) as u32;
         for config in PipelineConfig::ALL {
             let (transformed, _map) = config.apply(&nfa).expect("transform");
             for kind in EngineKind::ALL {
                 let whole = run_whole(&transformed, kind, &input);
+                let budgeted = run_budgeted(&transformed, kind, &input, check_every);
                 let stepwise = run_stepwise(&transformed, kind, &input);
-                if whole != stepwise {
+                if whole != stepwise || budgeted != stepwise {
                     let path = emit_reproducer(
                         case,
                         &nfa,
@@ -209,8 +231,10 @@ proptest! {
                         config.name(),
                         kind.name(),
                         format!(
-                            "prefiltered run has {} events, stepwise has {}",
+                            "prefiltered run has {} events, budgeted run (check_every \
+                             {check_every}) {}, stepwise {}",
                             whole.len(),
+                            budgeted.len(),
                             stepwise.len(),
                         ),
                     );

@@ -953,6 +953,16 @@ fn run_session(
     Some(tenant)
 }
 
+/// The budget each `feed`/`finish` runs under: the session's cancel
+/// token, polled every 64 cycles, plus the configured chunk deadline.
+fn chunk_budget(inner: &ServerInner, cancel: &CancelToken) -> Budget {
+    let budget = Budget::with_cancel(cancel.clone()).check_every(64);
+    match inner.cfg.chunk_deadline {
+        Some(limit) => budget.deadline(limit),
+        None => budget,
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     inner: &Arc<ServerInner>,
@@ -976,10 +986,7 @@ fn worker_loop(
                         std::thread::sleep(Duration::from_millis(millis));
                     }
                 }
-                let mut budget = Budget::with_cancel(cancel.clone()).check_every(64);
-                if let Some(limit) = inner.cfg.chunk_deadline {
-                    budget = budget.deadline(limit);
-                }
+                let budget = chunk_budget(inner, cancel);
                 let inject_panic = faults.panic && session.chunks() == 0;
                 let started = Instant::now();
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1013,11 +1020,7 @@ fn worker_loop(
             }
             Work::Frame(ClientFrame::Finish) => {
                 match catch_unwind(AssertUnwindSafe(|| {
-                    let mut budget = Budget::with_cancel(cancel.clone()).check_every(64);
-                    if let Some(limit) = inner.cfg.chunk_deadline {
-                        budget = budget.deadline(limit);
-                    }
-                    session.finish(&budget)
+                    session.finish(&chunk_budget(inner, cancel))
                 })) {
                     Ok(Ok((tail, summary))) => {
                         obs.reports_total.add(tail.len() as u64);

@@ -305,6 +305,11 @@ fn admission_control_enforces_global_and_tenant_caps() {
     // Same tenant again: quota.
     let mut a2 = Client::connect(&server, "alpha1");
     assert!(matches!(a2.recv(), ServerFrame::Error { code, .. } if code == ERR_QUOTA));
+    // The refused connection holds its global slot until its thread ends.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.active_sessions() > 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Different tenant: admitted (2nd global slot).
     let mut b = Client::connect(&server, "beta2");
     b.expect_ack();

@@ -17,11 +17,12 @@
 use std::sync::{Arc, OnceLock};
 
 use sunder_automata::input::InputView;
-use sunder_automata::{AutomataError, Nfa, StateId};
+use sunder_automata::{Nfa, StateId};
+use sunder_resilience::Budget;
 
 use crate::dense::{DenseEngine, DenseTables};
 use crate::engine::Simulator;
-use crate::exec::Engine;
+use crate::exec::{drive, EngineState, Kernel};
 use crate::fastpath::SparseTables;
 use crate::sink::ReportSink;
 
@@ -280,7 +281,7 @@ impl<'a> AdaptiveEngine<'a> {
     /// live; see [`crate::exec::Engine::suspend`]. The snapshot is
     /// representation-independent, so a stream suspended in dense mode
     /// resumes correctly anywhere.
-    pub fn suspend(&self, out: &mut crate::exec::EngineState) {
+    pub fn suspend(&self, out: &mut EngineState) {
         if self.in_dense {
             self.dense
                 .as_ref()
@@ -297,7 +298,7 @@ impl<'a> AdaptiveEngine<'a> {
     /// density sampler re-derives the representation choice from the
     /// resumed stream, and the report trace is engine-independent either
     /// way.
-    pub fn resume(&mut self, state: &crate::exec::EngineState) {
+    pub fn resume(&mut self, state: &EngineState) {
         self.sparse.load_frontier(&state.frontier, state.cycle);
         if let Some(d) = &mut self.dense {
             d.reset();
@@ -446,141 +447,27 @@ impl<'a> AdaptiveEngine<'a> {
         valid: usize,
         sink: &mut S,
     ) -> usize {
-        let count = if self.in_dense {
-            self.dense
-                .as_mut()
-                .expect("dense engine in use")
-                .step(vector, valid, sink)
-        } else {
-            self.sparse.step(vector, valid, sink)
-        };
-        self.window_active += count as u64;
-        self.window_cycles += 1;
-        if self.window_cycles >= WINDOW {
-            self.maybe_switch();
-        }
-        count
+        Kernel::step::<S, false>(self, vector, valid, sink)
     }
 
     /// Runs the whole input stream, allocation-free in steady state.
     ///
     /// # Panics
     ///
-    /// Panics if the view's stride does not match the automaton's; see
-    /// [`AdaptiveEngine::try_run`] for the fallible form.
+    /// Panics if the view's stride does not match the automaton's.
     pub fn run<S: ReportSink + ?Sized>(&mut self, input: &InputView, sink: &mut S) {
-        self.try_run(input, sink)
-            .expect("input view stride must match the automaton stride");
+        drive(self, input, sink, &Budget::unlimited());
     }
 
-    /// Runs the whole input stream, reporting a stride mismatch as an
-    /// error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AutomataError::StrideMismatch`] if the view was built for
-    /// a different stride than the automaton's.
-    pub fn try_run<S: ReportSink + ?Sized>(
-        &mut self,
-        input: &InputView,
-        sink: &mut S,
-    ) -> Result<(), AutomataError> {
-        if input.stride() != self.nfa.stride() {
-            return Err(AutomataError::StrideMismatch {
-                expected: self.nfa.stride(),
-                found: input.stride(),
-            });
-        }
-        // Drain each window in a loop specialized to the current mode:
-        // hoisting the mode branch out of the cycle loop keeps the
-        // selector's overhead off the per-cycle path, which matters when a
-        // cold sparse cycle is only a few nanoseconds.
-        //
-        // Report-only sinks additionally license the sparse-mode rare-byte
-        // prefilter: while the frontier is empty, whole stretches of input
-        // whose leading symbols can start nothing are skipped without
-        // stepping. Skipped cycles still count toward the sampling window
-        // (as zero-active cycles), so the cost model sees the idleness.
-        let fast = !(sink.wants_cycle_activity() || sink.wants_active_states());
-        let total = input.num_cycles() as u64;
-        let mut pos = 0u64; // cycles of `input` consumed so far
-        let mut it = input.iter_ref();
-        loop {
-            if fast && !self.in_dense {
-                let skip = self.sparse.prefilter_scan(input, pos);
-                if skip > 0 {
-                    self.sparse.skip_cycles(skip);
-                    it.advance_cycles(skip as usize);
-                    pos += skip;
-                    let wc = u64::from(self.window_cycles) + skip;
-                    if wc >= u64::from(WINDOW) {
-                        self.window_cycles = WINDOW;
-                        self.maybe_switch();
-                    } else {
-                        self.window_cycles = wc as u32;
-                    }
-                    if pos >= total {
-                        return Ok(());
-                    }
-                }
-            }
-            let budget = WINDOW - self.window_cycles;
-            let mut done = 0u32;
-            let mut acc = 0u64;
-            let mut exhausted = false;
-            if self.in_dense {
-                let dense = self.dense.as_mut().expect("dense engine in use");
-                while done < budget {
-                    let Some(v) = it.next() else {
-                        exhausted = true;
-                        break;
-                    };
-                    // `fast` certifies the sink wants no activity
-                    // callbacks, licensing the quiet step.
-                    acc += if fast {
-                        dense.step_quiet(v.symbols, v.valid, sink)
-                    } else {
-                        dense.step(v.symbols, v.valid, sink)
-                    } as u64;
-                    done += 1;
-                }
-            } else {
-                while done < budget {
-                    let Some(v) = it.next() else {
-                        exhausted = true;
-                        break;
-                    };
-                    let c = if fast {
-                        self.sparse.step_quiet(v.symbols, v.valid, sink)
-                    } else {
-                        self.sparse.step(v.symbols, v.valid, sink)
-                    };
-                    acc += c as u64;
-                    done += 1;
-                    // Hand control back to the prefilter as soon as the
-                    // frontier dies so it can skip the rest of an idle
-                    // stretch instead of stepping through it.
-                    if fast && c == 0 {
-                        break;
-                    }
-                }
-            }
-            pos += u64::from(done);
-            self.window_active += acc;
-            self.window_cycles += done;
-            if exhausted {
-                return Ok(()); // input exhausted mid-window
-            }
-            if self.window_cycles >= WINDOW {
-                self.maybe_switch();
-            }
-        }
+    #[cfg(test)]
+    pub(crate) fn prefilter_skipped(&self) -> u64 {
+        self.sparse.prefilter_skipped()
     }
 }
 
-impl Engine for AdaptiveEngine<'_> {
+impl Kernel for AdaptiveEngine<'_> {
     fn nfa(&self) -> &Nfa {
-        AdaptiveEngine::nfa(self)
+        self.nfa
     }
 
     fn cycle(&self) -> u64 {
@@ -595,21 +482,49 @@ impl Engine for AdaptiveEngine<'_> {
         AdaptiveEngine::reset(self);
     }
 
-    fn suspend(&self, out: &mut crate::exec::EngineState) {
+    fn suspend(&self, out: &mut EngineState) {
         AdaptiveEngine::suspend(self, out);
     }
 
-    fn resume(&mut self, state: &crate::exec::EngineState) {
+    fn resume(&mut self, state: &EngineState) {
         AdaptiveEngine::resume(self, state);
     }
 
-    fn step(&mut self, vector: &[u16], valid: usize, sink: &mut dyn ReportSink) -> usize {
-        AdaptiveEngine::step(self, vector, valid, sink)
+    fn step<S: ReportSink + ?Sized, const QUIET: bool>(
+        &mut self,
+        vector: &[u16],
+        valid: usize,
+        sink: &mut S,
+    ) -> usize {
+        let count = match &mut self.dense {
+            Some(dense) if self.in_dense => Kernel::step::<S, QUIET>(dense, vector, valid, sink),
+            _ => Kernel::step::<S, QUIET>(&mut self.sparse, vector, valid, sink),
+        };
+        self.window_active += count as u64;
+        self.window_cycles += 1;
+        if self.window_cycles >= WINDOW {
+            self.maybe_switch();
+        }
+        count
     }
 
-    // Statically dispatched loop: one virtual call per run, not per cycle.
-    fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink) {
-        AdaptiveEngine::run(self, input, sink);
+    /// Only the sparse half prefilters; dense mode proves nothing idle.
+    fn idle_cycles(&self, input: &InputView, from: usize, to: usize) -> usize {
+        if self.in_dense {
+            0
+        } else {
+            self.sparse.idle_cycles(input, from, to)
+        }
+    }
+
+    /// Skipped cycles count toward the sampling window as zero-active
+    /// cycles, so the cost model sees the idleness.
+    fn skip(&mut self, cycles: u64) {
+        self.sparse.skip(cycles);
+        self.window_cycles = (u64::from(self.window_cycles) + cycles).min(u64::from(WINDOW)) as u32;
+        if self.window_cycles >= WINDOW {
+            self.maybe_switch();
+        }
     }
 }
 

@@ -34,9 +34,10 @@
 use std::sync::Arc;
 
 use sunder_automata::input::InputView;
-use sunder_automata::{AutomataError, ByteClasses, Nfa, StartKind, StateId};
+use sunder_automata::{ByteClasses, Nfa, StartKind, StateId};
+use sunder_resilience::Budget;
 
-use crate::exec::Engine;
+use crate::exec::{drive, EngineState, Kernel};
 use crate::simd;
 use crate::sink::{ReportEvent, ReportSink};
 use crate::storage::TableBuf;
@@ -351,7 +352,7 @@ impl<'a> DenseEngine<'a> {
     /// Captures the current execution state (canonical ascending-state
     /// frontier plus cycle clock) into `out`; see
     /// [`crate::exec::Engine::suspend`].
-    pub fn suspend(&self, out: &mut crate::exec::EngineState) {
+    pub fn suspend(&self, out: &mut EngineState) {
         out.frontier.clear();
         self.export_frontier(&mut out.frontier);
         out.cycle = self.cycle;
@@ -359,7 +360,7 @@ impl<'a> DenseEngine<'a> {
 
     /// Restores a suspended execution state; see
     /// [`crate::exec::Engine::resume`].
-    pub fn resume(&mut self, state: &crate::exec::EngineState) {
+    pub fn resume(&mut self, state: &EngineState) {
         self.load_frontier(&state.frontier, state.cycle);
     }
 
@@ -389,43 +390,7 @@ impl<'a> DenseEngine<'a> {
         valid: usize,
         sink: &mut S,
     ) -> usize {
-        self.step_impl::<S, false>(vector, valid, sink)
-    }
-
-    /// [`DenseEngine::step`] minus the per-cycle activity callbacks. Legal
-    /// only for sinks whose `wants_cycle_activity` and
-    /// `wants_active_states` both return `false` (see
-    /// [`crate::sink::ReportSink::wants_cycle_activity`]); reports are
-    /// still delivered identically.
-    pub(crate) fn step_quiet<S: ReportSink + ?Sized>(
-        &mut self,
-        vector: &[u16],
-        valid: usize,
-        sink: &mut S,
-    ) -> usize {
-        self.step_impl::<S, true>(vector, valid, sink)
-    }
-
-    fn step_impl<S: ReportSink + ?Sized, const QUIET: bool>(
-        &mut self,
-        vector: &[u16],
-        valid: usize,
-        sink: &mut S,
-    ) -> usize {
-        // Monomorphized fast paths for small state vectors (the regime
-        // where dense beats sparse): with the word count a compile-time
-        // constant the OR/AND loops fully unroll and bounds checks vanish.
-        match self.tables.words {
-            1 => self.step_w::<1, S, QUIET>(vector, valid, sink),
-            2 => self.step_w::<2, S, QUIET>(vector, valid, sink),
-            3 => self.step_w::<3, S, QUIET>(vector, valid, sink),
-            4 => self.step_w::<4, S, QUIET>(vector, valid, sink),
-            5 => self.step_w::<5, S, QUIET>(vector, valid, sink),
-            6 => self.step_w::<6, S, QUIET>(vector, valid, sink),
-            7 => self.step_w::<7, S, QUIET>(vector, valid, sink),
-            8 => self.step_w::<8, S, QUIET>(vector, valid, sink),
-            _ => self.step_dyn::<S, QUIET>(vector, valid, sink),
-        }
+        Kernel::step::<S, false>(self, vector, valid, sink)
     }
 
     /// [`DenseEngine::step`] specialized for a compile-time word count.
@@ -652,78 +617,62 @@ impl<'a> DenseEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the view's stride does not match the automaton's; see
-    /// [`DenseEngine::try_run`] for the fallible form.
+    /// Panics if the view's stride does not match the automaton's.
     pub fn run<S: ReportSink + ?Sized>(&mut self, input: &InputView, sink: &mut S) {
-        self.try_run(input, sink)
-            .expect("input view stride must match the automaton stride");
-    }
-
-    /// Runs the whole input stream, reporting a stride mismatch as an
-    /// error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AutomataError::StrideMismatch`] if the view was built for
-    /// a different stride than the automaton's.
-    pub fn try_run<S: ReportSink + ?Sized>(
-        &mut self,
-        input: &InputView,
-        sink: &mut S,
-    ) -> Result<(), AutomataError> {
-        if input.stride() != self.nfa.stride() {
-            return Err(AutomataError::StrideMismatch {
-                expected: self.nfa.stride(),
-                found: input.stride(),
-            });
-        }
-        if sink.wants_cycle_activity() || sink.wants_active_states() {
-            for v in input.iter_ref() {
-                self.step(v.symbols, v.valid, sink);
-            }
-        } else {
-            // The sink declared no interest in per-cycle activity, so the
-            // quiet step legally drops those callbacks.
-            for v in input.iter_ref() {
-                self.step_quiet(v.symbols, v.valid, sink);
-            }
-        }
-        Ok(())
+        drive(self, input, sink, &Budget::unlimited());
     }
 }
 
-impl Engine for DenseEngine<'_> {
+impl Kernel for DenseEngine<'_> {
     fn nfa(&self) -> &Nfa {
-        DenseEngine::nfa(self)
+        self.nfa
     }
 
     fn cycle(&self) -> u64 {
-        DenseEngine::cycle(self)
+        self.cycle
     }
 
     fn active_count(&self) -> usize {
-        DenseEngine::active_count(self)
+        self.active_count
     }
 
     fn reset(&mut self) {
         DenseEngine::reset(self);
     }
 
-    fn suspend(&self, out: &mut crate::exec::EngineState) {
+    fn suspend(&self, out: &mut EngineState) {
         DenseEngine::suspend(self, out);
     }
 
-    fn resume(&mut self, state: &crate::exec::EngineState) {
+    fn resume(&mut self, state: &EngineState) {
         DenseEngine::resume(self, state);
     }
 
-    fn step(&mut self, vector: &[u16], valid: usize, sink: &mut dyn ReportSink) -> usize {
-        DenseEngine::step(self, vector, valid, sink)
+    fn step<S: ReportSink + ?Sized, const QUIET: bool>(
+        &mut self,
+        vector: &[u16],
+        valid: usize,
+        sink: &mut S,
+    ) -> usize {
+        // Monomorphized fast paths for small state vectors (the regime
+        // where dense beats sparse): with the word count a compile-time
+        // constant the OR/AND loops fully unroll and bounds checks vanish.
+        match self.tables.words {
+            1 => self.step_w::<1, S, QUIET>(vector, valid, sink),
+            2 => self.step_w::<2, S, QUIET>(vector, valid, sink),
+            3 => self.step_w::<3, S, QUIET>(vector, valid, sink),
+            4 => self.step_w::<4, S, QUIET>(vector, valid, sink),
+            5 => self.step_w::<5, S, QUIET>(vector, valid, sink),
+            6 => self.step_w::<6, S, QUIET>(vector, valid, sink),
+            7 => self.step_w::<7, S, QUIET>(vector, valid, sink),
+            8 => self.step_w::<8, S, QUIET>(vector, valid, sink),
+            _ => self.step_dyn::<S, QUIET>(vector, valid, sink),
+        }
     }
 
-    // Statically dispatched loop: one virtual call per run, not per cycle.
-    fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink) {
-        DenseEngine::run(self, input, sink);
+    // Unreached: the default `idle_cycles` proves no cycle idle.
+    fn skip(&mut self, cycles: u64) {
+        self.cycle += cycles;
     }
 }
 

@@ -22,9 +22,10 @@
 use std::sync::Arc;
 
 use sunder_automata::input::InputView;
-use sunder_automata::{AutomataError, Nfa, StateId};
+use sunder_automata::{Nfa, StateId};
+use sunder_resilience::Budget;
 
-use crate::exec::Engine;
+use crate::exec::{drive, EngineState, Kernel};
 use crate::fastpath::{SparseTables, StartIndex, ENCODING_KINDS};
 use crate::sink::{ReportEvent, ReportSink};
 
@@ -158,7 +159,7 @@ impl<'a> Simulator<'a> {
     /// Captures the current execution state (canonical ascending-state
     /// frontier plus cycle clock) into `out`; see
     /// [`crate::exec::Engine::suspend`].
-    pub fn suspend(&self, out: &mut crate::exec::EngineState) {
+    pub fn suspend(&self, out: &mut EngineState) {
         out.frontier.clear();
         out.frontier.extend_from_slice(&self.active);
         out.frontier.sort_unstable_by_key(|s| s.index());
@@ -167,7 +168,7 @@ impl<'a> Simulator<'a> {
 
     /// Restores a suspended execution state; see
     /// [`crate::exec::Engine::resume`].
-    pub fn resume(&mut self, state: &crate::exec::EngineState) {
+    pub fn resume(&mut self, state: &EngineState) {
         self.load_frontier(&state.frontier, state.cycle);
     }
 
@@ -177,10 +178,7 @@ impl<'a> Simulator<'a> {
     /// states skip the check entirely (bucket membership is the match).
     /// Trace-identical to the general path by construction: insertion
     /// order and dedup discipline are unchanged, only the filter moved.
-    ///
-    /// With `QUIET` the per-cycle activity callbacks are omitted — legal
-    /// only for sinks whose `wants_cycle_activity` and
-    /// `wants_active_states` are both `false`.
+    /// `QUIET` is as in [`Kernel::step`].
     fn step1<S: ReportSink + ?Sized, const QUIET: bool>(
         &mut self,
         sym: u16,
@@ -280,24 +278,47 @@ impl<'a> Simulator<'a> {
         valid: usize,
         sink: &mut S,
     ) -> usize {
-        self.step_impl::<S, false>(vector, valid, sink)
+        Kernel::step::<S, false>(self, vector, valid, sink)
     }
 
-    /// [`Simulator::step`] minus the per-cycle activity callbacks. Legal
-    /// only for sinks whose `wants_cycle_activity` and
-    /// `wants_active_states` both return `false` (see
-    /// [`crate::sink::ReportSink::wants_cycle_activity`]); reports are
-    /// still delivered identically.
-    pub(crate) fn step_quiet<S: ReportSink + ?Sized>(
-        &mut self,
-        vector: &[u16],
-        valid: usize,
-        sink: &mut S,
-    ) -> usize {
-        self.step_impl::<S, true>(vector, valid, sink)
+    /// Runs the whole input stream through the automaton, allocation-free;
+    /// the prefilter and quiet steps apply as in [`crate::Engine::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics (in all build profiles) if the view's stride does not match
+    /// the automaton's.
+    pub fn run<S: ReportSink + ?Sized>(&mut self, input: &InputView, sink: &mut S) {
+        drive(self, input, sink, &Budget::unlimited());
+    }
+}
+
+impl Kernel for Simulator<'_> {
+    fn nfa(&self) -> &Nfa {
+        self.nfa
     }
 
-    fn step_impl<S: ReportSink + ?Sized, const QUIET: bool>(
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn active_count(&self) -> usize {
+        self.active.len()
+    }
+
+    fn reset(&mut self) {
+        Simulator::reset(self);
+    }
+
+    fn suspend(&self, out: &mut EngineState) {
+        Simulator::suspend(self, out);
+    }
+
+    fn resume(&mut self, state: &EngineState) {
+        Simulator::resume(self, state);
+    }
+
+    fn step<S: ReportSink + ?Sized, const QUIET: bool>(
         &mut self,
         vector: &[u16],
         valid: usize,
@@ -308,6 +329,14 @@ impl<'a> Simulator<'a> {
             self.tables.stride,
             "symbol vector length must equal the automaton stride"
         );
+
+        // Stride 1 (the dominant configuration) folds the match check into
+        // candidate insertion; tested first, as it steps between short skips.
+        if let [sym] = *vector {
+            if valid > 0 && usize::from(sym) < self.tables.alphabet {
+                return self.step1::<S, QUIET>(sym, sink);
+            }
+        }
 
         // A symbol outside the alphabet can match no charset: the frontier
         // dies this cycle (hoisted here so the per-candidate match loop
@@ -326,12 +355,6 @@ impl<'a> Simulator<'a> {
             }
             self.cycle += 1;
             return 0;
-        }
-
-        // Stride 1 (the dominant configuration) takes a specialized path
-        // that folds the match check into candidate insertion.
-        if self.tables.stride == 1 && live == 1 {
-            return self.step1::<S, QUIET>(vector[0], sink);
         }
 
         self.generation += 1;
@@ -408,180 +431,24 @@ impl<'a> Simulator<'a> {
         self.active.len()
     }
 
-    /// Counts how many cycles of `input`, starting at cycle position
-    /// `from_cycle` within the view, are provably idle: the frontier is
-    /// empty, no start-of-data start can fire, and the leading symbol of
-    /// each cycle misses the start LUT — so stepping them would produce no
-    /// active states and no reports. Returns 0 whenever the frontier is
-    /// non-empty.
-    pub(crate) fn prefilter_scan(&self, input: &InputView, from_cycle: u64) -> u64 {
-        if !self.active.is_empty() {
-            return 0;
-        }
-        if self.cycle == 0 && !self.tables.sod_starts.is_empty() {
+    /// Idle means: the frontier is empty, no start-of-data start can
+    /// fire, and the leading symbol of the cycle misses the start LUT.
+    fn idle_cycles(&self, input: &InputView, from: usize, to: usize) -> usize {
+        if !self.active.is_empty() || (self.cycle == 0 && !self.tables.sod_starts.is_empty()) {
             return 0;
         }
         let stride = self.tables.stride;
         let syms = input.symbols();
-        let total = input.num_cycles() as u64;
-        let mut c = from_cycle;
-        while c < total && !self.tables.start_lut_hit(syms[(c as usize) * stride]) {
+        let mut c = from;
+        while c < to && !self.tables.start_lut_hit(syms[c * stride]) {
             c += 1;
         }
-        c - from_cycle
+        c - from
     }
 
-    /// Advances over `cycles` prefiltered (provably idle) cycles without
-    /// stepping, updating the skip statistics.
-    pub(crate) fn skip_cycles(&mut self, cycles: u64) {
+    fn skip(&mut self, cycles: u64) {
         self.cycle += cycles;
         self.prefilter_skipped += cycles;
-        if sunder_telemetry::enabled() {
-            sunder_telemetry::counter_add("prefilter_skipped_total", &[], cycles);
-        }
-    }
-
-    /// Runs the whole input stream through the automaton.
-    ///
-    /// Iteration borrows the view's symbol buffers directly, so steady-state
-    /// execution performs no allocation. When the sink observes neither
-    /// per-cycle activity nor active-state lists, the rare-byte prefilter
-    /// skips runs of provably idle cycles instead of stepping them.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in all build profiles) if the view's stride does not match
-    /// the automaton's; see [`Simulator::try_run`] for the fallible form.
-    pub fn run<S: ReportSink + ?Sized>(&mut self, input: &InputView, sink: &mut S) {
-        self.try_run(input, sink)
-            .expect("input view stride must match the automaton stride");
-    }
-
-    /// Runs the whole input stream, reporting a stride mismatch as an error
-    /// instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AutomataError::StrideMismatch`] if the view was built for
-    /// a different stride than the automaton's.
-    pub fn try_run<S: ReportSink + ?Sized>(
-        &mut self,
-        input: &InputView,
-        sink: &mut S,
-    ) -> Result<(), AutomataError> {
-        if input.stride() != self.nfa.stride() {
-            return Err(AutomataError::StrideMismatch {
-                expected: self.nfa.stride(),
-                found: input.stride(),
-            });
-        }
-        let mut it = input.iter_ref();
-        if sink.wants_cycle_activity() || sink.wants_active_states() {
-            // The sink observes every cycle: no skipping allowed.
-            for v in it {
-                self.step(v.symbols, v.valid, sink);
-            }
-            return Ok(());
-        }
-        // Stride 1 never pads, so the cycle stream IS the symbol slice:
-        // walk it directly, with the prefilter scan fused into the loop.
-        if self.tables.stride == 1 {
-            self.run1_quiet(input, sink);
-            return Ok(());
-        }
-        // Prefiltered loop. `pos` tracks the cycle position within this
-        // view (the engine's own counter may be offset when the caller
-        // resumed mid-stream, in which case the scan never fires).
-        let mut pos: u64 = 0;
-        let total = input.num_cycles() as u64;
-        while pos < total {
-            let skip = self.prefilter_scan(input, pos);
-            if skip > 0 {
-                self.skip_cycles(skip);
-                it.advance_cycles(skip as usize);
-                pos += skip;
-                if pos >= total {
-                    break;
-                }
-            }
-            let v = it.next().expect("iterator covers num_cycles vectors");
-            // The sink declared no interest in per-cycle activity above,
-            // so the quiet step legally drops those callbacks.
-            self.step_quiet(v.symbols, v.valid, sink);
-            pos += 1;
-        }
-        Ok(())
-    }
-
-    /// Stride-1 whole-stream loop for activity-blind sinks: indexes the
-    /// view's symbol slice directly (no per-cycle iterator or stride
-    /// dispatch) and inlines the rare-byte prefilter scan between steps.
-    /// Semantically identical to the general prefiltered loop.
-    fn run1_quiet<S: ReportSink + ?Sized>(&mut self, input: &InputView, sink: &mut S) {
-        let syms = input.symbols();
-        let total = input.num_cycles();
-        debug_assert_eq!(total, syms.len(), "stride 1 has one symbol per cycle");
-        let mut pos = 0usize;
-        while pos < total {
-            if self.active.is_empty() && (self.cycle != 0 || self.tables.sod_starts.is_empty()) {
-                // Frontier is provably idle until the start LUT hits.
-                let from = pos;
-                while pos < total && !self.tables.start_lut_hit(syms[pos]) {
-                    pos += 1;
-                }
-                if pos > from {
-                    self.skip_cycles((pos - from) as u64);
-                    if pos >= total {
-                        break;
-                    }
-                }
-            }
-            let sym = syms[pos];
-            if usize::from(sym) >= self.tables.alphabet {
-                // Out-of-alphabet symbol: the frontier dies this cycle
-                // (quiet form of the general step's OOB branch).
-                self.active.clear();
-                self.cycle += 1;
-            } else {
-                self.step1::<S, true>(sym, sink);
-            }
-            pos += 1;
-        }
-    }
-}
-
-impl Engine for Simulator<'_> {
-    fn nfa(&self) -> &Nfa {
-        Simulator::nfa(self)
-    }
-
-    fn cycle(&self) -> u64 {
-        Simulator::cycle(self)
-    }
-
-    fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    fn reset(&mut self) {
-        Simulator::reset(self);
-    }
-
-    fn suspend(&self, out: &mut crate::exec::EngineState) {
-        Simulator::suspend(self, out);
-    }
-
-    fn resume(&mut self, state: &crate::exec::EngineState) {
-        Simulator::resume(self, state);
-    }
-
-    fn step(&mut self, vector: &[u16], valid: usize, sink: &mut dyn ReportSink) -> usize {
-        Simulator::step(self, vector, valid, sink)
-    }
-
-    // Statically dispatched loop: one virtual call per run, not per cycle.
-    fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink) {
-        Simulator::run(self, input, sink);
     }
 }
 

@@ -15,6 +15,11 @@
 //!
 //! [`EngineKind`] names them for configuration surfaces (CLI flags,
 //! `sunder-core`'s builder) and [`EngineKind::build`] instantiates one.
+//!
+//! Each engine supplies only its cycle step and prefilter hooks (the
+//! crate-private `Kernel` trait); one driver, `drive`, runs them all. It
+//! polls a [`Budget`] only between windows of [`Budget::poll_interval`]
+//! cycles, skipped ones counting; an unlimited budget is one window.
 
 use sunder_automata::input::InputView;
 use sunder_automata::{Nfa, StateId};
@@ -94,30 +99,24 @@ pub trait Engine {
     /// cycle.
     fn step(&mut self, vector: &[u16], valid: usize, sink: &mut dyn ReportSink) -> usize;
 
-    /// Runs the whole input stream through the automaton.
+    /// Runs the whole input stream through the automaton. When the sink
+    /// observes neither per-cycle activity nor active-state lists, steps
+    /// are quiet and the rare-byte prefilter skips provably idle cycles.
     ///
     /// # Panics
     ///
     /// Panics if the view's stride does not match the automaton's.
-    fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink) {
-        assert_eq!(
-            input.stride(),
-            self.nfa().stride(),
-            "input view stride must match the automaton stride"
-        );
-        for v in input.iter_ref() {
-            self.step(v.symbols, v.valid, sink);
-        }
-    }
+    fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink);
 
-    /// Runs the input stream under a cooperative [`Budget`].
+    /// Runs the input stream under a cooperative [`Budget`], on the same
+    /// loop as [`Engine::run`] (prefilter and quiet steps included).
     ///
-    /// An unlimited budget delegates straight to [`Engine::run`] — one
-    /// branch per run, so an unset budget costs nothing on the hot cycle
-    /// loop. Otherwise the loop polls [`Budget::exceeded`] every
-    /// [`Budget::poll_interval`] cycles and stops early with
-    /// [`RunOutcome::Interrupted`] when the deadline passes or the cancel
-    /// token trips.
+    /// The run is cut into windows of [`Budget::poll_interval`] cycles,
+    /// prefiltered cycles counting like stepped ones, and
+    /// [`Budget::exceeded`] is polled only between windows: the run stops
+    /// early with [`RunOutcome::Interrupted`] when the deadline passes or
+    /// the cancel token trips. An unlimited budget is a single window
+    /// over the whole view, so it never polls.
     ///
     /// # Panics
     ///
@@ -127,32 +126,159 @@ pub trait Engine {
         input: &InputView,
         sink: &mut dyn ReportSink,
         budget: &Budget,
+    ) -> RunOutcome;
+}
+
+/// What one engine contributes to [`drive`]: its cycle step and the
+/// prefilter hooks. The blanket impl below makes every `Kernel` an
+/// [`Engine`].
+pub(crate) trait Kernel {
+    fn nfa(&self) -> &Nfa;
+    fn cycle(&self) -> u64;
+    fn active_count(&self) -> usize;
+    fn reset(&mut self);
+    fn suspend(&self, out: &mut EngineState);
+    fn resume(&mut self, state: &EngineState);
+
+    /// [`Engine::step`]; with `QUIET` minus the activity callbacks, which
+    /// is legal only for sinks that want neither cycle activity nor
+    /// active states.
+    fn step<S: ReportSink + ?Sized, const QUIET: bool>(
+        &mut self,
+        vector: &[u16],
+        valid: usize,
+        sink: &mut S,
+    ) -> usize;
+
+    /// How many cycles of `input` from `from` (before `to`) are provably
+    /// idle, stepping to no active state and no report. Default: none.
+    fn idle_cycles(&self, _input: &InputView, _from: usize, _to: usize) -> usize {
+        0
+    }
+
+    /// Advances over `cycles` cycles that [`Kernel::idle_cycles`] proved
+    /// idle, without stepping them.
+    fn skip(&mut self, cycles: u64);
+}
+
+impl<K: Kernel> Engine for K {
+    fn nfa(&self) -> &Nfa {
+        Kernel::nfa(self)
+    }
+
+    fn cycle(&self) -> u64 {
+        Kernel::cycle(self)
+    }
+
+    fn active_count(&self) -> usize {
+        Kernel::active_count(self)
+    }
+
+    fn reset(&mut self) {
+        Kernel::reset(self);
+    }
+
+    fn suspend(&self, out: &mut EngineState) {
+        Kernel::suspend(self, out);
+    }
+
+    fn resume(&mut self, state: &EngineState) {
+        Kernel::resume(self, state);
+    }
+
+    fn step(&mut self, vector: &[u16], valid: usize, sink: &mut dyn ReportSink) -> usize {
+        Kernel::step::<_, false>(self, vector, valid, sink)
+    }
+
+    // Statically dispatched loop: one virtual call per run, not per cycle.
+    fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink) {
+        drive(self, input, sink, &Budget::unlimited());
+    }
+
+    fn run_budgeted(
+        &mut self,
+        input: &InputView,
+        sink: &mut dyn ReportSink,
+        budget: &Budget,
     ) -> RunOutcome {
-        if budget.is_unlimited() {
-            self.run(input, sink);
-            return RunOutcome::Completed;
-        }
-        assert_eq!(
-            input.stride(),
-            self.nfa().stride(),
-            "input view stride must match the automaton stride"
-        );
-        let poll_every = u64::from(budget.poll_interval());
-        let mut since_poll = 0u64;
-        for v in input.iter_ref() {
-            self.step(v.symbols, v.valid, sink);
-            since_poll += 1;
-            if since_poll >= poll_every {
-                since_poll = 0;
-                if let Some(reason) = budget.exceeded() {
-                    return RunOutcome::Interrupted {
-                        at_cycle: self.cycle(),
-                        reason,
-                    };
+        drive(self, input, sink, budget)
+    }
+}
+
+/// The one run loop of every engine: checks the stride, picks the quiet
+/// step once from the sink, then walks `input` window by window, fusing
+/// the prefilter's skips with the steps. Skipped cycles count toward the
+/// window, and `budget` is polled only between windows; an unlimited
+/// budget is one window, so the hot loop never polls.
+///
+/// # Panics
+///
+/// Panics if the view's stride does not match the automaton's.
+pub(crate) fn drive<K: Kernel, S: ReportSink + ?Sized>(
+    kernel: &mut K,
+    input: &InputView,
+    sink: &mut S,
+    budget: &Budget,
+) -> RunOutcome {
+    fn windows<K: Kernel, S: ReportSink + ?Sized, const QUIET: bool>(
+        kernel: &mut K,
+        input: &InputView,
+        sink: &mut S,
+        budget: &Budget,
+    ) -> RunOutcome {
+        let total = input.num_cycles();
+        let window = if budget.is_unlimited() {
+            total
+        } else {
+            budget.poll_interval() as usize
+        };
+        let mut vectors = input.iter_ref();
+        let (mut pos, mut skipped) = (0, 0);
+        let outcome = loop {
+            let end = total.min(pos + window);
+            while pos < end {
+                // Only a sink blind to activity may miss whole cycles.
+                if QUIET {
+                    let idle = kernel.idle_cycles(input, pos, end);
+                    if idle > 0 {
+                        kernel.skip(idle as u64);
+                        vectors.advance_cycles(idle);
+                        pos += idle;
+                        skipped += idle;
+                        // A skip ends on a cycle that may wake: step it.
+                        if pos == end {
+                            break;
+                        }
+                    }
                 }
+                let v = vectors.next().expect("the view yields num_cycles vectors");
+                kernel.step::<S, QUIET>(v.symbols, v.valid, sink);
+                pos += 1;
             }
+            if pos == total {
+                break RunOutcome::Completed;
+            }
+            if let Some(reason) = budget.exceeded() {
+                let at_cycle = kernel.cycle();
+                break RunOutcome::Interrupted { at_cycle, reason };
+            }
+        };
+        // Once per run: the registry is a global lock, too dear per skip.
+        if skipped > 0 && sunder_telemetry::enabled() {
+            sunder_telemetry::counter_add("prefilter_skipped_total", &[], skipped as u64);
         }
-        RunOutcome::Completed
+        outcome
+    }
+
+    assert_eq!(
+        input.stride(),
+        kernel.nfa().stride(),
+        "input view stride must match the automaton stride"
+    );
+    if sink.wants_cycle_activity() || sink.wants_active_states() {
+        windows::<K, S, false>(kernel, input, sink, budget)
+    } else {
+        windows::<K, S, true>(kernel, input, sink, budget)
     }
 }
 
@@ -286,6 +412,40 @@ mod tests {
                 reason: StopReason::DeadlineExpired
             }
         );
+    }
+
+    #[test]
+    fn daemon_budget_takes_the_prefiltered_loop() {
+        use sunder_resilience::CancelToken;
+        // The daemon's per-chunk budget: a live token that never trips,
+        // polled every 64 cycles. Long idle stretches make the window
+        // boundaries land mid-skip; the trailing 'a' leaves a frontier.
+        let nfa = compile_regex("ab", 3).unwrap();
+        let mut bytes = vec![b'x'; 1000];
+        bytes.extend_from_slice(b"ab");
+        bytes.extend_from_slice(&[b'x'; 1000]);
+        bytes.push(b'a');
+        let input = InputView::new(&bytes, 8, 1).unwrap();
+        let daemon = Budget::with_cancel(CancelToken::new()).check_every(64);
+        let observe = |engine: &mut dyn Engine, budget: &Budget| {
+            let mut trace = TraceSink::new();
+            let outcome = engine.run_budgeted(&input, &mut trace, budget);
+            assert_eq!(outcome, RunOutcome::Completed);
+            let mut state = EngineState::initial();
+            engine.suspend(&mut state);
+            (trace.events, engine.cycle(), state)
+        };
+        let unlimited = observe(&mut crate::Simulator::new(&nfa), &Budget::unlimited());
+        assert_eq!(unlimited.0.len(), 1);
+        assert_eq!(unlimited.1, bytes.len() as u64);
+        assert_eq!(unlimited.2.frontier.len(), 1);
+
+        let mut sparse = crate::Simulator::new(&nfa);
+        assert_eq!(observe(&mut sparse, &daemon), unlimited);
+        assert!(sparse.prefilter_skipped() > 0, "sparse never skipped");
+        let mut adaptive = crate::AdaptiveEngine::new(&nfa);
+        assert_eq!(observe(&mut adaptive, &daemon), unlimited);
+        assert!(adaptive.prefilter_skipped() > 0, "adaptive never skipped");
     }
 
     #[test]

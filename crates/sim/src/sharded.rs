@@ -252,10 +252,7 @@ impl ShardedEngine {
         input: &InputView,
         budget: &Budget,
     ) -> (Vec<ReportEvent>, RunOutcome) {
-        let s = &self.plan.shards[shard];
-        let mut engine = self.build_shard_engine(shard);
-        let mut trace = TraceSink::new();
-        let outcome = engine.run_budgeted(input, &mut trace, budget);
+        let (events, _, outcome) = self.drive_shard(shard, input, &EngineState::initial(), budget);
         if sunder_telemetry::enabled() {
             let label = shard.to_string();
             sunder_telemetry::counter_add(
@@ -264,11 +261,30 @@ impl ShardedEngine {
                 input.num_symbols() as u64,
             );
         }
+        (events, outcome)
+    }
+
+    /// Build → resume from `from` → run → suspend → remap to original
+    /// state ids, for one shard.
+    fn drive_shard(
+        &self,
+        shard: usize,
+        input: &InputView,
+        from: &EngineState,
+        budget: &Budget,
+    ) -> (Vec<ReportEvent>, EngineState, RunOutcome) {
+        let mut engine = self.build_shard_engine(shard);
+        engine.resume(from);
+        let mut trace = TraceSink::new();
+        let outcome = engine.run_budgeted(input, &mut trace, budget);
+        let mut suspended = EngineState::initial();
+        engine.suspend(&mut suspended);
+        let s = &self.plan.shards[shard];
         let mut events = trace.events;
         for e in &mut events {
             e.state = s.to_original(e.state);
         }
-        (events, outcome)
+        (events, suspended, outcome)
     }
 
     /// Merges per-shard traces (in original state ids) into the
@@ -297,7 +313,8 @@ impl ShardedEngine {
         let _ = self.run_budgeted(input, sink, &Budget::unlimited());
     }
 
-    /// [`ShardedEngine::run`] under a cooperative budget. Shards execute
+    /// [`ShardedEngine::run`] under a cooperative budget: one
+    /// [`ShardedEngine::run_chunk`] from the initial state. Shards execute
     /// sequentially; the first interrupted shard aborts the run and
     /// nothing is delivered to `sink` (a partially-sharded trace would
     /// be silently missing whole components, which is worse than
@@ -308,21 +325,7 @@ impl ShardedEngine {
         sink: &mut dyn ReportSink,
         budget: &Budget,
     ) -> RunOutcome {
-        assert_eq!(
-            input.stride(),
-            self.stride,
-            "input view stride must match the automaton stride"
-        );
-        let mut traces = Vec::with_capacity(self.num_shards());
-        for shard in 0..self.num_shards() {
-            let (events, outcome) = self.run_shard(shard, input, budget);
-            if let RunOutcome::Interrupted { .. } = outcome {
-                return outcome;
-            }
-            traces.push(events);
-        }
-        deliver(Self::merge(traces), sink);
-        RunOutcome::Completed
+        self.run_chunk(input, sink, &mut self.initial_state(), budget)
     }
 
     /// Convenience: frames `input` for this automaton, runs all shards,
@@ -390,21 +393,12 @@ impl ShardedEngine {
         let mut traces = Vec::with_capacity(self.num_shards());
         let mut next: Vec<EngineState> = Vec::with_capacity(self.num_shards());
         for shard in 0..self.num_shards() {
-            let s = &self.plan.shards[shard];
-            let mut engine = self.build_shard_engine(shard);
-            engine.resume(&state.shards[shard]);
-            let mut trace = TraceSink::new();
-            let outcome = engine.run_budgeted(input, &mut trace, budget);
+            let (events, suspended, outcome) =
+                self.drive_shard(shard, input, &state.shards[shard], budget);
             if let RunOutcome::Interrupted { .. } = outcome {
                 return outcome;
             }
-            let mut suspended = EngineState::initial();
-            engine.suspend(&mut suspended);
             next.push(suspended);
-            let mut events = trace.events;
-            for e in &mut events {
-                e.state = s.to_original(e.state);
-            }
             traces.push(events);
         }
         state.shards = next;

@@ -2,8 +2,10 @@
 //! bit-parallel, and adaptive engines must produce byte-identical report
 //! traces on every suite workload. This is the correctness gate behind
 //! the adaptive selector — switching representation mid-stream must never
-//! change what is reported, or when.
+//! change what is reported, or when — and behind the served path, which
+//! runs every engine under the daemon's budget.
 
+use sunder::resilience::{Budget, CancelToken, RunOutcome, StopReason};
 use sunder::sim::{EngineKind, TraceSink};
 use sunder::{Benchmark, InputView, Scale};
 
@@ -26,6 +28,20 @@ fn engines_agree_on_all_suite_benchmarks() {
             let mut engine = kind.build(&w.nfa);
             let mut sink = TraceSink::new();
             engine.run(&input, &mut sink);
+
+            // The daemon's per-chunk budget: live token, poll every 64.
+            let budget = Budget::with_cancel(CancelToken::new()).check_every(64);
+            let mut served = TraceSink::new();
+            let outcome = kind
+                .build(&w.nfa)
+                .run_budgeted(&input, &mut served, &budget);
+            assert_eq!(outcome, RunOutcome::Completed, "{kind} on {}", bench.name());
+            assert_eq!(
+                served.events,
+                sink.events,
+                "{kind}: budgeted run diverged on benchmark {}",
+                bench.name()
+            );
             match &reference {
                 None => reference = Some((kind, sink.events)),
                 Some((ref_kind, ref_events)) => assert_eq!(
@@ -44,6 +60,28 @@ fn engines_agree_on_all_suite_benchmarks() {
             "reports past end of input on {}",
             bench.name()
         );
+    }
+}
+
+/// A tripped token still stops every engine at the first poll of the
+/// daemon's budget, even on input the prefilter skips: skipped cycles
+/// count toward the 64-cycle window like stepped ones.
+#[test]
+fn tripped_daemon_budget_stops_every_engine_at_the_first_window() {
+    let w = Benchmark::ExactMatch.build(TEST_SCALE);
+    let input = InputView::new(&w.input, 8, 1).expect("byte view");
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = Budget::with_cancel(token).check_every(64);
+    for kind in EngineKind::ALL {
+        let outcome = kind
+            .build(&w.nfa)
+            .run_budgeted(&input, &mut TraceSink::new(), &budget);
+        let expected = RunOutcome::Interrupted {
+            at_cycle: 64,
+            reason: StopReason::Cancelled,
+        };
+        assert_eq!(outcome, expected, "{kind}");
     }
 }
 
