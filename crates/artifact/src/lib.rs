@@ -58,9 +58,9 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over separated parts, bit-compatible with the pipeline-cache
-/// key in `sunder-shard`: a 0xff separator is folded in after each part
-/// so `("ab", "c")` and `("a", "bc")` hash differently.
+/// FNV-1a over separated parts, the fold behind every pipeline key: a
+/// 0xff separator is folded in after each part so `("ab", "c")` and
+/// `("a", "bc")` hash differently.
 pub fn fnv1a_parts(parts: &[&str]) -> u64 {
     let mut h = FNV_OFFSET;
     for part in parts {
@@ -87,8 +87,7 @@ pub enum SpecParams {
 }
 
 impl SpecParams {
-    /// Stable text folded into the pipeline key. Must stay bit-identical
-    /// to `sunder-shard`'s cache-key text (a cross-crate test pins this).
+    /// Stable text folded into the pipeline key.
     pub fn key_text(&self) -> String {
         match self {
             SpecParams::MaxShards(k) => format!("max-shards={k}"),
@@ -151,16 +150,27 @@ impl std::fmt::Display for SpecParams {
     }
 }
 
+/// Names the compile pipeline behind `PipelineConfig::apply` in every
+/// key. Change it whenever the pipeline starts producing a different
+/// executable automaton from the same inputs, so databases compiled
+/// before the change miss and are recompiled instead of mapped.
+pub const COMPILE_PIPELINE_TAG: &str = "rate-transform+drop-start-subsumed/1";
+
 /// The content-addressed pipeline key over already-serialized source
-/// ANML — bit-compatible with `sunder-shard`'s `pipeline_key` (which
-/// serializes the automaton and calls the same FNV-1a fold).
+/// ANML. `sunder-shard`'s `pipeline_key` is this key.
 pub fn db_key_from_anml(
     config: PipelineConfig,
     spec: &SpecParams,
     engine: EngineKind,
     source_anml: &str,
 ) -> u64 {
-    fnv1a_parts(&[config.name(), &spec.key_text(), engine.name(), source_anml])
+    fnv1a_parts(&[
+        COMPILE_PIPELINE_TAG,
+        config.name(),
+        &spec.key_text(),
+        engine.name(),
+        source_anml,
+    ])
 }
 
 /// The content-addressed pipeline key of `(source automaton, config,
@@ -222,5 +232,25 @@ mod tests {
         // The parts fold must differ from hashing the concatenation.
         assert_ne!(fnv1a_parts(&["ab", "c"]), fnv1a_parts(&["a", "bc"]));
         assert_ne!(fnv1a_parts(&["abc"]), fnv1a_bytes(b"abc"));
+    }
+
+    #[test]
+    fn key_covers_the_compile_pipeline() {
+        // A database keyed before the pipeline tag existed folded only
+        // these four parts; its key must not name a current pipeline.
+        let anml = "automaton bits=8 stride=1\n";
+        let spec = SpecParams::MaxShards(4);
+        for config in PipelineConfig::ALL {
+            let untagged = fnv1a_parts(&[
+                config.name(),
+                &spec.key_text(),
+                EngineKind::Sparse.name(),
+                anml,
+            ]);
+            assert_ne!(
+                db_key_from_anml(config, &spec, EngineKind::Sparse, anml),
+                untagged
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! view the automaton as a directed graph; this module collects the shared
 //! algorithms.
 
-use crate::nfa::{Nfa, StateId};
+use crate::nfa::{Nfa, StartKind, StateId};
 
 /// Weakly connected components of the transition graph.
 ///
@@ -68,8 +68,12 @@ pub fn reachable_from_starts(nfa: &Nfa) -> Vec<bool> {
 /// States from which some reporting state is reachable (including reporting
 /// states themselves).
 pub fn can_reach_report(nfa: &Nfa) -> Vec<bool> {
+    can_reach_report_with(nfa, &nfa.predecessors())
+}
+
+/// [`can_reach_report`] over predecessor lists the caller already built.
+fn can_reach_report_with(nfa: &Nfa, pred: &[Vec<StateId>]) -> Vec<bool> {
     let n = nfa.num_states();
-    let pred = nfa.predecessors();
     let mut useful = vec![false; n];
     let mut stack: Vec<StateId> = nfa.report_states();
     for s in &stack {
@@ -98,6 +102,115 @@ pub fn prune_useless(nfa: &mut Nfa) -> usize {
     let keep: Vec<bool> = reach.iter().zip(&useful).map(|(&r, &u)| r && u).collect();
     let removed = keep.iter().filter(|&&k| !k).count();
     if removed > 0 {
+        nfa.retain_states(&keep);
+    }
+    removed
+}
+
+/// Removes the states whose only effect is to enable [`AllInput`] starts
+/// on cycles where the start enable fires anyway — the always-on `.*`
+/// head of an unanchored pattern, whose successor is already a start (the
+/// Glushkov form of `.*lit`). Returns the number of states removed.
+///
+/// The removed set H is the largest set of states that each
+/// * carry no report and can reach one;
+/// * have every predecessor in H;
+/// * leave H only through edges into [`AllInput`] starts, on a cycle the
+///   start period enables.
+///
+/// Phases are taken modulo [`Nfa::start_period`]: a start member is active
+/// at phase 0 and each edge adds one, so a member with phase set Φ may
+/// leave H only when Φ + 1 ⊆ {0}. Φ is computed once over the initial
+/// candidates, a superset of H, so it covers every phase a member of H can
+/// be active in. Deleting H therefore only drops enables that the start
+/// enable supplies on the same cycle: reports are unchanged for every
+/// engine and configuration. The nibble-mode hi→lo→hi ring of a
+/// transformed `.*` (period 2) goes as one unit.
+///
+/// Dead states (no report reachable) are left to [`prune_useless`], and a
+/// mid-pattern `.*` (as in `a.*b`) stays: its successor is not a start.
+///
+/// [`AllInput`]: StartKind::AllInput
+pub fn drop_start_subsumed(nfa: &mut Nfa) -> usize {
+    let n = nfa.num_states();
+    let period = nfa.start_period() as usize;
+    if period > 64 {
+        // Phase sets are one u64 of bits; no transform produces a longer
+        // period.
+        return 0;
+    }
+    let pred = nfa.predecessors();
+    let live = can_reach_report_with(nfa, &pred);
+    let mut member: Vec<bool> = nfa
+        .states()
+        .map(|(id, s)| live[id.index()] && !s.is_reporting())
+        .collect();
+
+    // Phase sets over the candidates, bit `p` for phase `p`.
+    let all = u64::MAX >> (64 - period);
+    let advance = |m: u64| ((m << 1) | (m >> (period - 1))) & all;
+    let mut phases = vec![0u64; n];
+    let mut stack: Vec<StateId> = nfa
+        .start_states()
+        .into_iter()
+        .filter(|s| member[s.index()])
+        .collect();
+    for s in &stack {
+        phases[s.index()] = 1;
+    }
+    while let Some(v) = stack.pop() {
+        let next = advance(phases[v.index()]);
+        for &t in nfa.successors(v) {
+            let p = &mut phases[t.index()];
+            if member[t.index()] && *p | next != *p {
+                *p |= next;
+                stack.push(t);
+            }
+        }
+    }
+    // A member may leave the set along `from → to` only into an `AllInput`
+    // start, and only if every phase `from` is active in is followed by an
+    // aligned cycle.
+    let may_exit = |from: StateId, to: StateId| {
+        nfa.state(to).start_kind() == StartKind::AllInput
+            && phases[from.index()] & !(1u64 << (period - 1)) == 0
+    };
+
+    // Shrink to the largest set satisfying the rules: evict violators, and
+    // re-examine the neighbours an eviction can invalidate.
+    let mut evict: Vec<StateId> = nfa
+        .states()
+        .map(|(id, _)| id)
+        .filter(|&v| {
+            member[v.index()]
+                && (pred[v.index()].iter().any(|p| !member[p.index()])
+                    || nfa
+                        .successors(v)
+                        .iter()
+                        .any(|&t| !(member[t.index()] || may_exit(v, t))))
+        })
+        .collect();
+    while let Some(v) = evict.pop() {
+        if !std::mem::replace(&mut member[v.index()], false) {
+            continue;
+        }
+        evict.extend(
+            nfa.successors(v)
+                .iter()
+                .filter(|t| member[t.index()])
+                .copied(),
+        );
+        evict.extend(
+            pred[v.index()]
+                .iter()
+                .filter(|&&p| member[p.index()] && !may_exit(p, v))
+                .copied(),
+        );
+    }
+
+    let removed = member.iter().filter(|&&m| m).count();
+    if removed > 0 {
+        let keep: Vec<bool> = member.iter().map(|&m| !m).collect();
         nfa.retain_states(&keep);
     }
     removed
@@ -161,7 +274,7 @@ pub fn bfs_layers(nfa: &Nfa) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nfa::{StartKind, Ste};
+    use crate::nfa::{ReportInfo, Ste};
     use crate::symbol::SymbolSet;
 
     fn chain(nfa: &mut Nfa, syms: &[u8], report: u32) -> Vec<StateId> {
@@ -218,6 +331,136 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(nfa.num_states(), 2);
         assert!(nfa.validate().is_ok());
+    }
+
+    /// A full-charset, self-looping `AllInput` state: a `.*` head.
+    fn dotstar_head(nfa: &mut Nfa, bits: u8) -> StateId {
+        let head = nfa.add_state(Ste::new(SymbolSet::full(bits)).start(StartKind::AllInput));
+        nfa.add_edge(head, head);
+        head
+    }
+
+    #[test]
+    fn drops_the_head_of_an_unanchored_dotstar() {
+        let mut nfa = crate::regex::compile_regex(".*ab", 0).unwrap();
+        assert_eq!(nfa.num_states(), 3);
+        assert_eq!(drop_start_subsumed(&mut nfa), 1);
+        assert_eq!(nfa.num_states(), 2);
+        assert_eq!(nfa.num_transitions(), 1);
+        let a = nfa.state(StateId(0));
+        assert_eq!(a.charset(), &SymbolSet::singleton(8, u16::from(b'a')));
+        assert_eq!(a.start_kind(), StartKind::AllInput);
+        assert!(nfa.validate().is_ok());
+    }
+
+    #[test]
+    fn drops_the_nibble_ring_of_a_dotstar() {
+        // `.*ab` in nibble mode: the head is a hi→lo→hi ring over full
+        // nibbles; starts are enabled on even (byte-aligned) cycles only.
+        let mut nfa = Nfa::new(4);
+        nfa.set_start_period(2);
+        let hi = nfa.add_state(Ste::new(SymbolSet::full(4)).start(StartKind::AllInput));
+        let lo = nfa.add_state(Ste::new(SymbolSet::full(4)));
+        nfa.add_edge(hi, lo);
+        nfa.add_edge(lo, hi);
+        let mut prev = lo;
+        for (i, nib) in [6u16, 1, 6, 2].into_iter().enumerate() {
+            let mut ste = Ste::new(SymbolSet::singleton(4, nib));
+            if i == 0 {
+                ste = ste.start(StartKind::AllInput);
+            }
+            if i == 3 {
+                ste = ste.report(0);
+            }
+            let s = nfa.add_state(ste);
+            nfa.add_edge(prev, s);
+            prev = s;
+        }
+        assert_eq!(drop_start_subsumed(&mut nfa), 2);
+        assert_eq!(nfa.num_states(), 4);
+        assert_eq!(nfa.state(StateId(0)).start_kind(), StartKind::AllInput);
+    }
+
+    #[test]
+    fn keeps_a_mid_pattern_dotstar() {
+        let mut nfa = crate::regex::compile_regex("a.*b", 0).unwrap();
+        let before = nfa.clone();
+        assert_eq!(drop_start_subsumed(&mut nfa), 0);
+        assert_eq!(nfa, before);
+    }
+
+    #[test]
+    fn keeps_a_reporting_dotstar() {
+        let mut nfa = Nfa::new(8);
+        let head = dotstar_head(&mut nfa, 8);
+        nfa.state_mut(head).add_report(ReportInfo::new(1));
+        let ids = chain(&mut nfa, b"ab", 0);
+        nfa.add_edge(head, ids[0]);
+        assert_eq!(drop_start_subsumed(&mut nfa), 0);
+        assert_eq!(nfa.num_states(), 3);
+    }
+
+    #[test]
+    fn keeps_a_dotstar_whose_exit_misses_the_start_phase() {
+        // One self-looping state at period 2 is active on odd cycles too,
+        // so it enables the start on cycles the start enable skips.
+        let mut nfa = Nfa::new(4);
+        nfa.set_start_period(2);
+        let head = dotstar_head(&mut nfa, 4);
+        let a = nfa.add_state(
+            Ste::new(SymbolSet::singleton(4, 3))
+                .start(StartKind::AllInput)
+                .report(0),
+        );
+        nfa.add_edge(head, a);
+        assert_eq!(drop_start_subsumed(&mut nfa), 0);
+        assert_eq!(nfa.num_states(), 2);
+    }
+
+    #[test]
+    fn keeps_a_state_entered_from_outside_the_set() {
+        // `h` looks like a head (reportless, exits only into a start), but
+        // the reporting `x1` enables it on even cycles, so its exit lands
+        // on odd ones, which the period-2 start enable skips.
+        let mut nfa = Nfa::new(4);
+        nfa.set_start_period(2);
+        let x0 = nfa.add_state(Ste::new(SymbolSet::singleton(4, 1)).start(StartKind::AllInput));
+        let x1 = nfa.add_state(Ste::new(SymbolSet::singleton(4, 2)).report(0));
+        let h = nfa.add_state(Ste::new(SymbolSet::full(4)));
+        let s = nfa.add_state(
+            Ste::new(SymbolSet::singleton(4, 3))
+                .start(StartKind::AllInput)
+                .report(1),
+        );
+        nfa.add_edge(x0, x1);
+        nfa.add_edge(x1, h);
+        nfa.add_edge(h, s);
+        assert_eq!(drop_start_subsumed(&mut nfa), 0);
+        assert_eq!(nfa.num_states(), 4);
+    }
+
+    #[test]
+    fn keeps_a_dotstar_feeding_a_start_of_data_state() {
+        let mut nfa = Nfa::new(8);
+        let head = dotstar_head(&mut nfa, 8);
+        let ids = chain(&mut nfa, b"ab", 0);
+        nfa.state_mut(ids[0]).set_start_kind(StartKind::StartOfData);
+        nfa.add_edge(head, ids[0]);
+        assert_eq!(drop_start_subsumed(&mut nfa), 0);
+        assert_eq!(nfa.num_states(), 3);
+    }
+
+    #[test]
+    fn leaves_a_dead_reportless_chain_alone() {
+        let mut nfa = Nfa::new(8);
+        chain(&mut nfa, b"ab", 0);
+        let head = dotstar_head(&mut nfa, 8);
+        let tail = chain(&mut nfa, b"xy", 0);
+        nfa.state_mut(tail[1]).clear_reports();
+        nfa.add_edge(head, tail[0]);
+        let before = nfa.clone();
+        assert_eq!(drop_start_subsumed(&mut nfa), 0);
+        assert_eq!(nfa, before);
     }
 
     #[test]

@@ -79,7 +79,16 @@ impl InputView {
     pub fn new(bytes: &[u8], symbol_bits: u8, stride: usize) -> Result<Self, AutomataError> {
         assert!(stride >= 1, "stride must be at least 1");
         let symbols: Vec<u16> = match symbol_bits {
-            4 => nibbles_of_bytes(bytes).into_iter().map(u16::from).collect(),
+            4 => {
+                // Straight to `u16`, without a byte-per-nibble buffer on
+                // the way: one allocation per view, not two.
+                let mut out = Vec::with_capacity(bytes.len() * 2);
+                for &b in bytes {
+                    let (hi, lo) = byte_to_nibbles(b);
+                    out.extend([u16::from(hi), u16::from(lo)]);
+                }
+                out
+            }
             8 => bytes.iter().map(|&b| u16::from(b)).collect(),
             16 => bytes
                 .chunks(2)

@@ -499,16 +499,28 @@ impl Nfa {
                 next += 1;
             }
         }
-        let mut states = Vec::with_capacity(next as usize);
-        let mut succ = Vec::with_capacity(next as usize);
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                states.push(self.states[i].clone());
-                succ.push(self.succ[i].iter().filter_map(|t| map[t.index()]).collect());
-            }
-        }
-        self.states = states;
-        self.succ = succ;
+        // Kept states and successor lists are moved, not cloned.
+        self.states = std::mem::take(&mut self.states)
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(s, &k)| k.then_some(s))
+            .collect();
+        self.succ = std::mem::take(&mut self.succ)
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(mut outs, &k)| {
+                k.then(|| {
+                    outs.retain_mut(|t| match map[t.index()] {
+                        Some(new) => {
+                            *t = new;
+                            true
+                        }
+                        None => false,
+                    });
+                    outs
+                })
+            })
+            .collect();
         map
     }
 }

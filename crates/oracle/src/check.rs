@@ -2,7 +2,7 @@
 //! reference oracle.
 //!
 //! A *pipeline configuration* is one way the repository can prepare and
-//! execute an automaton: leave it untouched ([`PipelineConfig::Identity`])
+//! execute an automaton: keep its rate ([`PipelineConfig::Identity`])
 //! or run the full FlexAmata + striding pipeline to one of the three
 //! processing rates, then execute on any of the three functional engines.
 //! [`check_pipelines`] runs the entire matrix (4 configurations × 3
@@ -11,6 +11,7 @@
 //! it cross-validates the report sinks: the trace, count, and null sinks
 //! observe the same run, so their aggregates must be consistent.
 
+use sunder_automata::graph::drop_start_subsumed;
 use sunder_automata::{AutomataError, Nfa};
 use sunder_sim::{CountSink, EngineKind, ReportEvent, ReportSink, TraceSink};
 use sunder_transform::{transform_to_rate, PositionMap, Rate};
@@ -21,7 +22,7 @@ use crate::reference::{oracle_trace, OracleTrace};
 /// One way the pipeline can prepare an automaton for execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineConfig {
-    /// No transformation: the original automaton as compiled.
+    /// No rate transformation.
     Identity,
     /// FlexAmata nibble decomposition, one nibble per cycle.
     Nibble,
@@ -64,19 +65,25 @@ impl PipelineConfig {
     /// plus the [`PositionMap`] folding its report positions back to
     /// original-symbol coordinates.
     ///
+    /// The executable automaton is the rate transformation followed by
+    /// [`drop_start_subsumed`], which deletes always-on `.*` heads whose
+    /// enables the start states already supply; its reports are the
+    /// source's.
+    ///
     /// # Errors
     ///
     /// Propagates transformation errors (unsupported width, strided
     /// input).
     pub fn apply(self, nfa: &Nfa) -> Result<(Nfa, PositionMap), AutomataError> {
-        match self.rate() {
-            None => Ok((nfa.clone(), PositionMap::identity())),
-            Some(rate) => {
-                let transformed = transform_to_rate(nfa, rate)?;
-                let map = PositionMap::nibble_of(nfa.symbol_bits())?;
-                Ok((transformed, map))
-            }
-        }
+        let (mut prepared, map) = match self.rate() {
+            None => (nfa.clone(), PositionMap::identity()),
+            Some(rate) => (
+                transform_to_rate(nfa, rate)?,
+                PositionMap::nibble_of(nfa.symbol_bits())?,
+            ),
+        };
+        drop_start_subsumed(&mut prepared);
+        Ok((prepared, map))
     }
 }
 

@@ -154,6 +154,11 @@ fn random_pattern(rng: &mut StdRng) -> String {
     if rng.random_range(0..5u32) == 0 {
         p.push('^');
     }
+    // A `.*` head: unanchored, it is the always-on state that
+    // `drop_start_subsumed` deletes; anchored, the pass must keep it.
+    if rng.random_range(0..4u32) == 0 {
+        p.push_str(".*");
+    }
     random_term(rng, &mut p, 2);
     p
 }

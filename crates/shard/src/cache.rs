@@ -4,10 +4,12 @@
 //! striding, partitioning into shards — dominates the setup cost of a
 //! batch submission and depends only on the automaton and the pipeline
 //! configuration, never on the input streams. The cache keys a compiled
-//! artifact by a 64-bit FNV-1a hash over the canonical textual (ANML)
-//! serialization of the source automaton, the configuration name, and
-//! the sharding spec, so repeated stream submissions against the same
-//! rule set skip re-transformation entirely.
+//! artifact by the `.sdb` key ([`sunder_artifact::db_key`]): a 64-bit
+//! FNV-1a hash over the compile-pipeline tag, the configuration name,
+//! the sharding spec, the engine and the canonical textual (ANML)
+//! serialization of the source automaton, so repeated stream
+//! submissions against the same rule set skip re-transformation
+//! entirely.
 //!
 //! The canonical serialization makes the key *content*-addressed: two
 //! structurally identical automata hash identically no matter how they
@@ -64,9 +66,7 @@ impl ShardSpec {
         }
     }
 
-    /// Stable text folded into the cache key. Delegates to
-    /// [`SpecParams::key_text`] so the in-memory key and the on-disk
-    /// artifact key can never drift apart.
+    /// Stable text folded into the cache key ([`SpecParams::key_text`]).
     pub fn key_text(self) -> String {
         self.params().key_text()
     }
@@ -91,37 +91,16 @@ impl std::fmt::Display for PipelineKey {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(parts: &[&str]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for part in parts {
-        for &b in part.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        // Separator byte so ("ab","c") and ("a","bc") differ.
-        h ^= 0xff;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Computes the content-addressed key for (automaton, config, sharding,
-/// engine). Exposed so artifacts can be correlated across processes.
+/// engine): the `.sdb` key [`sunder_artifact::db_key`], so a cached
+/// pipeline and its `<key>.sdb` file share one name.
 pub fn pipeline_key(
     nfa: &Nfa,
     config: PipelineConfig,
     spec: ShardSpec,
     engine: EngineKind,
 ) -> PipelineKey {
-    PipelineKey(fnv1a(&[
-        config.name(),
-        &spec.key_text(),
-        engine.name(),
-        &anml::serialize(nfa),
-    ]))
+    PipelineKey(sunder_artifact::db_key(nfa, config, &spec.params(), engine))
 }
 
 /// One compiled pipeline: the transformed automaton, the position map
@@ -464,31 +443,6 @@ mod tests {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ))
-    }
-
-    #[test]
-    fn cache_key_matches_artifact_key() {
-        // The disk tier only works if the in-memory key and the artifact
-        // key are bit-identical — pin the cross-crate contract.
-        let nfa = compile_rule_set(&["ab+c", ".*net"]).unwrap();
-        for (spec, engine) in [
-            (ShardSpec::MaxShards(3), EngineKind::Sparse),
-            (
-                ShardSpec::Budget(PartitionOptions {
-                    ste_budget: 64,
-                    oversize: sunder_automata::partition::OversizePolicy::Dedicate,
-                }),
-                EngineKind::Adaptive,
-            ),
-        ] {
-            for config in PipelineConfig::ALL {
-                assert_eq!(
-                    pipeline_key(&nfa, config, spec, engine).0,
-                    sunder_artifact::db_key(&nfa, config, &spec.params(), engine),
-                    "shard cache key and artifact key diverged"
-                );
-            }
-        }
     }
 
     #[test]

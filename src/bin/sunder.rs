@@ -940,6 +940,11 @@ fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
     println!("  engine           {}", mapped.engine().name());
     println!("  shards           {}", mapped.num_shards());
     println!(
+        "  automaton        {} states, {} transitions",
+        mapped.nfa().num_states(),
+        mapped.nfa().num_transitions()
+    );
+    println!(
         "  file length      {} bytes ({})",
         mapped.file_len(),
         if mapped.is_mmapped() {

@@ -128,6 +128,37 @@ fn stats_prints_both_static_and_transform() {
 }
 
 #[test]
+fn inspect_db_shows_the_compiled_automaton() {
+    // `.*ab` compiles to a `.` head plus `a` → `b`; the head is
+    // compiled away, so the database executes two states and one edge.
+    let rules = write_temp("db-rules.txt", b".*ab\n");
+    let db = write_temp("rules.sdb", b"");
+    let out = bin()
+        .args(["compile-db", "--rules"])
+        .arg(&rules)
+        .args(["--engine", "sparse", "-o"])
+        .arg(&db)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = bin().arg("inspect-db").arg(&db).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("automaton        2 states, 1 transitions"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn bench_command_reports_measured_stats() {
     let out = bin()
         .args(["bench", "--benchmark", "bro217", "--small"])

@@ -12,6 +12,7 @@ use sunder::oracle::{
     check_pipelines, compare_transformed, oracle_trace, Divergence, PipelineConfig,
 };
 use sunder::sim::EngineKind;
+use sunder::transform::transform_to_rate;
 use sunder::{Benchmark, Scale};
 
 #[test]
@@ -23,11 +24,28 @@ fn clean_pipelines_conform() {
 #[test]
 fn one_suite_workload_conforms_end_to_end() {
     // The full 19-benchmark sweep runs in the release-mode `conformance`
-    // binary; one representative workload keeps debug test time bounded.
-    let w = Benchmark::Bro217.build(Scale {
+    // binary; two representative workloads keep debug test time bounded.
+    let scale = Scale {
         state_fraction: 0.01,
         input_len: 1500,
-    });
+    };
+    check_workload(&Benchmark::Bro217.build(scale)).unwrap();
+
+    // Dotstar06's unanchored `.*` heads are what `apply` compiles away.
+    // The pass must fire under every config, so the oracle check below is
+    // not vacuous.
+    let w = Benchmark::Dotstar06.build(scale);
+    for config in PipelineConfig::ALL {
+        let unfolded = match config.rate() {
+            None => w.nfa.num_states(),
+            Some(rate) => transform_to_rate(&w.nfa, rate).unwrap().num_states(),
+        };
+        let (applied, _) = config.apply(&w.nfa).unwrap();
+        assert!(
+            applied.num_states() < unfolded,
+            "{config}: apply removed no state ({unfolded} states)"
+        );
+    }
     check_workload(&w).unwrap();
 }
 
