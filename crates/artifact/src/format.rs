@@ -246,9 +246,10 @@ pub fn read_u64(bytes: &[u8], offset: usize) -> u64 {
 /// as 12 native-endian `u64`s in field order.
 ///
 /// Invariants: the three `*_tag` fields index the corresponding `ALL`
-/// arrays ([`sunder_oracle::PipelineConfig::ALL`],
-/// `sunder_sim::EngineKind::ALL`, and the [`crate::SpecParams`] tag
-/// space); `per_original ≥ 1`; `plan_total_states == num_states`; every
+/// arrays ([`sunder_transform::PipelineConfig::ALL`],
+/// `sunder_sim::EngineKind::ALL`, and the
+/// [`sunder_automata::partition::ShardSpec::tags`] space);
+/// `per_original ≥ 1`; `plan_total_states == num_states`; every
 /// per-shard section's shard index is `< shard_count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalMeta {

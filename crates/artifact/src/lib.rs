@@ -21,11 +21,16 @@
 //! typed [`ArtifactError`]; the corruption conformance suite locks down
 //! that no mutation panics or escapes validation.
 //!
+//! [`CompiledPipeline`] is the one compiled form on both sides of the
+//! file: [`CompiledPipeline::compile`] builds it,
+//! [`CompiledPipeline::write`] persists it, and [`MappedDb`] yields it
+//! back with its tables borrowed from the mapping.
+//!
 //! The database is content-addressed: the header carries the same
-//! FNV-1a pipeline key the in-memory `PipelineCache` uses, recomputed
-//! at load from the embedded source automaton and rejected on mismatch
-//! ([`ArtifactError::StaleHash`]), so a cache can trust `<key>.sdb`
-//! files on disk as a second tier.
+//! FNV-1a [`pipeline_key`] the in-memory `PipelineCache` uses,
+//! recomputed at load from the embedded source automaton and rejected
+//! on mismatch ([`ArtifactError::StaleHash`]), so a cache can trust
+//! `<key>.sdb` files on disk as a second tier.
 
 #![warn(missing_docs)]
 
@@ -36,14 +41,13 @@ pub mod mapped;
 pub mod validate;
 pub mod write;
 
-use sunder_automata::partition::{partition, partition_into, PartitionOptions, ShardPlan};
-use sunder_automata::{AutomataError, Nfa};
-use sunder_oracle::PipelineConfig;
-use sunder_sim::EngineKind;
+use sunder_automata::partition::ShardSpec;
+use sunder_automata::{anml, AutomataError, Nfa};
+use sunder_sim::{EngineKind, ShardedEngine};
+use sunder_transform::{PipelineConfig, PositionMap};
 
 pub use error::ArtifactError;
-pub use mapped::{LoadedPipeline, MappedDb, Mapping};
-pub use write::{db_bytes, write_db, CompiledDb, DbParts};
+pub use mapped::{MappedDb, Mapping};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -74,115 +78,118 @@ pub fn fnv1a_parts(parts: &[&str]) -> u64 {
     h
 }
 
-/// The sharding parameters of a compiled pipeline, as persisted in a
-/// database. Mirrors `sunder-shard`'s `ShardSpec` (which converts to
-/// and from this type); lives here so the artifact format does not
-/// depend on the service layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecParams {
-    /// Balance into at most this many shards.
-    MaxShards(usize),
-    /// Pack toward a per-shard STE budget.
-    Budget(PartitionOptions),
-}
-
-impl SpecParams {
-    /// Stable text folded into the pipeline key.
-    pub fn key_text(&self) -> String {
-        match self {
-            SpecParams::MaxShards(k) => format!("max-shards={k}"),
-            SpecParams::Budget(o) => format!("budget={} policy={:?}", o.ste_budget, o.oversize),
-        }
-    }
-
-    /// Partitions `nfa` under these parameters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partitioning failures.
-    pub fn apply(&self, nfa: &Nfa) -> Result<ShardPlan, AutomataError> {
-        match self {
-            SpecParams::MaxShards(k) => partition_into(nfa, *k),
-            SpecParams::Budget(opts) => partition(nfa, opts),
-        }
-    }
-
-    /// The `(spec_tag, spec_value, oversize_tag)` triple stored in
-    /// [`format::GlobalMeta`].
-    pub fn tags(&self) -> (u64, u64, u64) {
-        use sunder_automata::partition::OversizePolicy;
-        match self {
-            SpecParams::MaxShards(k) => (0, *k as u64, 0),
-            SpecParams::Budget(o) => (
-                1,
-                o.ste_budget as u64,
-                match o.oversize {
-                    OversizePolicy::Error => 0,
-                    OversizePolicy::Dedicate => 1,
-                },
-            ),
-        }
-    }
-
-    /// Reconstructs the parameters from stored tags; `None` for any
-    /// out-of-range tag or value.
-    pub fn from_tags(spec_tag: u64, spec_value: u64, oversize_tag: u64) -> Option<SpecParams> {
-        use sunder_automata::partition::OversizePolicy;
-        let value = usize::try_from(spec_value).ok()?;
-        match (spec_tag, oversize_tag) {
-            (0, 0) => Some(SpecParams::MaxShards(value)),
-            (1, 0) => Some(SpecParams::Budget(PartitionOptions {
-                ste_budget: value,
-                oversize: OversizePolicy::Error,
-            })),
-            (1, 1) => Some(SpecParams::Budget(PartitionOptions {
-                ste_budget: value,
-                oversize: OversizePolicy::Dedicate,
-            })),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SpecParams {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.key_text())
-    }
-}
-
 /// Names the compile pipeline behind `PipelineConfig::apply` in every
 /// key. Change it whenever the pipeline starts producing a different
 /// executable automaton from the same inputs, so databases compiled
 /// before the change miss and are recompiled instead of mapped.
 pub const COMPILE_PIPELINE_TAG: &str = "rate-transform+drop-start-subsumed/1";
 
-/// The content-addressed pipeline key over already-serialized source
-/// ANML. `sunder-shard`'s `pipeline_key` is this key.
-pub fn db_key_from_anml(
+/// A 64-bit content hash identifying one compiled pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PipelineKey(pub u64);
+
+impl std::fmt::Display for PipelineKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:016x}", self.0)
+    }
+}
+
+/// The pipeline key over already-serialized source ANML.
+pub(crate) fn key_of_anml(
     config: PipelineConfig,
-    spec: &SpecParams,
+    spec: ShardSpec,
     engine: EngineKind,
     source_anml: &str,
-) -> u64 {
-    fnv1a_parts(&[
+) -> PipelineKey {
+    PipelineKey(fnv1a_parts(&[
         COMPILE_PIPELINE_TAG,
         config.name(),
         &spec.key_text(),
         engine.name(),
         source_anml,
-    ])
+    ]))
 }
 
-/// The content-addressed pipeline key of `(source automaton, config,
-/// sharding spec, engine)`.
-pub fn db_key(source: &Nfa, config: PipelineConfig, spec: &SpecParams, engine: EngineKind) -> u64 {
-    db_key_from_anml(
-        config,
-        spec,
-        engine,
-        &sunder_automata::anml::serialize(source),
-    )
+/// The content-addressed key of `(source automaton, config, sharding
+/// spec, engine)`: FNV-1a over the compile-pipeline tag, the three
+/// parameters and the canonical ANML of the source. A cached pipeline
+/// and its `<key>.sdb` file share this name.
+pub fn pipeline_key(
+    source: &Nfa,
+    config: PipelineConfig,
+    spec: ShardSpec,
+    engine: EngineKind,
+) -> PipelineKey {
+    key_of_anml(config, spec, engine, &anml::serialize(source))
 }
+
+/// One compiled pipeline: its identity, the transformed automaton, the
+/// position map folding its reports back to original-symbol coordinates,
+/// and the sharded engine ready to execute it.
+///
+/// This is the only compiled form. [`CompiledPipeline::compile`] builds
+/// it, [`CompiledPipeline::to_bytes`] and [`CompiledPipeline::write`]
+/// persist it, and [`MappedDb`] maps it back with its engine tables
+/// borrowed from the file.
+#[derive(Debug, Clone)]
+pub struct CompiledPipeline {
+    /// Content-addressed pipeline key.
+    pub key: PipelineKey,
+    /// Transformation configuration.
+    pub config: PipelineConfig,
+    /// Sharding spec.
+    pub spec: ShardSpec,
+    /// Per-shard engine kind.
+    pub engine: EngineKind,
+    /// Canonical ANML of the source (untransformed) automaton.
+    pub source_anml: String,
+    /// The transformed (executable) automaton.
+    pub nfa: Nfa,
+    /// Folds transformed report positions to original-symbol coordinates.
+    pub map: PositionMap,
+    /// Sharded execution over the transformed automaton.
+    pub sharded: ShardedEngine,
+}
+
+impl CompiledPipeline {
+    /// Compiles `source` under `config`, shards it per `spec`, and
+    /// prepares `engine` on every shard.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transformation and partitioning failures.
+    pub fn compile(
+        source: &Nfa,
+        config: PipelineConfig,
+        spec: ShardSpec,
+        engine: EngineKind,
+    ) -> Result<CompiledPipeline, AutomataError> {
+        let source_anml = anml::serialize(source);
+        let key = key_of_anml(config, spec, engine, &source_anml);
+        let (nfa, map) = config.apply(source)?;
+        let sharded = ShardedEngine::new(&nfa, spec, engine)?;
+        Ok(CompiledPipeline {
+            key,
+            config,
+            spec,
+            engine,
+            source_anml,
+            nfa,
+            map,
+            sharded,
+        })
+    }
+
+    /// Number of shards in the compiled plan.
+    pub fn num_shards(&self) -> usize {
+        self.sharded.num_shards()
+    }
+}
+
+/// Another name for [`CompiledPipeline`]. Kept only because the
+/// `benchmark/` package still uses it; nothing in the workspace does.
+#[doc(hidden)]
+pub type CompiledDb = CompiledPipeline;
 
 /// Index of `config` in `PipelineConfig::ALL` (the stored tag).
 pub(crate) fn config_tag(config: PipelineConfig) -> u64 {
@@ -203,29 +210,6 @@ pub(crate) fn engine_tag(engine: EngineKind) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sunder_automata::partition::OversizePolicy;
-
-    #[test]
-    fn spec_tags_round_trip() {
-        let specs = [
-            SpecParams::MaxShards(0),
-            SpecParams::MaxShards(7),
-            SpecParams::Budget(PartitionOptions {
-                ste_budget: 256,
-                oversize: OversizePolicy::Error,
-            }),
-            SpecParams::Budget(PartitionOptions {
-                ste_budget: 1,
-                oversize: OversizePolicy::Dedicate,
-            }),
-        ];
-        for spec in specs {
-            let (t, v, o) = spec.tags();
-            assert_eq!(SpecParams::from_tags(t, v, o), Some(spec));
-        }
-        assert_eq!(SpecParams::from_tags(2, 0, 0), None);
-        assert_eq!(SpecParams::from_tags(0, 1, 1), None);
-    }
 
     #[test]
     fn key_matches_the_separated_fold() {
@@ -239,7 +223,7 @@ mod tests {
         // A database keyed before the pipeline tag existed folded only
         // these four parts; its key must not name a current pipeline.
         let anml = "automaton bits=8 stride=1\n";
-        let spec = SpecParams::MaxShards(4);
+        let spec = ShardSpec::MaxShards(4);
         for config in PipelineConfig::ALL {
             let untagged = fnv1a_parts(&[
                 config.name(),
@@ -248,7 +232,7 @@ mod tests {
                 anml,
             ]);
             assert_ne!(
-                db_key_from_anml(config, &spec, EngineKind::Sparse, anml),
+                key_of_anml(config, spec, EngineKind::Sparse, anml).0,
                 untagged
             );
         }

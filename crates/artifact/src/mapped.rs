@@ -21,26 +21,25 @@
 //! One hazard is inherited from `mmap` itself: truncating a database
 //! file while a process has it mapped can fault that process. Writers
 //! avoid this by replacing databases atomically via rename
-//! ([`crate::write::write_db`]), never by truncating in place.
+//! ([`CompiledPipeline::write`]), never by truncating in place.
 
 use std::any::Any;
 use std::path::Path;
 use std::sync::Arc;
 
-use sunder_automata::partition::{Shard, ShardPlan};
+use sunder_automata::partition::{Shard, ShardPlan, ShardSpec};
 use sunder_automata::{anml, Nfa, StateId};
-use sunder_oracle::PipelineConfig;
 use sunder_sim::dense::DenseTables;
 use sunder_sim::fastpath::{
     SparseTables, StartIndex, SymCode, ENCODING_KINDS, MAX_BUCKETED_ALPHABET,
 };
 use sunder_sim::{EngineKind, ShardedEngine, TableBuf};
-use sunder_transform::PositionMap;
+use sunder_transform::{PipelineConfig, PositionMap};
 
 use crate::error::ArtifactError;
 use crate::format::{CodeRec, GlobalMeta, SectionKind, ShardMeta};
 use crate::validate::{validate_bytes, RawDb, RawSection};
-use crate::{db_key_from_anml, SpecParams};
+use crate::{key_of_anml, CompiledPipeline};
 
 #[cfg(unix)]
 mod sys {
@@ -276,28 +275,6 @@ fn tail_bits_zero(words: &[u64], bits: usize) -> bool {
     }
 }
 
-/// Everything loaded from a database, by value — the handoff into
-/// `sunder-shard`'s `CompiledPipeline` (whose fields it mirrors).
-#[derive(Debug)]
-pub struct LoadedPipeline {
-    /// Content-addressed pipeline key (validated against the content).
-    pub key: u64,
-    /// Transformation configuration.
-    pub config: PipelineConfig,
-    /// Sharding parameters.
-    pub spec: SpecParams,
-    /// Per-shard engine kind.
-    pub engine: EngineKind,
-    /// Canonical ANML of the source automaton.
-    pub source_anml: String,
-    /// The transformed (executable) automaton.
-    pub nfa: Nfa,
-    /// Report-position fold back to original-symbol coordinates.
-    pub map: PositionMap,
-    /// The executable sharded engine, tables borrowed from the mapping.
-    pub sharded: ShardedEngine,
-}
-
 /// A validated, executable pattern database.
 ///
 /// Construction performs the full two-phase validation; once a
@@ -306,7 +283,7 @@ pub struct LoadedPipeline {
 /// which stays alive for as long as any engine clone does.
 #[derive(Debug)]
 pub struct MappedDb {
-    pipeline: LoadedPipeline,
+    pipeline: CompiledPipeline,
     file_len: usize,
     mmapped: bool,
     sections: Vec<(SectionKind, u32, usize, usize)>,
@@ -343,49 +320,9 @@ impl MappedDb {
         load(mapping)
     }
 
-    /// The validated pipeline key.
-    pub fn key(&self) -> u64 {
-        self.pipeline.key
-    }
-
-    /// The transformation configuration.
-    pub fn config(&self) -> PipelineConfig {
-        self.pipeline.config
-    }
-
-    /// The sharding parameters.
-    pub fn spec(&self) -> SpecParams {
-        self.pipeline.spec
-    }
-
-    /// The per-shard engine kind.
-    pub fn engine(&self) -> EngineKind {
-        self.pipeline.engine
-    }
-
-    /// Canonical ANML of the source automaton.
-    pub fn source_anml(&self) -> &str {
-        &self.pipeline.source_anml
-    }
-
-    /// The transformed (executable) automaton.
-    pub fn nfa(&self) -> &Nfa {
-        &self.pipeline.nfa
-    }
-
-    /// The report-position fold.
-    pub fn map(&self) -> PositionMap {
-        self.pipeline.map
-    }
-
-    /// The executable sharded engine.
-    pub fn sharded(&self) -> &ShardedEngine {
-        &self.pipeline.sharded
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.pipeline.sharded.num_shards()
+    /// The loaded pipeline.
+    pub fn pipeline(&self) -> &CompiledPipeline {
+        &self.pipeline
     }
 
     /// Total file size in bytes.
@@ -410,8 +347,9 @@ impl MappedDb {
         self.borrowed_tables
     }
 
-    /// Consumes the database, yielding the loaded pipeline by value.
-    pub fn into_parts(self) -> LoadedPipeline {
+    /// Consumes the database, yielding the loaded pipeline by value; its
+    /// engine tables keep borrowing from the mapping.
+    pub fn into_pipeline(self) -> CompiledPipeline {
         self.pipeline
     }
 }
@@ -810,7 +748,7 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
         .ok()
         .and_then(|i| EngineKind::ALL.get(i).copied())
         .ok_or(bad("engine tag"))?;
-    let spec = SpecParams::from_tags(meta.spec_tag, meta.spec_value, meta.oversize_tag)
+    let spec = ShardSpec::from_tags(meta.spec_tag, meta.spec_value, meta.oversize_tag)
         .ok_or(bad("sharding spec tags"))?;
     if meta.symbol_bits == 0 || meta.symbol_bits > 16 {
         return Err(bad("symbol width"));
@@ -841,11 +779,11 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     // Content-hash cross-check: the header key must be reproducible from
     // the embedded identity, or the file describes a different pipeline
     // than it claims (e.g. a stale database after a config change).
-    let computed = db_key_from_anml(config, &spec, engine, source_anml);
-    if computed != raw.header.pipeline_key {
+    let key = key_of_anml(config, spec, engine, source_anml);
+    if key.0 != raw.header.pipeline_key {
         return Err(ArtifactError::StaleHash {
             header: raw.header.pipeline_key,
-            computed,
+            computed: key.0,
         });
     }
 
@@ -979,12 +917,11 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
         .map(|s| (s.kind, s.shard, s.offset, s.len))
         .collect();
     let file_len = raw.header.file_len as usize;
-    let key = raw.header.pipeline_key;
     let source_anml = source_anml.to_owned();
     drop(raw);
 
     Ok(MappedDb {
-        pipeline: LoadedPipeline {
+        pipeline: CompiledPipeline {
             key,
             config,
             spec,

@@ -3,139 +3,26 @@
 //! The writer is two-pass: section payloads are rendered first, offsets
 //! are assigned with 8-byte alignment, and the checksum is patched into
 //! the header last (it covers every byte after the header, padding
-//! included). [`write_db`] writes through a temporary sibling file and
-//! renames, so a crashed writer never leaves a half-written database
-//! under the final name.
+//! included). [`CompiledPipeline::write`] writes through a temporary
+//! sibling file of its own and renames, so neither a crashed writer nor
+//! two writers racing on one path leave a half-written database under
+//! the final name.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sunder_automata::{anml, Nfa, StateId};
-use sunder_oracle::PipelineConfig;
+use sunder_automata::{anml, StateId};
 use sunder_sim::dense::DenseTables;
 use sunder_sim::fastpath::{SparseTables, StartIndex, SymCode};
-use sunder_sim::{EngineKind, ShardedEngine};
-use sunder_transform::PositionMap;
+use sunder_sim::EngineKind;
 
 use crate::error::ArtifactError;
 use crate::format::{
     header_offset, CodeRec, GlobalMeta, SectionKind, ShardMeta, ENDIAN_TAG, HEADER_LEN, MAGIC,
     SECTION_ALIGN, SECTION_ENTRY_LEN, VERSION,
 };
-use crate::{config_tag, db_key, engine_tag, fnv1a_bytes, SpecParams};
-
-/// Borrowed view of everything the writer needs — the compiled pipeline
-/// plus its identity. Assembled from a [`CompiledDb`] or from
-/// `sunder-shard`'s cached pipelines.
-#[derive(Debug)]
-pub struct DbParts<'a> {
-    /// Content-addressed pipeline key (must match the parameters below;
-    /// the loader recomputes and rejects on mismatch).
-    pub key: u64,
-    /// Transformation configuration.
-    pub config: PipelineConfig,
-    /// Sharding parameters.
-    pub spec: SpecParams,
-    /// Per-shard engine kind.
-    pub engine: EngineKind,
-    /// Canonical ANML of the source (untransformed) automaton.
-    pub source_anml: &'a str,
-    /// The transformed (executable) automaton.
-    pub nfa: &'a Nfa,
-    /// Report-position fold back to original-symbol coordinates.
-    pub map: PositionMap,
-    /// The compiled sharded engine whose tables are persisted.
-    pub sharded: &'a ShardedEngine,
-}
-
-/// A pipeline compiled for persistence: owns everything [`DbParts`]
-/// borrows. The standalone compile path for tests and the CLI; the
-/// batch service persists straight from its cache instead.
-#[derive(Debug)]
-pub struct CompiledDb {
-    /// Content-addressed pipeline key.
-    pub key: u64,
-    /// Transformation configuration.
-    pub config: PipelineConfig,
-    /// Sharding parameters.
-    pub spec: SpecParams,
-    /// Per-shard engine kind.
-    pub engine: EngineKind,
-    /// Canonical ANML of the source automaton.
-    pub source_anml: String,
-    /// The transformed (executable) automaton.
-    pub nfa: Nfa,
-    /// Report-position fold back to original-symbol coordinates.
-    pub map: PositionMap,
-    /// The compiled sharded engine.
-    pub sharded: ShardedEngine,
-}
-
-impl CompiledDb {
-    /// Compiles `source` under `(config, spec, engine)` into a
-    /// persistable pipeline. For the dense engine kind the per-shard
-    /// dense matrices are built eagerly so the database carries them;
-    /// other kinds persist dense tables only if already materialized.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transformation and partitioning failures.
-    pub fn compile(
-        source: &Nfa,
-        config: PipelineConfig,
-        spec: SpecParams,
-        engine: EngineKind,
-    ) -> Result<CompiledDb, ArtifactError> {
-        let source_anml = anml::serialize(source);
-        let key = db_key(source, config, &spec, engine);
-        let (nfa, map) = config.apply(source)?;
-        let plan = spec.apply(&nfa)?;
-        let sharded = ShardedEngine::from_plan(&nfa, plan, engine);
-        if engine == EngineKind::Dense {
-            for shard in 0..sharded.num_shards() {
-                sharded.ensure_dense(shard);
-            }
-        }
-        Ok(CompiledDb {
-            key,
-            config,
-            spec,
-            engine,
-            source_anml,
-            nfa,
-            map,
-            sharded,
-        })
-    }
-
-    /// Borrowed writer view of this pipeline.
-    pub fn parts(&self) -> DbParts<'_> {
-        DbParts {
-            key: self.key,
-            config: self.config,
-            spec: self.spec,
-            engine: self.engine,
-            source_anml: &self.source_anml,
-            nfa: &self.nfa,
-            map: self.map,
-            sharded: &self.sharded,
-        }
-    }
-
-    /// Serializes to `.sdb` bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        db_bytes(&self.parts())
-    }
-
-    /// Writes atomically to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns i/o failures.
-    pub fn write(&self, path: &Path) -> Result<(), ArtifactError> {
-        write_db(&self.parts(), path)
-    }
-}
+use crate::{config_tag, engine_tag, fnv1a_bytes, CompiledPipeline};
 
 fn bytes_of_u16(values: &[u16]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 2);
@@ -284,142 +171,151 @@ fn dense_sections(shard: u32, tables: &DenseTables, out: &mut Vec<(SectionKind, 
     ));
 }
 
-/// Serializes a compiled pipeline into `.sdb` bytes.
-pub fn db_bytes(parts: &DbParts) -> Vec<u8> {
-    let plan = parts.sharded.plan();
-    let (spec_tag, spec_value, oversize_tag) = parts.spec.tags();
-    let meta = GlobalMeta {
-        config_tag: config_tag(parts.config),
-        engine_tag: engine_tag(parts.engine),
-        spec_tag,
-        spec_value,
-        oversize_tag,
-        shard_count: plan.num_shards() as u64,
-        symbol_bits: u64::from(parts.nfa.symbol_bits()),
-        stride: parts.nfa.stride() as u64,
-        per_original: parts.map.per_original(),
-        num_states: parts.nfa.num_states() as u64,
-        plan_ste_budget: plan.ste_budget as u64,
-        plan_total_states: plan.total_states as u64,
-    };
-
-    let mut sections: Vec<(SectionKind, u32, Vec<u8>)> = vec![
-        (
-            SectionKind::SourceAnml,
-            0,
-            parts.source_anml.as_bytes().to_vec(),
-        ),
-        (SectionKind::Meta, 0, meta.to_bytes().to_vec()),
-        (SectionKind::SpecKey, 0, parts.spec.key_text().into_bytes()),
-        (
-            SectionKind::NfaAnml,
-            0,
-            anml::serialize(parts.nfa).into_bytes(),
-        ),
-    ];
-
-    for s in 0..plan.num_shards() {
-        let shard = &plan.shards[s];
-        let sparse = Arc::clone(parts.sharded.shard_sparse(s));
-        let dense = if parts.engine == EngineKind::Dense {
-            Some(parts.sharded.ensure_dense(s))
-        } else {
-            parts.sharded.shard_dense(s)
+impl CompiledPipeline {
+    /// Serializes the pipeline into `.sdb` bytes. For the dense engine
+    /// kind every shard's dense tables are built (once) so the database
+    /// carries them; other kinds persist dense tables only if already
+    /// materialized.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let plan = self.sharded.plan();
+        let (spec_tag, spec_value, oversize_tag) = self.spec.tags();
+        let meta = GlobalMeta {
+            config_tag: config_tag(self.config),
+            engine_tag: engine_tag(self.engine),
+            spec_tag,
+            spec_value,
+            oversize_tag,
+            shard_count: plan.num_shards() as u64,
+            symbol_bits: u64::from(self.nfa.symbol_bits()),
+            stride: self.nfa.stride() as u64,
+            per_original: self.map.per_original(),
+            num_states: self.nfa.num_states() as u64,
+            plan_ste_budget: plan.ste_budget as u64,
+            plan_total_states: plan.total_states as u64,
         };
-        let idx = s as u32;
-        sections.push((
-            SectionKind::ShardNfa,
-            idx,
-            anml::serialize(&shard.nfa).into_bytes(),
-        ));
-        let shard_meta = ShardMeta {
-            num_states: shard.nfa.num_states() as u64,
-            stride: sparse.stride as u64,
-            alphabet: sparse.alphabet as u64,
-            start_period: sparse.start_period,
-            dense_words: sparse.dense_words as u64,
-            start_index_tag: match sparse.start_index {
-                StartIndex::Bucketed { .. } => 0,
-                StartIndex::Flat(_) => 1,
-            },
-            oversized: u64::from(shard.oversized),
-            has_dense: u64::from(dense.is_some()),
-            encoding_counts: sparse.encoding_counts,
-            dn_words: dense.as_ref().map_or(0, |d| d.words as u64),
-        };
-        sections.push((SectionKind::ShardMeta, idx, shard_meta.to_bytes().to_vec()));
-        sections.push((SectionKind::ShardMembers, idx, bytes_of_ids(&shard.members)));
-        sparse_sections(idx, &sparse, &mut sections);
-        if let Some(dense) = dense {
-            dense_sections(idx, &dense, &mut sections);
+
+        let mut sections: Vec<(SectionKind, u32, Vec<u8>)> = vec![
+            (
+                SectionKind::SourceAnml,
+                0,
+                self.source_anml.as_bytes().to_vec(),
+            ),
+            (SectionKind::Meta, 0, meta.to_bytes().to_vec()),
+            (SectionKind::SpecKey, 0, self.spec.key_text().into_bytes()),
+            (
+                SectionKind::NfaAnml,
+                0,
+                anml::serialize(&self.nfa).into_bytes(),
+            ),
+        ];
+
+        for s in 0..plan.num_shards() {
+            let shard = &plan.shards[s];
+            let sparse = Arc::clone(self.sharded.shard_sparse(s));
+            let dense = if self.engine == EngineKind::Dense {
+                Some(self.sharded.ensure_dense(s))
+            } else {
+                self.sharded.shard_dense(s)
+            };
+            let idx = s as u32;
+            sections.push((
+                SectionKind::ShardNfa,
+                idx,
+                anml::serialize(&shard.nfa).into_bytes(),
+            ));
+            let shard_meta = ShardMeta {
+                num_states: shard.nfa.num_states() as u64,
+                stride: sparse.stride as u64,
+                alphabet: sparse.alphabet as u64,
+                start_period: sparse.start_period,
+                dense_words: sparse.dense_words as u64,
+                start_index_tag: match sparse.start_index {
+                    StartIndex::Bucketed { .. } => 0,
+                    StartIndex::Flat(_) => 1,
+                },
+                oversized: u64::from(shard.oversized),
+                has_dense: u64::from(dense.is_some()),
+                encoding_counts: sparse.encoding_counts,
+                dn_words: dense.as_ref().map_or(0, |d| d.words as u64),
+            };
+            sections.push((SectionKind::ShardMeta, idx, shard_meta.to_bytes().to_vec()));
+            sections.push((SectionKind::ShardMembers, idx, bytes_of_ids(&shard.members)));
+            sparse_sections(idx, &sparse, &mut sections);
+            if let Some(dense) = dense {
+                dense_sections(idx, &dense, &mut sections);
+            }
         }
-    }
 
-    // Offset assignment: the section table follows the header (64 + 24k
-    // is always 8-aligned), payloads follow with 8-byte alignment.
-    let table_end = HEADER_LEN + sections.len() * SECTION_ENTRY_LEN;
-    let mut offsets = Vec::with_capacity(sections.len());
-    let mut cursor = table_end;
-    for (_, _, payload) in &sections {
-        offsets.push(cursor);
-        cursor += payload.len();
-        cursor = cursor.next_multiple_of(SECTION_ALIGN);
-    }
-    let file_len = cursor;
-
-    let mut buf = vec![0u8; file_len];
-    buf[header_offset::MAGIC..header_offset::MAGIC + 8].copy_from_slice(&MAGIC);
-    buf[header_offset::VERSION..header_offset::VERSION + 4].copy_from_slice(&VERSION.to_ne_bytes());
-    buf[header_offset::ENDIAN..header_offset::ENDIAN + 4]
-        .copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
-    buf[header_offset::PIPELINE_KEY..header_offset::PIPELINE_KEY + 8]
-        .copy_from_slice(&parts.key.to_ne_bytes());
-    buf[header_offset::FILE_LEN..header_offset::FILE_LEN + 8]
-        .copy_from_slice(&(file_len as u64).to_ne_bytes());
-    buf[header_offset::SECTION_COUNT..header_offset::SECTION_COUNT + 4]
-        .copy_from_slice(&(sections.len() as u32).to_ne_bytes());
-    buf[header_offset::HEADER_LEN..header_offset::HEADER_LEN + 4]
-        .copy_from_slice(&(HEADER_LEN as u32).to_ne_bytes());
-
-    for (i, ((kind, shard, payload), offset)) in sections.iter().zip(&offsets).enumerate() {
-        let base = HEADER_LEN + i * SECTION_ENTRY_LEN;
-        buf[base..base + 4].copy_from_slice(&kind.tag().to_ne_bytes());
-        buf[base + 4..base + 8].copy_from_slice(&shard.to_ne_bytes());
-        buf[base + 8..base + 16].copy_from_slice(&(*offset as u64).to_ne_bytes());
-        buf[base + 16..base + 24].copy_from_slice(&(payload.len() as u64).to_ne_bytes());
-        buf[*offset..*offset + payload.len()].copy_from_slice(payload);
-    }
-
-    let checksum = fnv1a_bytes(&buf[HEADER_LEN..]);
-    buf[header_offset::CHECKSUM..header_offset::CHECKSUM + 8]
-        .copy_from_slice(&checksum.to_ne_bytes());
-    buf
-}
-
-/// Writes a compiled pipeline to `path` atomically: the bytes land in a
-/// `.tmp` sibling first and are renamed into place, so readers never
-/// observe a torn file.
-///
-/// # Errors
-///
-/// Returns i/o failures (the temporary file is removed on error).
-pub fn write_db(parts: &DbParts, path: &Path) -> Result<(), ArtifactError> {
-    let bytes = db_bytes(parts);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
+        // Offset assignment: the section table follows the header (64 + 24k
+        // is always 8-aligned), payloads follow with 8-byte alignment.
+        let table_end = HEADER_LEN + sections.len() * SECTION_ENTRY_LEN;
+        let mut offsets = Vec::with_capacity(sections.len());
+        let mut cursor = table_end;
+        for (_, _, payload) in &sections {
+            offsets.push(cursor);
+            cursor += payload.len();
+            cursor = cursor.next_multiple_of(SECTION_ALIGN);
         }
+        let file_len = cursor;
+
+        let mut buf = vec![0u8; file_len];
+        buf[header_offset::MAGIC..header_offset::MAGIC + 8].copy_from_slice(&MAGIC);
+        buf[header_offset::VERSION..header_offset::VERSION + 4]
+            .copy_from_slice(&VERSION.to_ne_bytes());
+        buf[header_offset::ENDIAN..header_offset::ENDIAN + 4]
+            .copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
+        buf[header_offset::PIPELINE_KEY..header_offset::PIPELINE_KEY + 8]
+            .copy_from_slice(&self.key.0.to_ne_bytes());
+        buf[header_offset::FILE_LEN..header_offset::FILE_LEN + 8]
+            .copy_from_slice(&(file_len as u64).to_ne_bytes());
+        buf[header_offset::SECTION_COUNT..header_offset::SECTION_COUNT + 4]
+            .copy_from_slice(&(sections.len() as u32).to_ne_bytes());
+        buf[header_offset::HEADER_LEN..header_offset::HEADER_LEN + 4]
+            .copy_from_slice(&(HEADER_LEN as u32).to_ne_bytes());
+
+        for (i, ((kind, shard, payload), offset)) in sections.iter().zip(&offsets).enumerate() {
+            let base = HEADER_LEN + i * SECTION_ENTRY_LEN;
+            buf[base..base + 4].copy_from_slice(&kind.tag().to_ne_bytes());
+            buf[base + 4..base + 8].copy_from_slice(&shard.to_ne_bytes());
+            buf[base + 8..base + 16].copy_from_slice(&(*offset as u64).to_ne_bytes());
+            buf[base + 16..base + 24].copy_from_slice(&(payload.len() as u64).to_ne_bytes());
+            buf[*offset..*offset + payload.len()].copy_from_slice(payload);
+        }
+
+        let checksum = fnv1a_bytes(&buf[HEADER_LEN..]);
+        buf[header_offset::CHECKSUM..header_offset::CHECKSUM + 8]
+            .copy_from_slice(&checksum.to_ne_bytes());
+        buf
     }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    if let Err(e) = std::fs::write(&tmp, &bytes) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
+
+    /// Writes the pipeline to `path` atomically: the bytes land in a
+    /// temporary sibling named for this process and write, then are
+    /// renamed into place, so readers never observe a torn file even
+    /// when several writers race on one path.
+    ///
+    /// # Errors
+    ///
+    /// Returns i/o failures (the temporary file is removed on error).
+    pub fn write(&self, path: &Path) -> Result<(), ArtifactError> {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let bytes = self.to_bytes();
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent)?;
+            }
+        }
+        let mut tmp = path.as_os_str().to_owned();
+        let seq = WRITES.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
+        let tmp = std::path::PathBuf::from(tmp);
+        if let Err(e) = std::fs::write(&tmp, &bytes) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e.into());
+        }
+        if let Err(e) = std::fs::rename(&tmp, path) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e.into());
+        }
+        Ok(())
     }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    Ok(())
 }

@@ -7,7 +7,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sunder_artifact::corrupt::{corpus, fix_checksum};
-use sunder_artifact::{CompiledDb, MappedDb, SpecParams};
+use sunder_artifact::{CompiledPipeline, MappedDb};
+use sunder_automata::partition::ShardSpec;
 use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
 use sunder_sim::EngineKind;
@@ -17,10 +18,10 @@ use sunder_sim::EngineKind;
 /// variety, and reporting states.
 fn base_image() -> Vec<u8> {
     let nfa = compile_rule_set(&["ab+c", ".*net"]).expect("rules compile");
-    let db = CompiledDb::compile(
+    let db = CompiledPipeline::compile(
         &nfa,
         PipelineConfig::ALL[0],
-        SpecParams::MaxShards(1),
+        ShardSpec::MaxShards(1),
         EngineKind::ALL[0],
     )
     .expect("compile");
@@ -87,7 +88,7 @@ fn repaired_mutants_that_load_still_execute_without_panicking() {
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Ok(db) = MappedDb::load_bytes(&mutant.bytes) {
-                let _ = db.sharded().run_trace(&input);
+                let _ = db.pipeline().sharded.run_trace(&input);
             }
         }));
         assert!(

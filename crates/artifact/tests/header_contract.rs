@@ -7,17 +7,18 @@
 use sunder_artifact::corrupt::fix_checksum;
 use sunder_artifact::format::{header_offset, SectionKind, HEADER_LEN, SECTION_ENTRY_LEN};
 use sunder_artifact::validate::validate_bytes;
-use sunder_artifact::{ArtifactError, CompiledDb, MappedDb, SpecParams};
+use sunder_artifact::{ArtifactError, CompiledPipeline, MappedDb};
+use sunder_automata::partition::ShardSpec;
 use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
 use sunder_sim::EngineKind;
 
 fn base_image() -> Vec<u8> {
     let nfa = compile_rule_set(&["ab+c", ".*net"]).expect("rules compile");
-    CompiledDb::compile(
+    CompiledPipeline::compile(
         &nfa,
         PipelineConfig::ALL[0],
-        SpecParams::MaxShards(1),
+        ShardSpec::MaxShards(1),
         EngineKind::ALL[0],
     )
     .expect("compile")

@@ -290,6 +290,86 @@ pub fn partition_into(nfa: &Nfa, max_shards: usize) -> Result<ShardPlan, Automat
     Ok(plan)
 }
 
+/// How an automaton is split into shards. One value names the sharding
+/// of a compiled pipeline everywhere: the compile step, the pipeline key
+/// and the `.sdb` metadata.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardSpec {
+    /// Balance into at most this many shards ([`partition_into`]).
+    MaxShards(usize),
+    /// Pack toward a per-shard STE budget ([`partition`]).
+    Budget(PartitionOptions),
+}
+
+impl ShardSpec {
+    /// Partitions `nfa` under this spec.
+    ///
+    /// # Errors
+    ///
+    /// Propagates partitioning failures.
+    pub fn plan(self, nfa: &Nfa) -> Result<ShardPlan, AutomataError> {
+        match self {
+            ShardSpec::MaxShards(k) => partition_into(nfa, k),
+            ShardSpec::Budget(opts) => partition(nfa, &opts),
+        }
+    }
+
+    /// Stable text folded into the pipeline key.
+    pub fn key_text(self) -> String {
+        match self {
+            ShardSpec::MaxShards(k) => format!("max-shards={k}"),
+            ShardSpec::Budget(o) => format!("budget={} policy={:?}", o.ste_budget, o.oversize),
+        }
+    }
+
+    /// The `(spec_tag, spec_value, oversize_tag)` triple a compiled
+    /// database stores.
+    pub fn tags(self) -> (u64, u64, u64) {
+        match self {
+            ShardSpec::MaxShards(k) => (0, k as u64, 0),
+            ShardSpec::Budget(o) => (
+                1,
+                o.ste_budget as u64,
+                match o.oversize {
+                    OversizePolicy::Error => 0,
+                    OversizePolicy::Dedicate => 1,
+                },
+            ),
+        }
+    }
+
+    /// Reconstructs a spec from stored tags; `None` for any out-of-range
+    /// tag or value.
+    pub fn from_tags(spec_tag: u64, spec_value: u64, oversize_tag: u64) -> Option<ShardSpec> {
+        let value = usize::try_from(spec_value).ok()?;
+        let budget = |oversize| {
+            Some(ShardSpec::Budget(PartitionOptions {
+                ste_budget: value,
+                oversize,
+            }))
+        };
+        match (spec_tag, oversize_tag) {
+            (0, 0) => Some(ShardSpec::MaxShards(value)),
+            (1, 0) => budget(OversizePolicy::Error),
+            (1, 1) => budget(OversizePolicy::Dedicate),
+            _ => None,
+        }
+    }
+
+    /// The spec itself. Kept only because the `benchmark/` package still
+    /// calls it; nothing in the workspace does.
+    #[doc(hidden)]
+    pub fn params(self) -> ShardSpec {
+        self
+    }
+}
+
+impl std::fmt::Display for ShardSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.key_text())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,6 +541,29 @@ mod tests {
         }
         // FFD: the 5-chain and 4-chain each anchor a bin; small ones fill in.
         assert_eq!(a.num_shards(), 3);
+    }
+
+    #[test]
+    fn spec_tags_round_trip() {
+        let specs = [
+            ShardSpec::MaxShards(0),
+            ShardSpec::MaxShards(7),
+            ShardSpec::Budget(PartitionOptions {
+                ste_budget: 256,
+                oversize: OversizePolicy::Error,
+            }),
+            ShardSpec::Budget(PartitionOptions {
+                ste_budget: 1,
+                oversize: OversizePolicy::Dedicate,
+            }),
+        ];
+        for spec in specs {
+            let (t, v, o) = spec.tags();
+            assert_eq!(ShardSpec::from_tags(t, v, o), Some(spec));
+        }
+        assert_eq!(ShardSpec::from_tags(2, 0, 0), None);
+        assert_eq!(ShardSpec::from_tags(0, 1, 1), None);
+        assert_eq!(ShardSpec::from_tags(1, 1, 2), None);
     }
 
     #[test]

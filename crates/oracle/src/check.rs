@@ -11,87 +11,12 @@
 //! it cross-validates the report sinks: the trace, count, and null sinks
 //! observe the same run, so their aggregates must be consistent.
 
-use sunder_automata::graph::drop_start_subsumed;
-use sunder_automata::{AutomataError, Nfa};
+use sunder_automata::Nfa;
 use sunder_sim::{CountSink, EngineKind, ReportEvent, ReportSink, TraceSink};
-use sunder_transform::{transform_to_rate, PositionMap, Rate};
+use sunder_transform::{PipelineConfig, PositionMap};
 use sunder_workloads::{Benchmark, Scale, Workload};
 
 use crate::reference::{oracle_trace, OracleTrace};
-
-/// One way the pipeline can prepare an automaton for execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PipelineConfig {
-    /// No rate transformation.
-    Identity,
-    /// FlexAmata nibble decomposition, one nibble per cycle.
-    Nibble,
-    /// Nibble decomposition plus one stride doubling (8-bit rate).
-    Stride2,
-    /// Nibble decomposition plus two stride doublings (16-bit rate).
-    Stride4,
-}
-
-impl PipelineConfig {
-    /// Every configuration, in increasing transformation depth.
-    pub const ALL: [PipelineConfig; 4] = [
-        PipelineConfig::Identity,
-        PipelineConfig::Nibble,
-        PipelineConfig::Stride2,
-        PipelineConfig::Stride4,
-    ];
-
-    /// A short stable name (`identity`/`nibble`/`stride2`/`stride4`).
-    pub fn name(self) -> &'static str {
-        match self {
-            PipelineConfig::Identity => "identity",
-            PipelineConfig::Nibble => "nibble",
-            PipelineConfig::Stride2 => "stride2",
-            PipelineConfig::Stride4 => "stride4",
-        }
-    }
-
-    /// The processing rate this configuration transforms to, if any.
-    pub fn rate(self) -> Option<Rate> {
-        match self {
-            PipelineConfig::Identity => None,
-            PipelineConfig::Nibble => Some(Rate::Nibble1),
-            PipelineConfig::Stride2 => Some(Rate::Nibble2),
-            PipelineConfig::Stride4 => Some(Rate::Nibble4),
-        }
-    }
-
-    /// Prepares `nfa` under this configuration: the executable automaton
-    /// plus the [`PositionMap`] folding its report positions back to
-    /// original-symbol coordinates.
-    ///
-    /// The executable automaton is the rate transformation followed by
-    /// [`drop_start_subsumed`], which deletes always-on `.*` heads whose
-    /// enables the start states already supply; its reports are the
-    /// source's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transformation errors (unsupported width, strided
-    /// input).
-    pub fn apply(self, nfa: &Nfa) -> Result<(Nfa, PositionMap), AutomataError> {
-        let (mut prepared, map) = match self.rate() {
-            None => (nfa.clone(), PositionMap::identity()),
-            Some(rate) => (
-                transform_to_rate(nfa, rate)?,
-                PositionMap::nibble_of(nfa.symbol_bits())?,
-            ),
-        };
-        drop_start_subsumed(&mut prepared);
-        Ok((prepared, map))
-    }
-}
-
-impl std::fmt::Display for PipelineConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A conformance violation: one pipeline configuration disagreed with the
 /// reference oracle (or with itself, when the sinks are inconsistent).
@@ -307,14 +232,6 @@ pub fn check_suite(scale: Scale) -> Vec<(Benchmark, Box<Divergence>)> {
 mod tests {
     use super::*;
     use sunder_automata::regex::{compile_regex, compile_rule_set};
-
-    #[test]
-    fn config_names_and_rates() {
-        assert_eq!(PipelineConfig::ALL.len(), 4);
-        assert_eq!(PipelineConfig::Identity.rate(), None);
-        assert_eq!(PipelineConfig::Stride4.rate(), Some(Rate::Nibble4));
-        assert_eq!(PipelineConfig::Stride2.to_string(), "stride2");
-    }
 
     #[test]
     fn clean_pipeline_passes() {

@@ -37,7 +37,8 @@ pub mod reference;
 pub mod seeds;
 pub mod shard;
 
-pub use check::{check_pipelines, check_suite, compare_transformed, Divergence, PipelineConfig};
+pub use check::{check_pipelines, check_suite, compare_transformed, Divergence};
 pub use fuzz::{corruption_plan, run_fuzz, run_fuzz_with_plan, Failure, FuzzOptions, FuzzOutcome};
 pub use reference::{oracle_trace, OracleTrace, ReferenceOracle};
 pub use shard::{check_sharded_pipelines, check_sharded_suite, DEFAULT_SHARD_COUNTS};
+pub use sunder_transform::PipelineConfig;

@@ -18,11 +18,13 @@
 //! engine, and shard count, so the fuzzer and property tests can emit
 //! reproducers with the same machinery as the monolithic checks.
 
+use sunder_automata::partition::ShardSpec;
 use sunder_automata::Nfa;
 use sunder_sim::{EngineKind, ShardedEngine, TraceSink};
+use sunder_transform::PipelineConfig;
 use sunder_workloads::{Benchmark, Scale};
 
-use crate::check::{Divergence, PipelineConfig};
+use crate::check::Divergence;
 use crate::reference::oracle_trace;
 
 /// Shard counts the sharded conformance suite sweeps by default.
@@ -84,14 +86,14 @@ pub fn check_sharded_pipelines(
             engine.run(&view, &mut mono);
 
             for &shards in shard_counts {
-                let sharded =
-                    ShardedEngine::with_shard_count(&transformed, shards, kind).map_err(|e| {
-                        diverged(
-                            config,
-                            kind,
-                            format!("partitioning into {shards} failed: {e}"),
-                        )
-                    })?;
+                let spec = ShardSpec::MaxShards(shards);
+                let sharded = ShardedEngine::new(&transformed, spec, kind).map_err(|e| {
+                    diverged(
+                        config,
+                        kind,
+                        format!("partitioning into {shards} failed: {e}"),
+                    )
+                })?;
                 let merged = sharded.run_trace(input).map_err(|e| {
                     diverged(config, kind, format!("sharded run ({shards} shards): {e}"))
                 })?;

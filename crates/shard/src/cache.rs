@@ -4,7 +4,7 @@
 //! striding, partitioning into shards — dominates the setup cost of a
 //! batch submission and depends only on the automaton and the pipeline
 //! configuration, never on the input streams. The cache keys a compiled
-//! artifact by the `.sdb` key ([`sunder_artifact::db_key`]): a 64-bit
+//! artifact by the `.sdb` key ([`sunder_artifact::pipeline_key`]): a 64-bit
 //! FNV-1a hash over the compile-pipeline tag, the configuration name,
 //! the sharding spec, the engine and the canonical textual (ANML)
 //! serialization of the source automaton, so repeated stream
@@ -32,139 +32,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sunder_artifact::{DbParts, LoadedPipeline, MappedDb, SpecParams};
-use sunder_automata::partition::{partition, partition_into, PartitionOptions, ShardPlan};
-use sunder_automata::{anml, AutomataError, Nfa};
-use sunder_oracle::PipelineConfig;
-use sunder_sim::{EngineKind, ShardedEngine};
-use sunder_transform::PositionMap;
-
-/// How a cached pipeline is sharded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardSpec {
-    /// Balance into at most this many shards
-    /// ([`sunder_automata::partition::partition_into`]).
-    MaxShards(usize),
-    /// Pack toward a per-shard STE budget
-    /// ([`sunder_automata::partition::partition`]).
-    Budget(PartitionOptions),
-}
-
-impl ShardSpec {
-    fn apply(self, nfa: &Nfa) -> Result<ShardPlan, AutomataError> {
-        match self {
-            ShardSpec::MaxShards(k) => partition_into(nfa, k),
-            ShardSpec::Budget(opts) => partition(nfa, &opts),
-        }
-    }
-
-    /// The artifact-layer form of this spec (what `.sdb` files persist).
-    pub fn params(self) -> SpecParams {
-        match self {
-            ShardSpec::MaxShards(k) => SpecParams::MaxShards(k),
-            ShardSpec::Budget(opts) => SpecParams::Budget(opts),
-        }
-    }
-
-    /// Stable text folded into the cache key ([`SpecParams::key_text`]).
-    pub fn key_text(self) -> String {
-        self.params().key_text()
-    }
-}
-
-impl From<SpecParams> for ShardSpec {
-    fn from(params: SpecParams) -> ShardSpec {
-        match params {
-            SpecParams::MaxShards(k) => ShardSpec::MaxShards(k),
-            SpecParams::Budget(opts) => ShardSpec::Budget(opts),
-        }
-    }
-}
-
-/// A 64-bit content hash identifying one compiled pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PipelineKey(pub u64);
-
-impl std::fmt::Display for PipelineKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
-
-/// Computes the content-addressed key for (automaton, config, sharding,
-/// engine): the `.sdb` key [`sunder_artifact::db_key`], so a cached
-/// pipeline and its `<key>.sdb` file share one name.
-pub fn pipeline_key(
-    nfa: &Nfa,
-    config: PipelineConfig,
-    spec: ShardSpec,
-    engine: EngineKind,
-) -> PipelineKey {
-    PipelineKey(sunder_artifact::db_key(nfa, config, &spec.params(), engine))
-}
-
-/// One compiled pipeline: the transformed automaton, the position map
-/// folding its reports back to original-symbol coordinates, and the
-/// sharded engine ready to execute it.
-#[derive(Debug, Clone)]
-pub struct CompiledPipeline {
-    /// The content hash this artifact is cached under.
-    pub key: PipelineKey,
-    /// The configuration that produced it.
-    pub config: PipelineConfig,
-    /// The transformed (executable) automaton.
-    pub nfa: Nfa,
-    /// Folds transformed report positions to original-symbol coordinates.
-    pub map: PositionMap,
-    /// Sharded execution over the transformed automaton.
-    pub sharded: ShardedEngine,
-}
-
-impl CompiledPipeline {
-    /// Compiles `nfa` under `config`, shards per `spec`, without caching.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transformation and partitioning failures.
-    pub fn compile(
-        nfa: &Nfa,
-        config: PipelineConfig,
-        spec: ShardSpec,
-        engine: EngineKind,
-    ) -> Result<CompiledPipeline, AutomataError> {
-        let key = pipeline_key(nfa, config, spec, engine);
-        let (transformed, map) = config.apply(nfa)?;
-        let plan = spec.apply(&transformed)?;
-        let sharded = ShardedEngine::from_plan(&transformed, plan, engine);
-        Ok(CompiledPipeline {
-            key,
-            config,
-            nfa: transformed,
-            map,
-            sharded,
-        })
-    }
-
-    /// Number of shards in the compiled plan.
-    pub fn num_shards(&self) -> usize {
-        self.sharded.num_shards()
-    }
-}
-
-impl From<LoadedPipeline> for CompiledPipeline {
-    /// Adopts a pipeline loaded from a `.sdb` mapping: the engines keep
-    /// borrowing their tables from the mapping (pinned inside the
-    /// `ShardedEngine`), no recompilation happens.
-    fn from(lp: LoadedPipeline) -> CompiledPipeline {
-        CompiledPipeline {
-            key: PipelineKey(lp.key),
-            config: lp.config,
-            nfa: lp.nfa,
-            map: lp.map,
-            sharded: lp.sharded,
-        }
-    }
-}
+use sunder_artifact::{pipeline_key, CompiledPipeline, MappedDb, PipelineKey};
+use sunder_automata::partition::ShardSpec;
+use sunder_automata::{AutomataError, Nfa};
+use sunder_sim::EngineKind;
+use sunder_transform::PipelineConfig;
 
 /// Thread-safe content-addressed cache of [`CompiledPipeline`]s.
 #[derive(Debug)]
@@ -254,28 +126,18 @@ impl PipelineCache {
         // The loader proved the content hash; this guards the *file
         // name* (a db renamed to the wrong key, or parameters drifting
         // from the cache's own spec/engine).
-        if mapped.key() != key.0 {
+        if mapped.pipeline().key != key {
             return None;
         }
-        Some(CompiledPipeline::from(mapped.into_parts()))
+        Some(mapped.into_pipeline())
     }
 
     /// Best-effort write-through of a fresh compilation.
-    fn store_to_disk(&self, source_anml: &str, compiled: &CompiledPipeline) {
+    fn store_to_disk(&self, compiled: &CompiledPipeline) {
         let Some(path) = self.disk_path(compiled.key) else {
             return;
         };
-        let parts = DbParts {
-            key: compiled.key.0,
-            config: compiled.config,
-            spec: self.spec.params(),
-            engine: self.engine,
-            source_anml,
-            nfa: &compiled.nfa,
-            map: compiled.map,
-            sharded: &compiled.sharded,
-        };
-        if let Err(e) = sunder_artifact::write_db(&parts, &path) {
+        if let Err(e) = compiled.write(&path) {
             sunder_telemetry::instant(
                 "pipeline_cache.disk_write_failed",
                 &[("error", e.to_string().into())],
@@ -350,9 +212,7 @@ impl PipelineCache {
             self.engine,
         )?);
         debug_assert_eq!(compiled.key, key);
-        if self.disk.is_some() {
-            self.store_to_disk(&anml::serialize(nfa), &compiled);
-        }
+        self.store_to_disk(&compiled);
         // Two racing compilers produce identical artifacts (compilation
         // is deterministic), so last-insert-wins is safe.
         self.entries
@@ -476,6 +336,26 @@ mod tests {
         let c = c2.get_or_compile(&nfa, PipelineConfig::Nibble).unwrap();
         assert!(Arc::ptr_eq(&b, &c));
         assert_eq!(c2.hits(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_through_is_the_compiled_image() {
+        let dir = temp_dir("image");
+        let nfa = compile_rule_set(&["ab+c", ".*net", "[0-9]{3}"]).unwrap();
+        let spec = ShardSpec::MaxShards(2);
+        for engine in EngineKind::ALL {
+            let cache = PipelineCache::with_disk(spec, engine, &dir);
+            for config in PipelineConfig::ALL {
+                let cached = cache.get_or_compile(&nfa, config).unwrap();
+                let written = std::fs::read(cache.disk_path(cached.key).unwrap()).unwrap();
+                let compiled = CompiledPipeline::compile(&nfa, config, spec, engine).unwrap();
+                assert!(
+                    written == compiled.to_bytes(),
+                    "{config}/{engine}: write-through differs from to_bytes"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -22,9 +22,9 @@
 //!
 //! ```
 //! use sunder_automata::regex::compile_rule_set;
-//! use sunder_oracle::PipelineConfig;
 //! use sunder_shard::{BatchOptions, BatchService, ShardSpec};
 //! use sunder_sim::EngineKind;
+//! use sunder_transform::PipelineConfig;
 //!
 //! let service = BatchService::new(ShardSpec::MaxShards(4), EngineKind::Adaptive);
 //! let nfa = compile_rule_set(&["ab+c", "[0-9]{3}"])?;
@@ -52,7 +52,7 @@ pub mod scheduler;
 pub mod server;
 pub mod session;
 
-pub use cache::{pipeline_key, CompiledPipeline, PipelineCache, PipelineKey, ShardSpec};
+pub use cache::PipelineCache;
 pub use chaos::{run_chaos, ChaosOptions, SessionOutcome};
 pub use flight::{validate_flight, FlightRecorder, FlightSummary, FLIGHT_SCHEMA_VERSION};
 pub use frame::{ClientFrame, FrameError, ServerFrame, PROTOCOL_VERSION};
@@ -63,13 +63,15 @@ pub use scheduler::{
 };
 pub use server::{DrainReport, MatchServer, ServerConfig};
 pub use session::{expected_reports, SessionError, SessionSummary, StreamSession, SymbolFramer};
+pub use sunder_artifact::{pipeline_key, CompiledPipeline, PipelineKey};
+pub use sunder_automata::partition::ShardSpec;
 
 use std::sync::Arc;
 
 use sunder_automata::input::InputView;
 use sunder_automata::{AutomataError, Nfa};
-use sunder_oracle::PipelineConfig;
 use sunder_sim::{EngineKind, ReportEvent, TraceSink};
+use sunder_transform::PipelineConfig;
 
 /// A long-lived batch service: one pipeline cache, many submissions.
 ///

@@ -25,11 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use sunder_artifact::CompiledPipeline;
 use sunder_automata::input::InputView;
 use sunder_resilience::{corrupt, panic_message, Budget, FaultKind, FaultPlan, JobOutcome};
 use sunder_sim::{ReportEvent, RunOutcome, ShardedEngine};
-
-use crate::cache::CompiledPipeline;
 
 /// Default [`BatchOptions::serial_cutoff`]: batches whose total input is
 /// smaller than this run on one worker no matter how many were asked
@@ -634,11 +633,11 @@ pub fn run_batch_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CompiledPipeline, ShardSpec};
+    use sunder_automata::partition::ShardSpec;
     use sunder_automata::regex::compile_rule_set;
-    use sunder_oracle::PipelineConfig;
     use sunder_resilience::Fault;
     use sunder_sim::EngineKind;
+    use sunder_transform::PipelineConfig;
 
     fn pipeline(config: PipelineConfig, shards: usize) -> CompiledPipeline {
         let nfa = compile_rule_set(&["ab+c", ".*net", "[0-9]{3}", "xy"]).unwrap();

@@ -40,12 +40,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use sunder_artifact::CompiledPipeline;
+use sunder_automata::partition::ShardSpec;
 use sunder_automata::{anml, AutomataError, Nfa};
-use sunder_oracle::PipelineConfig;
 use sunder_resilience::{Budget, CancelToken, FaultKind, FaultPlan};
 use sunder_sim::EngineKind;
+use sunder_transform::PipelineConfig;
 
-use crate::cache::{PipelineCache, ShardSpec};
+use crate::cache::PipelineCache;
 use crate::frame::{
     decode_client, read_raw, ClientFrame, FrameError, ServerFrame, DEFAULT_MAX_FRAME_BYTES,
     ERR_BUSY, ERR_DEADLINE, ERR_INTERNAL, ERR_PANIC, ERR_PROTOCOL, ERR_QUOTA, ERR_RELOAD,
@@ -124,7 +126,7 @@ pub struct LoadedDb {
     /// Monotonic reload generation (first load is epoch 1).
     pub epoch: u64,
     /// The compiled pipeline sessions of this epoch pin.
-    pub pipeline: Arc<crate::cache::CompiledPipeline>,
+    pub pipeline: Arc<CompiledPipeline>,
 }
 
 /// What [`MatchServer::drain`] observed.
@@ -432,30 +434,29 @@ impl Drop for MatchServer {
 fn reload_db_artifact(inner: &ServerInner, path: &std::path::Path) -> Result<u64, String> {
     inner.reloading.store(true, Ordering::Release);
     let result = (|| {
-        let mapped =
-            sunder_artifact::MappedDb::open(path).map_err(|e| format!("load artifact: {e}"))?;
-        if mapped.config() != inner.cfg.config {
+        let pipeline = sunder_artifact::MappedDb::open(path)
+            .map_err(|e| format!("load artifact: {e}"))?
+            .into_pipeline();
+        if pipeline.config != inner.cfg.config {
             return Err(format!(
                 "artifact config {} does not match server config {}",
-                mapped.config(),
-                inner.cfg.config
+                pipeline.config, inner.cfg.config
             ));
         }
-        if mapped.spec() != inner.cfg.spec.params() {
+        if pipeline.spec != inner.cfg.spec {
             return Err(format!(
                 "artifact sharding spec \"{}\" does not match server spec \"{}\"",
-                mapped.spec(),
-                inner.cfg.spec.key_text()
+                pipeline.spec, inner.cfg.spec
             ));
         }
-        if mapped.engine() != inner.cfg.engine {
+        if pipeline.engine != inner.cfg.engine {
             return Err(format!(
                 "artifact engine {} does not match server engine {}",
-                mapped.engine().name(),
+                pipeline.engine.name(),
                 inner.cfg.engine.name()
             ));
         }
-        let pipeline = Arc::new(crate::cache::CompiledPipeline::from(mapped.into_parts()));
+        let pipeline = Arc::new(pipeline);
         let epoch = inner.next_epoch.fetch_add(1, Ordering::Relaxed);
         *inner.db.lock().unwrap() = Arc::new(LoadedDb { epoch, pipeline });
         sunder_telemetry::counter_add("serve_reloads_total", &[("source", "artifact")], 1);
@@ -1105,7 +1106,10 @@ mod tests {
     #[test]
     fn join_acceptor_gives_up_on_an_acceptor_no_connect_can_wake() {
         // A port nothing listens on: every wake connect is refused.
-        let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
         let (release, parked) = std::sync::mpsc::channel::<()>();
         let accept = std::thread::spawn(move || {
             let _ = parked.recv();

@@ -25,13 +25,12 @@
 
 use std::sync::Arc;
 
+use sunder_artifact::CompiledPipeline;
 use sunder_automata::input::{nibbles_of_bytes, InputView};
 use sunder_automata::AutomataError;
 use sunder_resilience::{Budget, RunOutcome, StopReason};
 use sunder_sim::{ShardedState, TraceSink};
 use sunder_transform::MisalignedReport;
-
-use crate::cache::CompiledPipeline;
 
 /// Re-frames an arbitrary byte-chunk stream into complete-cycle
 /// [`InputView`]s for a given `(symbol_bits, stride)` pipeline.
@@ -392,11 +391,11 @@ pub fn expected_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ShardSpec;
+    use sunder_automata::partition::ShardSpec;
     use sunder_automata::regex::compile_rule_set;
-    use sunder_oracle::PipelineConfig;
     use sunder_resilience::CancelToken;
     use sunder_sim::EngineKind;
+    use sunder_transform::PipelineConfig;
 
     fn pipeline(config: PipelineConfig) -> Arc<CompiledPipeline> {
         let nfa = compile_rule_set(&["ab+c", "[0-9]{3}", ".*net"]).unwrap();

@@ -480,8 +480,7 @@ fn drain_with_no_sessions_is_immediate() {
 /// Compiles `nfa` into a `.sdb` artifact matching `cfg`'s pipeline
 /// parameters and writes it under a fresh temp dir.
 fn write_artifact(nfa: &Nfa, cfg: &ServerConfig, tag: &str) -> std::path::PathBuf {
-    let db = sunder_artifact::CompiledDb::compile(nfa, cfg.config, cfg.spec.params(), cfg.engine)
-        .unwrap();
+    let db = CompiledPipeline::compile(nfa, cfg.config, cfg.spec, cfg.engine).unwrap();
     let path = std::env::temp_dir().join(format!(
         "sunder-serve-artifact-{}-{tag}.sdb",
         std::process::id()
@@ -588,13 +587,8 @@ fn corrupt_or_mismatched_artifact_is_refused_and_sessions_survive() {
 
     // Parameter mismatch: a perfectly valid artifact compiled under a
     // different sharding spec is refused too.
-    let mismatched_db = sunder_artifact::CompiledDb::compile(
-        &nfa2,
-        cfg.config,
-        ShardSpec::MaxShards(1).params(),
-        cfg.engine,
-    )
-    .unwrap();
+    let mismatched_db =
+        CompiledPipeline::compile(&nfa2, cfg.config, ShardSpec::MaxShards(1), cfg.engine).unwrap();
     let mismatched = std::env::temp_dir().join(format!(
         "sunder-serve-artifact-{}-mismatch.sdb",
         std::process::id()

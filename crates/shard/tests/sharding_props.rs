@@ -80,9 +80,9 @@ proptest! {
         for config in PipelineConfig::ALL {
             let (transformed, _map) = config.apply(&nfa).expect("transform");
             let expected = monolithic(&transformed, &input);
-            let sharded = ShardedEngine::with_shard_count(
+            let sharded = ShardedEngine::new(
                 &transformed,
-                shards,
+                ShardSpec::MaxShards(shards),
                 EngineKind::Adaptive,
             ).expect("partition");
             let merged = sharded.run_trace(&input).expect("sharded run");

@@ -21,7 +21,7 @@
 use std::sync::{Arc, OnceLock};
 
 use sunder_automata::input::InputView;
-use sunder_automata::partition::{partition, partition_into, PartitionOptions, ShardPlan};
+use sunder_automata::partition::{ShardPlan, ShardSpec};
 use sunder_automata::{AutomataError, Nfa};
 use sunder_resilience::{Budget, RunOutcome};
 
@@ -54,7 +54,7 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Partitions `nfa` under `opts` and prepares sharded execution with
+    /// Partitions `nfa` under `spec` and prepares sharded execution with
     /// engine `kind` per shard.
     ///
     /// # Errors
@@ -62,28 +62,10 @@ impl ShardedEngine {
     /// Propagates partitioning failures ([`AutomataError::Capacity`]).
     pub fn new(
         nfa: &Nfa,
-        opts: &PartitionOptions,
+        spec: ShardSpec,
         kind: EngineKind,
     ) -> Result<ShardedEngine, AutomataError> {
-        Ok(ShardedEngine::from_plan(nfa, partition(nfa, opts)?, kind))
-    }
-
-    /// Partitions `nfa` into at most `max_shards` balanced shards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partitioning failures (zero shards for a non-empty
-    /// automaton).
-    pub fn with_shard_count(
-        nfa: &Nfa,
-        max_shards: usize,
-        kind: EngineKind,
-    ) -> Result<ShardedEngine, AutomataError> {
-        Ok(ShardedEngine::from_plan(
-            nfa,
-            partition_into(nfa, max_shards)?,
-            kind,
-        ))
+        Ok(ShardedEngine::from_plan(nfa, spec.plan(nfa)?, kind))
     }
 
     /// Wraps an existing plan for `nfa` (the plan must have been built
@@ -446,6 +428,7 @@ mod tests {
     use super::*;
     use crate::sink::CountSink;
     use crate::Simulator;
+    use sunder_automata::partition::PartitionOptions;
     use sunder_automata::regex::compile_rule_set;
     use sunder_resilience::{CancelToken, StopReason};
 
@@ -468,7 +451,8 @@ mod tests {
         let expected = monolithic(&nfa, input);
         assert!(!expected.is_empty());
         for k in 1..=8 {
-            let engine = ShardedEngine::with_shard_count(&nfa, k, EngineKind::Adaptive).unwrap();
+            let engine =
+                ShardedEngine::new(&nfa, ShardSpec::MaxShards(k), EngineKind::Adaptive).unwrap();
             assert_eq!(engine.run_trace(input).unwrap(), expected, "shards={k}");
         }
     }
@@ -477,7 +461,7 @@ mod tests {
     fn sink_sees_per_cycle_batches() {
         let nfa = rules();
         let input = b"xyxy 123net".as_slice();
-        let engine = ShardedEngine::with_shard_count(&nfa, 3, EngineKind::Sparse).unwrap();
+        let engine = ShardedEngine::new(&nfa, ShardSpec::MaxShards(3), EngineKind::Sparse).unwrap();
         let view = InputView::new(input, 8, 1).unwrap();
         let mut count = CountSink::new();
         engine.run(&view, &mut count);
@@ -493,8 +477,8 @@ mod tests {
     #[test]
     fn empty_automaton_runs_to_completion() {
         let nfa = Nfa::new(8);
-        let engine =
-            ShardedEngine::new(&nfa, &PartitionOptions::default(), EngineKind::Dense).unwrap();
+        let spec = ShardSpec::Budget(PartitionOptions::default());
+        let engine = ShardedEngine::new(&nfa, spec, EngineKind::Dense).unwrap();
         assert_eq!(engine.num_shards(), 0);
         assert_eq!(engine.run_trace(b"anything").unwrap(), Vec::new());
     }
@@ -505,7 +489,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let budget = Budget::with_cancel(token).check_every(1);
-        let engine = ShardedEngine::with_shard_count(&nfa, 2, EngineKind::Sparse).unwrap();
+        let engine = ShardedEngine::new(&nfa, ShardSpec::MaxShards(2), EngineKind::Sparse).unwrap();
         let view = InputView::new(&[b'x'; 64], 8, 1).unwrap();
         let mut trace = TraceSink::new();
         let outcome = engine.run_budgeted(&view, &mut trace, &budget);
@@ -526,7 +510,7 @@ mod tests {
         assert!(!expected.is_empty());
         for kind in EngineKind::ALL {
             for shards in [1usize, 2, 4] {
-                let engine = ShardedEngine::with_shard_count(&nfa, shards, kind).unwrap();
+                let engine = ShardedEngine::new(&nfa, ShardSpec::MaxShards(shards), kind).unwrap();
                 let mut state = engine.initial_state();
                 let mut sink = TraceSink::new();
                 // Uneven chunk sizes, including a 1-byte chunk.
@@ -575,7 +559,7 @@ mod tests {
     #[test]
     fn interrupted_chunk_leaves_state_untouched() {
         let nfa = rules();
-        let engine = ShardedEngine::with_shard_count(&nfa, 2, EngineKind::Sparse).unwrap();
+        let engine = ShardedEngine::new(&nfa, ShardSpec::MaxShards(2), EngineKind::Sparse).unwrap();
         let mut state = engine.initial_state();
         let warm = InputView::new(b"ab", 8, 1).unwrap();
         let mut sink = TraceSink::new();

@@ -42,6 +42,6 @@ pub mod stride;
 
 pub use map::{MisalignedReport, PositionMap};
 pub use nibble::to_nibble_automaton;
-pub use rate::{transform_to_rate, transform_to_rate_with, Rate, TransformOptions};
+pub use rate::{transform_to_rate, transform_to_rate_with, PipelineConfig, Rate, TransformOptions};
 pub use stats::TransformStats;
 pub use stride::{double_stride, stride_times};

@@ -6,10 +6,11 @@
 //! pipeline: byte automaton → nibble automaton → repeated stride doubling →
 //! cleanup (pruning and forward-equivalence minimization).
 
-use sunder_automata::graph::prune_useless;
+use sunder_automata::graph::{drop_start_subsumed, prune_useless};
 use sunder_automata::minimize::merge_equivalent_states;
 use sunder_automata::{AutomataError, Nfa};
 
+use crate::map::PositionMap;
 use crate::nibble::to_nibble_automaton;
 use crate::stride::double_stride;
 
@@ -132,10 +133,92 @@ fn cleanup(nfa: &mut Nfa, options: TransformOptions) {
     }
 }
 
+/// One way the pipeline can prepare an automaton for execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PipelineConfig {
+    /// No rate transformation.
+    Identity,
+    /// FlexAmata nibble decomposition, one nibble per cycle.
+    Nibble,
+    /// Nibble decomposition plus one stride doubling (8-bit rate).
+    Stride2,
+    /// Nibble decomposition plus two stride doublings (16-bit rate).
+    Stride4,
+}
+
+impl PipelineConfig {
+    /// Every configuration, in increasing transformation depth.
+    pub const ALL: [PipelineConfig; 4] = [
+        PipelineConfig::Identity,
+        PipelineConfig::Nibble,
+        PipelineConfig::Stride2,
+        PipelineConfig::Stride4,
+    ];
+
+    /// A short stable name (`identity`/`nibble`/`stride2`/`stride4`).
+    pub fn name(self) -> &'static str {
+        match self {
+            PipelineConfig::Identity => "identity",
+            PipelineConfig::Nibble => "nibble",
+            PipelineConfig::Stride2 => "stride2",
+            PipelineConfig::Stride4 => "stride4",
+        }
+    }
+
+    /// The processing rate this configuration transforms to, if any.
+    pub fn rate(self) -> Option<Rate> {
+        match self {
+            PipelineConfig::Identity => None,
+            PipelineConfig::Nibble => Some(Rate::Nibble1),
+            PipelineConfig::Stride2 => Some(Rate::Nibble2),
+            PipelineConfig::Stride4 => Some(Rate::Nibble4),
+        }
+    }
+
+    /// Prepares `nfa` under this configuration: the executable automaton
+    /// plus the [`PositionMap`] folding its report positions back to
+    /// original-symbol coordinates.
+    ///
+    /// The executable automaton is the rate transformation followed by
+    /// [`drop_start_subsumed`], which deletes always-on `.*` heads whose
+    /// enables the start states already supply; its reports are the
+    /// source's.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transformation errors (unsupported width, strided
+    /// input).
+    pub fn apply(self, nfa: &Nfa) -> Result<(Nfa, PositionMap), AutomataError> {
+        let (mut prepared, map) = match self.rate() {
+            None => (nfa.clone(), PositionMap::identity()),
+            Some(rate) => (
+                transform_to_rate(nfa, rate)?,
+                PositionMap::nibble_of(nfa.symbol_bits())?,
+            ),
+        };
+        drop_start_subsumed(&mut prepared);
+        Ok((prepared, map))
+    }
+}
+
+impl std::fmt::Display for PipelineConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sunder_automata::regex::compile_rule_set;
+
+    #[test]
+    fn config_names_and_rates() {
+        assert_eq!(PipelineConfig::ALL.len(), 4);
+        assert_eq!(PipelineConfig::Identity.rate(), None);
+        assert_eq!(PipelineConfig::Stride4.rate(), Some(Rate::Nibble4));
+        assert_eq!(PipelineConfig::Stride2.to_string(), "stride2");
+    }
 
     #[test]
     fn rate_arithmetic() {

@@ -897,7 +897,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// (transform, partition, per-shard engine tables) and writes the result
 /// as a zero-copy `.sdb` pattern database.
 fn cmd_compile_db(args: &[String]) -> Result<(), String> {
-    use sunder::artifact::{CompiledDb, SpecParams};
+    use sunder::shard::{CompiledPipeline, ShardSpec};
 
     let flags = Flags { args };
     let nfa = load_nfa(&flags)?;
@@ -905,19 +905,18 @@ fn cmd_compile_db(args: &[String]) -> Result<(), String> {
     let engine = parse_engine(&flags)?;
     let shards: usize = parse_num(&flags, "--shards", 4)?;
     let out = flags.required("-o")?;
-    let db = CompiledDb::compile(&nfa, config, SpecParams::MaxShards(shards), engine)
+    let db = CompiledPipeline::compile(&nfa, config, ShardSpec::MaxShards(shards), engine)
         .map_err(|e| e.to_string())?;
     db.write(std::path::Path::new(out))
         .map_err(|e| format!("write database {out}: {e}"))?;
     let size = fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    let parts = db.parts();
     eprintln!(
-        "compiled pattern database: key {:016x}, {} pipeline, {} engine, {} shards, \
+        "compiled pattern database: key {}, {} pipeline, {} engine, {} shards, \
          {size} bytes -> {out}",
-        parts.key,
-        parts.config.name(),
-        parts.engine.name(),
-        parts.sharded.num_shards(),
+        db.key,
+        db.config.name(),
+        db.engine.name(),
+        db.num_shards(),
     );
     Ok(())
 }
@@ -933,16 +932,17 @@ fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
         .find(|a| !a.starts_with("--"))
         .ok_or("usage: sunder inspect-db <file.sdb>")?;
     let mapped = MappedDb::open(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    let pipeline = mapped.pipeline();
     println!("{path}: valid Sunder pattern database");
-    println!("  pipeline key     {:016x}", mapped.key());
-    println!("  config           {}", mapped.config().name());
-    println!("  sharding spec    {}", mapped.spec());
-    println!("  engine           {}", mapped.engine().name());
-    println!("  shards           {}", mapped.num_shards());
+    println!("  pipeline key     {}", pipeline.key);
+    println!("  config           {}", pipeline.config.name());
+    println!("  sharding spec    {}", pipeline.spec);
+    println!("  engine           {}", pipeline.engine.name());
+    println!("  shards           {}", pipeline.num_shards());
     println!(
         "  automaton        {} states, {} transitions",
-        mapped.nfa().num_states(),
-        mapped.nfa().num_transitions()
+        pipeline.nfa.num_states(),
+        pipeline.nfa.num_transitions()
     );
     println!(
         "  file length      {} bytes ({})",
@@ -971,7 +971,8 @@ fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
 fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::{Duration, Instant};
-    use sunder::artifact::{corrupt, CompiledDb, MappedDb, SpecParams};
+    use sunder::artifact::{corrupt, MappedDb};
+    use sunder::shard::{CompiledPipeline, ShardSpec};
 
     let flags = Flags { args };
     // Default to the flagship stride-2 pipeline: the cold-load gate
@@ -983,7 +984,7 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
     };
     let engine = parse_engine(&flags)?;
     let shards: usize = parse_num(&flags, "--shards", 4)?;
-    let spec = SpecParams::MaxShards(shards);
+    let spec = ShardSpec::MaxShards(shards);
     let scale = if flags.flag("--paper") {
         Scale::paper()
     } else {
@@ -1001,7 +1002,7 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
     for bench in Benchmark::ALL.iter().copied() {
         let w = bench.build(scale);
         let t = Instant::now();
-        let db = CompiledDb::compile(&w.nfa, config, spec, engine)
+        let db = CompiledPipeline::compile(&w.nfa, config, spec, engine)
             .map_err(|e| format!("{}: compile: {e}", bench.name()))?;
         let compile = t.elapsed();
         let path = dir.join(format!("{}.sdb", bench.name().to_lowercase()));
@@ -1013,12 +1014,12 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
         let load = t.elapsed();
 
         let expected = db
-            .parts()
             .sharded
             .run_trace(&w.input)
             .map_err(|e| format!("{}: in-memory run: {e}", bench.name()))?;
         let actual = mapped
-            .sharded()
+            .pipeline()
+            .sharded
             .run_trace(&w.input)
             .map_err(|e| format!("{}: mapped run: {e}", bench.name()))?;
         if actual != expected {
@@ -1035,7 +1036,7 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
              compile {:.1} ms, cold load {:.2} ms",
             bench.name(),
             w.nfa.num_states(),
-            mapped.num_shards(),
+            mapped.pipeline().num_shards(),
             mapped.file_len(),
             expected.len(),
             compile.as_secs_f64() * 1e3,
