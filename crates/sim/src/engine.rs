@@ -65,6 +65,9 @@ pub struct Simulator<'a> {
     /// Cycles the prefilter skipped without stepping (cumulative; survives
     /// [`Simulator::reset`]).
     prefilter_skipped: u64,
+    /// The start LUT unpacked to one flag per alphabet symbol, the
+    /// prefilter's table: a byte load per test instead of a bit extract.
+    wakes: Box<[bool]>,
 }
 
 /// Generation-stamped candidate insertion; a free function so the
@@ -89,6 +92,10 @@ impl<'a> Simulator<'a> {
     /// per-automaton build. The tables must have been built from `nfa`.
     pub(crate) fn with_tables(nfa: &'a Nfa, tables: Arc<SparseTables>) -> Self {
         debug_assert_eq!(tables.stride, nfa.stride());
+        let lut = &tables.start_lut;
+        let wakes = (0..tables.alphabet)
+            .map(|i| (lut[i >> 6] >> (i & 63)) & 1 != 0)
+            .collect();
         Simulator {
             nfa,
             tables,
@@ -99,6 +106,7 @@ impl<'a> Simulator<'a> {
             candidates: Vec::new(),
             reports: Vec::new(),
             prefilter_skipped: 0,
+            wakes,
         }
     }
 
@@ -433,17 +441,34 @@ impl Kernel for Simulator<'_> {
 
     /// Idle means: the frontier is empty, no start-of-data start can
     /// fire, and the leading symbol of the cycle misses the start LUT.
+    /// Tests eight cycles per pass, their flags ORed into one mask whose
+    /// lowest set bit is the first waking cycle; a symbol outside the
+    /// alphabet has no flag and misses.
     fn idle_cycles(&self, input: &InputView, from: usize, to: usize) -> usize {
         if !self.active.is_empty() || (self.cycle == 0 && !self.tables.sod_starts.is_empty()) {
             return 0;
         }
+        let wakes = &*self.wakes;
+        let hit = |s: u16| wakes.get(usize::from(s)).map_or(0, |&w| u32::from(w));
         let stride = self.tables.stride;
         let syms = input.symbols();
-        let mut c = from;
-        while c < to && !self.tables.start_lut_hit(syms[c * stride]) {
-            c += 1;
+        // The symbols of cycles [from, to); the view's last may be partial.
+        let end = syms.len().min(to * stride);
+        let window = &syms[end.min(from * stride)..end];
+        let mut blocks = window.chunks_exact(8 * stride);
+        let mut idle = 0;
+        for block in &mut blocks {
+            let mut mask = 0;
+            for k in 0..8 {
+                mask |= hit(block[k * stride]) << k;
+            }
+            if mask != 0 {
+                return idle + mask.trailing_zeros() as usize;
+            }
+            idle += 8;
         }
-        c - from
+        let tail = blocks.remainder().iter().step_by(stride);
+        idle + tail.take_while(|&&s| hit(s) == 0).count()
     }
 
     fn skip(&mut self, cycles: u64) {
@@ -712,6 +737,137 @@ mod tests {
         let mut trace = TraceSink::new();
         sim.run(&input, &mut trace);
         assert_eq!(trace.cycle_id_pairs(), vec![(0, 1), (2, 1)]);
+    }
+
+    /// The scalar reference for [`Kernel::idle_cycles`] on a fresh
+    /// simulator: cycles from `from` on whose leading symbol no all-input
+    /// start's first charset contains, up to the first that one does or
+    /// to `to`. Read from the automaton, not from the compiled LUT.
+    fn scalar_idle(nfa: &Nfa, input: &InputView, from: usize, to: usize) -> usize {
+        let wakes = |s: u16| {
+            nfa.states().any(|(_, ste)| {
+                ste.start_kind() == StartKind::AllInput && ste.charsets()[0].contains(s)
+            })
+        };
+        (from..to)
+            .take_while(|&c| !wakes(input.symbols()[c * input.stride()]))
+            .count()
+    }
+
+    /// Every window `[from, to)` of the view with `from` in `froms`.
+    fn assert_idle_matches_reference(nfa: &Nfa, input: &InputView, froms: std::ops::Range<usize>) {
+        let sim = Simulator::new(nfa);
+        for from in froms {
+            for to in from..=input.num_cycles() {
+                assert_eq!(
+                    sim.idle_cycles(input, from, to),
+                    scalar_idle(nfa, input, from, to),
+                    "from {from}, to {to}"
+                );
+            }
+        }
+    }
+
+    /// An automaton of one all-input start whose first position accepts
+    /// only `sym` (later positions accept anything).
+    fn lone_start(bits: u8, stride: usize, sym: u16) -> Nfa {
+        let mut charsets = vec![SymbolSet::full(bits); stride];
+        charsets[0] = SymbolSet::singleton(bits, sym);
+        let mut nfa = Nfa::with_stride(bits, stride);
+        nfa.add_state(
+            Ste::with_charsets(charsets)
+                .start(StartKind::AllInput)
+                .report(0),
+        );
+        nfa
+    }
+
+    #[test]
+    fn idle_finds_every_lone_start_symbol_at_every_offset_and_alignment() {
+        for sym in 0..=255u16 {
+            let nfa = lone_start(8, 1, sym);
+            let sim = Simulator::new(&nfa);
+            for from in 0..8 {
+                for offset in 0..=17 {
+                    let hit = from + offset;
+                    // Misses that run through the rest of the alphabet.
+                    let mut syms: Vec<u16> = (0..hit + 12)
+                        .map(|i| (sym + 1 + (i * 7 % 255) as u16) % 256)
+                        .collect();
+                    syms[hit] = sym;
+                    let input = InputView::from_symbols(syms, 1);
+                    let len = input.num_cycles();
+                    for to in [from, hit.max(from + 1) - 1, hit, hit + 1, len] {
+                        let idle = sim.idle_cycles(&input, from, to);
+                        assert_eq!(
+                            idle,
+                            offset.min(to - from),
+                            "sym {sym}, from {from}, hit {hit}, to {to}"
+                        );
+                        assert_eq!(idle, scalar_idle(&nfa, &input, from, to));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn idle_reads_only_leading_symbols_of_strided_views_with_a_partial_last_cycle() {
+        let wake = u16::from(b'a');
+        for stride in [2, 4] {
+            let nfa = lone_start(8, stride, wake);
+            // 21 cycles, the last holding one symbol; every non-leading
+            // symbol is the waking one, so reading one is caught.
+            let len = 20 * stride + 1;
+            for hit in (0..21).chain([usize::MAX]) {
+                let syms = (0..len)
+                    .map(|i| match (i % stride, i / stride) {
+                        (0, c) if c == hit => wake,
+                        (0, c) => u16::from(b'z') - (c % 3) as u16,
+                        _ => wake,
+                    })
+                    .collect();
+                let input = InputView::from_symbols(syms, stride);
+                assert_eq!(input.num_cycles(), 21);
+                assert_idle_matches_reference(&nfa, &input, 0..21);
+            }
+        }
+    }
+
+    #[test]
+    fn idle_on_4_bit_alphabets_misses_every_out_of_alphabet_symbol() {
+        let outside = [16, 17, 63, 64, 255, 256, 1000, u16::MAX];
+        for sym in 0..16 {
+            let nfa = lone_start(4, 1, sym);
+            let syms = (0..40u16)
+                .map(|i| match i % 13 {
+                    12 => sym,
+                    k if k % 2 == 0 => outside[usize::from(k / 2) % outside.len()],
+                    k => (sym + k) % 16,
+                })
+                .collect();
+            assert_idle_matches_reference(&nfa, &InputView::from_symbols(syms, 1), 0..9);
+        }
+    }
+
+    #[test]
+    fn idle_on_16_bit_alphabets_matches_the_reference() {
+        let mut nfa = lone_start(16, 1, 0x1234);
+        nfa.add_state(Ste::new(SymbolSet::range(16, 0xFFF0, 0xFFFF)).start(StartKind::AllInput));
+        let mut x = 0x9E37_79B9u32;
+        let syms = (0..64)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                match i % 23 {
+                    9 => 0x1234,
+                    20 => 0xFFFF - (x % 16) as u16,
+                    _ => (x % 0xFFF0) as u16 ^ 0x0001,
+                }
+            })
+            .collect::<Vec<u16>>();
+        assert_idle_matches_reference(&nfa, &InputView::from_symbols(syms, 1), 0..17);
     }
 
     #[test]

@@ -150,8 +150,10 @@ pub(crate) trait Kernel {
         sink: &mut S,
     ) -> usize;
 
-    /// How many cycles of `input` from `from` (before `to`) are provably
-    /// idle, stepping to no active state and no report. Default: none.
+    /// How many cycles of `input` from `from` on are provably idle,
+    /// stepping to no active state and no report. Reads only cycles in
+    /// `[from, to)` and returns at most `to − from`, so a skip never
+    /// crosses a budget window. Default: none.
     fn idle_cycles(&self, _input: &InputView, _from: usize, _to: usize) -> usize {
         0
     }

@@ -262,14 +262,6 @@ impl SparseTables {
         &self.succ_flat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
     }
 
-    /// Whether any all-input start can fire on leading symbol `sym`.
-    /// Symbols outside the alphabet can never match and count as misses.
-    #[inline(always)]
-    pub fn start_lut_hit(&self, sym: u16) -> bool {
-        let i = usize::from(sym);
-        i < self.alphabet && (self.start_lut[i >> 6] >> (i & 63)) & 1 != 0
-    }
-
     /// Whether the charset of `id` at position `pos` contains `sym`,
     /// evaluated through the specialized code. `sym` must be within the
     /// alphabet (the step loop hoists the out-of-alphabet check).
@@ -489,14 +481,14 @@ mod tests {
         let t = SparseTables::build(&nfa);
         // All-input starts accept 'a' and digits; '^zz' is start-of-data
         // and must NOT arm the LUT.
-        for sym in 0..256u16 {
+        for sym in 0..256usize {
             let expect =
-                sym == u16::from(b'a') || (u16::from(b'0')..=u16::from(b'9')).contains(&sym);
-            assert_eq!(t.start_lut_hit(sym), expect, "symbol {sym}");
+                sym == usize::from(b'a') || (usize::from(b'0')..=usize::from(b'9')).contains(&sym);
+            let hit = (t.start_lut[sym >> 6] >> (sym & 63)) & 1 != 0;
+            assert_eq!(hit, expect, "symbol {sym}");
         }
-        // Out-of-alphabet symbols are always misses.
-        assert!(!t.start_lut_hit(256));
-        assert!(!t.start_lut_hit(u16::MAX));
+        // The LUT ends with the alphabet: wider symbols find no word.
+        assert_eq!(t.start_lut.len(), 4);
     }
 
     #[test]

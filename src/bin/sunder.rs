@@ -921,7 +921,8 @@ fn cmd_compile_db(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `.sdb` file and prints its identity and section layout.
+/// Validates a `.sdb` file and prints its identity, each shard's
+/// prefilter density and its section layout.
 /// Both loader phases run in full (byte-level, then typed semantic
 /// checks), so a clean inspect implies the database would map and run.
 fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
@@ -944,6 +945,14 @@ fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
         pipeline.nfa.num_states(),
         pipeline.nfa.num_transitions()
     );
+    for shard in 0..pipeline.num_shards() {
+        let tables = pipeline.sharded.shard_sparse(shard);
+        let wake: u32 = tables.start_lut.iter().map(|w| w.count_ones()).sum();
+        println!(
+            "  prefilter        shard {shard}: {wake} of {} leading symbols wake a start",
+            tables.alphabet
+        );
+    }
     println!(
         "  file length      {} bytes ({})",
         mapped.file_len(),

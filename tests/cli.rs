@@ -156,6 +156,11 @@ fn inspect_db_shows_the_compiled_automaton() {
         stdout.contains("automaton        2 states, 1 transitions"),
         "{stdout}"
     );
+    // Only `a` can wake the remaining start.
+    assert!(
+        stdout.contains("prefilter        shard 0: 1 of 256 leading symbols wake a start"),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -5,8 +5,10 @@
 //! change what is reported, or when — and behind the served path, which
 //! runs every engine under the daemon's budget.
 
+use sunder::automata::regex::compile_rule_set;
+use sunder::oracle::PipelineConfig;
 use sunder::resilience::{Budget, CancelToken, RunOutcome, StopReason};
-use sunder::sim::{EngineKind, TraceSink};
+use sunder::sim::{EngineKind, EngineState, Simulator, TraceSink};
 use sunder::{Benchmark, InputView, Scale};
 
 /// Small enough to keep the 19 x 3 sweep in test time, large enough to
@@ -104,4 +106,74 @@ fn adaptive_step_api_matches_run() {
         engine.step(v.symbols, v.valid, &mut step_sink);
     }
     assert_eq!(run_sink.events, step_sink.events);
+}
+
+/// A 64 KiB stream of misses with a start planted every 613 bytes (613
+/// is prime to 8, 61 and 64, so the plants fall at every offset of the
+/// prefilter's 8-cycle blocks and of both budget windows) and on both
+/// sides of window edges. `run`, `run_budgeted` at two window sizes and
+/// a per-cycle `step` loop must agree on the trace, the clock and the
+/// suspended state, for every engine under every config.
+#[test]
+fn prefiltered_runs_match_stepping_around_blocks_and_windows() {
+    let source = compile_rule_set(&["ab", "cd"]).expect("rules compile");
+    // An odd length leaves the stride-4 view a partial last cycle.
+    let mut bytes: Vec<u8> = (0..(64 << 10) + 1).map(|i| b"zyxw"[i % 4]).collect();
+    let edges = (1..40).flat_map(|k| [64 * k - 1, 61 * k - 1, 64 * k + 1]);
+    let plants = (0..bytes.len() - 1).step_by(613).chain(edges);
+    for (i, at) in plants.enumerate() {
+        let plant: &[u8] = [&b"ab"[..], b"a", b"cd", b"b"][i % 4];
+        bytes[at..at + plant.len()].copy_from_slice(plant);
+    }
+
+    for config in PipelineConfig::ALL {
+        let (nfa, _) = config.apply(&source).expect("config applies");
+        let input = InputView::new(&bytes, nfa.symbol_bits(), nfa.stride()).expect("view");
+        let mut sim = Simulator::new(&nfa);
+        sim.run(&input, &mut TraceSink::new());
+        // Stride 4 packs two bytes per cycle and a match may begin at
+        // the second, so every leading nibble wakes a start there.
+        let skips = config != PipelineConfig::Stride4;
+        assert_eq!(sim.prefilter_skipped() > 0, skips, "{}", config.name());
+
+        let mut reference: Option<(Vec<_>, u64, EngineState)> = None;
+        for kind in EngineKind::ALL {
+            let what = format!("{kind} under {}", config.name());
+            let mut runs = Vec::new();
+
+            let mut engine = kind.build(&nfa);
+            let mut sink = TraceSink::new();
+            engine.run(&input, &mut sink);
+            runs.push(("run", sink.events, engine));
+
+            for every in [64, 61] {
+                let budget = Budget::with_cancel(CancelToken::new()).check_every(every);
+                let mut engine = kind.build(&nfa);
+                let mut sink = TraceSink::new();
+                let outcome = engine.run_budgeted(&input, &mut sink, &budget);
+                assert_eq!(outcome, RunOutcome::Completed, "{what}");
+                runs.push(("run_budgeted", sink.events, engine));
+            }
+
+            let mut engine = kind.build(&nfa);
+            let mut sink = TraceSink::new();
+            for v in input.iter_ref() {
+                engine.step(v.symbols, v.valid, &mut sink);
+            }
+            runs.push(("step", sink.events, engine));
+
+            for (path, events, engine) in runs {
+                let mut state = EngineState::default();
+                engine.suspend(&mut state);
+                let got = (events, engine.cycle(), state);
+                match &reference {
+                    None => {
+                        assert!(!got.0.is_empty(), "{what}: no reports");
+                        reference = Some(got);
+                    }
+                    Some(want) => assert!(&got == want, "{what}: {path} diverged"),
+                }
+            }
+        }
+    }
 }
