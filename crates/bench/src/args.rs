@@ -400,8 +400,11 @@ mod tests {
         assert!(BenchArgs::parse(&argv(&["-h"]), None).unwrap().help);
         let a = BenchArgs::parse(&[], None).unwrap();
         assert!(!a.help && !a.print_help("suite", "x"));
-        let text = usage("throughput", "Sharded multi-stream throughput sweep.");
-        assert!(text.contains("--bin throughput"), "{text}");
+        let text = usage(
+            "suite",
+            "Engine comparison sweep across the full benchmark suite.",
+        );
+        assert!(text.contains("--bin suite"), "{text}");
         assert!(text.contains("--only~=SUB"), "{text}");
     }
 

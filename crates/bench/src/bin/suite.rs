@@ -1,8 +1,8 @@
 //! Engine comparison sweep: runs the full 19-benchmark suite on all three
 //! functional engines (sparse, dense bit-parallel, adaptive) under the
 //! panic-isolating supervisor, verifies that every engine produces a
-//! byte-identical report trace, measures per-engine throughput, and
-//! writes a machine-readable summary to `BENCH_engine.json`.
+//! byte-identical report trace, and measures per-engine throughput. With
+//! `--out PATH` it also writes a machine-readable summary to `PATH`.
 //!
 //! Usage: `cargo run -p sunder-bench --release --bin suite
 //! [--small | --paper] [--workers N] [--out PATH] [--runs N]
@@ -39,7 +39,6 @@ fn run() -> Result<u8, BenchError> {
     args.init_telemetry();
     let (scale, scale_name) = args.scale_small_default();
     let benches = select_benchmarks(&args.only).map_err(BenchError::msg)?;
-    let out_path = args.out.as_deref().unwrap_or("BENCH_engine.json");
 
     let opts = SuiteOptions {
         scale,
@@ -64,9 +63,11 @@ fn run() -> Result<u8, BenchError> {
     let report = run_suite(&opts);
 
     print!("{}", render_table(&report));
-    std::fs::write(out_path, render_json(&report))
-        .with_context(|| format!("write JSON summary {out_path:?}"))?;
-    progress(&format!("Machine-readable summary written to {out_path}"));
+    if let Some(out_path) = args.out.as_deref() {
+        std::fs::write(out_path, render_json(&report))
+            .with_context(|| format!("write JSON summary {out_path:?}"))?;
+        progress(&format!("Machine-readable summary written to {out_path}"));
+    }
 
     if !report.traces_all_equal() {
         eprintln!("ERROR: engines disagreed on at least one report trace");

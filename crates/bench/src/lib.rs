@@ -11,4 +11,3 @@ pub mod harness;
 pub mod parallel;
 pub mod suite;
 pub mod table;
-pub mod throughput;

@@ -32,6 +32,7 @@ use sunder_resilience::{
 use sunder_sim::{
     AdaptiveEngine, AdaptiveLimits, Engine, EngineKind, NullSink, RunOutcome, TraceSink,
 };
+use sunder_telemetry::json::escape;
 use sunder_transform::{transform_to_rate, Rate};
 use sunder_workloads::{Benchmark, Scale, Workload};
 
@@ -408,16 +409,15 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Sparse time over engine `engine`'s time, or `None` when the row was
+/// not timed (`runs == 0` leaves every `ns` at zero).
+fn speedup(r: &SuiteRow, engine: usize) -> Option<f64> {
+    (r.ns[0] > 0 && r.ns[engine] > 0).then(|| r.ns[0] as f64 / r.ns[engine] as f64)
+}
+
+/// A speedup as a JSON number (3 decimals), or `null` when untimed.
+fn speedup_json(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| format!("{v:.3}"))
 }
 
 /// One benchmark's JSON object. Surviving rows render their full metrics;
@@ -429,17 +429,15 @@ fn render_job_json(job: &JobReport<SuiteRow>) -> String {
         JobOutcome::Ok(r) | JobOutcome::Degraded { value: r, .. } => {
             let detail = match &job.outcome {
                 JobOutcome::Degraded { reason, .. } => {
-                    format!(", \"detail\": \"{}\"", json_escape(reason))
+                    format!(", \"detail\": \"{}\"", escape(reason))
                 }
                 _ => String::new(),
             };
-            let speedup_dense = r.ns[0] as f64 / r.ns[1].max(1) as f64;
-            let speedup_adaptive = r.ns[0] as f64 / r.ns[2].max(1) as f64;
             format!(
                 "{{\"name\": \"{}\", \"status\": \"{status}\", \"states\": {}, \
                  \"input_bytes\": {}, \"reports\": {}, \"avg_active\": {:.2}, \
                  \"sparse_ns\": {}, \"dense_ns\": {}, \"adaptive_ns\": {}, \
-                 \"speedup_dense\": {:.3}, \"speedup_adaptive\": {:.3}, \
+                 \"speedup_dense\": {}, \"speedup_adaptive\": {}, \
                  \"traces_equal\": {}{detail}}}",
                 r.name,
                 r.states,
@@ -449,15 +447,15 @@ fn render_job_json(job: &JobReport<SuiteRow>) -> String {
                 r.ns[0],
                 r.ns[1],
                 r.ns[2],
-                speedup_dense,
-                speedup_adaptive,
+                speedup_json(speedup(r, 1)),
+                speedup_json(speedup(r, 2)),
                 r.traces_equal,
             )
         }
         JobOutcome::Panicked { message } => format!(
             "{{\"name\": \"{}\", \"status\": \"{status}\", \"detail\": \"{}\"}}",
             job.name,
-            json_escape(message)
+            escape(message)
         ),
         JobOutcome::TimedOut { elapsed } => format!(
             "{{\"name\": \"{}\", \"status\": \"{status}\", \"detail\": \"exceeded deadline after {} ms\"}}",
@@ -467,7 +465,7 @@ fn render_job_json(job: &JobReport<SuiteRow>) -> String {
         JobOutcome::Failed { error } => format!(
             "{{\"name\": \"{}\", \"status\": \"{status}\", \"detail\": \"{}\"}}",
             job.name,
-            json_escape(error)
+            escape(error)
         ),
         JobOutcome::Cancelled => format!(
             "{{\"name\": \"{}\", \"status\": \"{status}\"}}",
@@ -476,7 +474,7 @@ fn render_job_json(job: &JobReport<SuiteRow>) -> String {
     }
 }
 
-/// Renders the machine-readable summary (the `BENCH_engine.json` payload).
+/// Renders the machine-readable summary (what `suite --out` writes).
 pub fn render_json(report: &SuiteReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -527,8 +525,8 @@ pub fn render_table(report: &SuiteReport) -> String {
                 format!("{:.2}", r.ns[0] as f64 / 1e6),
                 format!("{:.2}", r.ns[1] as f64 / 1e6),
                 format!("{:.2}", r.ns[2] as f64 / 1e6),
-                format!("{:.2}", r.ns[0] as f64 / r.ns[1].max(1) as f64),
-                format!("{:.2}", r.ns[0] as f64 / r.ns[2].max(1) as f64),
+                speedup(r, 1).map_or_else(|| "-".to_string(), |v| format!("{v:.2}")),
+                speedup(r, 2).map_or_else(|| "-".to_string(), |v| format!("{v:.2}")),
                 format!("{}", r.traces_equal),
             ]),
             None => table.row([
@@ -551,12 +549,9 @@ pub fn render_table(report: &SuiteReport) -> String {
         .iter()
         .filter_map(|j| j.outcome.value())
         .collect();
-    if !survivors.is_empty() && survivors.iter().all(|r| r.ns[0] > 0) {
-        let gmean = survivors
-            .iter()
-            .map(|r| (r.ns[0] as f64 / r.ns[2].max(1) as f64).ln())
-            .sum::<f64>()
-            / survivors.len() as f64;
+    let adaptive: Option<Vec<f64>> = survivors.iter().map(|r| speedup(r, 2)).collect();
+    if let Some(adaptive) = adaptive.filter(|a| !a.is_empty()) {
+        let gmean = adaptive.iter().map(|v| v.ln()).sum::<f64>() / adaptive.len() as f64;
         out.push_str(&format!(
             "\nAdaptive geomean speedup over sparse: {:.2}x ({} benchmarks)",
             gmean.exp(),
@@ -617,6 +612,13 @@ mod tests {
         };
         assert_eq!(rows(&a), rows(&b));
         assert_eq!(rows(&a).len(), Benchmark::ALL.len());
+        // Untimed rows carry no speedup: `null`, never a false `0.000`.
+        for row in rows(&a) {
+            assert!(
+                row.contains("\"speedup_dense\": null, \"speedup_adaptive\": null"),
+                "{row}"
+            );
+        }
     }
 
     #[test]

@@ -16,27 +16,26 @@
 //!   `stream × num_shards + shard`;
 //! * the **equivalence gate** ([`verify_stream`]) — sharded execution
 //!   must be report-trace-identical to monolithic execution; the
-//!   throughput bench refuses to report a point that fails it.
+//!   benchmark and `sunder serve-batch --verify` hold every stream to it.
 //!
-//! [`BatchService`] ties them together:
+//! A batch is one cache lookup followed by one [`run_batch`]:
 //!
 //! ```
 //! use sunder_automata::regex::compile_rule_set;
-//! use sunder_shard::{BatchOptions, BatchService, ShardSpec};
+//! use sunder_shard::{run_batch, verify_stream, BatchOptions, PipelineCache, ShardSpec};
 //! use sunder_sim::EngineKind;
 //! use sunder_transform::PipelineConfig;
 //!
-//! let service = BatchService::new(ShardSpec::MaxShards(4), EngineKind::Adaptive);
+//! let cache = PipelineCache::new(ShardSpec::MaxShards(4), EngineKind::Adaptive);
 //! let nfa = compile_rule_set(&["ab+c", "[0-9]{3}"])?;
 //! let streams = vec![b"zabbc 007".to_vec(), b"123 abc".to_vec()];
-//! let report = service.submit(
-//!     &nfa,
-//!     PipelineConfig::Nibble,
-//!     &streams,
-//!     &BatchOptions::with_workers(2),
-//! )?;
+//! let pipeline = cache.get_or_compile(&nfa, PipelineConfig::Nibble)?;
+//! let report = run_batch(&pipeline, &streams, &BatchOptions::with_workers(2));
 //! assert_eq!(report.ok_count(), 2);
-//! assert_eq!(service.cache().misses(), 1); // next submit will hit
+//! for s in &report.streams {
+//!     assert!(verify_stream(&pipeline, s, &streams[s.stream])?);
+//! }
+//! assert_eq!(cache.misses(), 1); // the next lookup will hit
 //! # Ok::<(), sunder_automata::AutomataError>(())
 //! ```
 
@@ -58,108 +57,16 @@ pub use flight::{validate_flight, FlightRecorder, FlightSummary, FLIGHT_SCHEMA_V
 pub use frame::{ClientFrame, FrameError, ServerFrame, PROTOCOL_VERSION};
 pub use obs::{http_get, ObsHandle};
 pub use scheduler::{
-    run_batch, run_batch_pooled, BatchOptions, BatchReport, ShardRun, StreamResult, WorkerPool,
-    SERIAL_CUTOFF_BYTES,
+    run_batch, BatchOptions, BatchReport, ShardRun, StreamResult, SERIAL_CUTOFF_BYTES,
 };
 pub use server::{DrainReport, MatchServer, ServerConfig};
 pub use session::{expected_reports, SessionError, SessionSummary, StreamSession, SymbolFramer};
 pub use sunder_artifact::{pipeline_key, CompiledPipeline, PipelineKey};
 pub use sunder_automata::partition::ShardSpec;
 
-use std::sync::Arc;
-
 use sunder_automata::input::InputView;
-use sunder_automata::{AutomataError, Nfa};
+use sunder_automata::AutomataError;
 use sunder_sim::{EngineKind, ReportEvent, TraceSink};
-use sunder_transform::PipelineConfig;
-
-/// A long-lived batch service: one pipeline cache, many submissions.
-///
-/// With [`BatchService::with_pool`] the service also owns a persistent
-/// [`WorkerPool`], so repeated submissions reuse parked helper threads
-/// instead of spawning and joining `workers - 1` threads per batch.
-#[derive(Debug)]
-pub struct BatchService {
-    cache: PipelineCache,
-    pool: Option<WorkerPool>,
-}
-
-impl BatchService {
-    /// A service compiling pipelines with the given sharding spec and
-    /// per-shard engine kind.
-    pub fn new(spec: ShardSpec, engine: EngineKind) -> BatchService {
-        BatchService {
-            cache: PipelineCache::new(spec, engine),
-            pool: None,
-        }
-    }
-
-    /// Like [`BatchService::new`], plus a persistent pool of `helpers`
-    /// worker threads shared by all submissions (the submitting thread
-    /// itself is always worker 0, so up to `helpers + 1` workers run).
-    pub fn with_pool(spec: ShardSpec, engine: EngineKind, helpers: usize) -> BatchService {
-        BatchService {
-            cache: PipelineCache::new(spec, engine),
-            pool: Some(WorkerPool::new(helpers)),
-        }
-    }
-
-    /// The underlying cache (hit/miss counters, size).
-    pub fn cache(&self) -> &PipelineCache {
-        &self.cache
-    }
-
-    /// The persistent worker pool, when this service owns one.
-    pub fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
-    }
-
-    /// Compiles (or fetches) the pipeline for `nfa` under `config` and
-    /// runs `streams` through it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline compilation failures; per-stream execution
-    /// failures are captured inside the [`BatchReport`] instead.
-    pub fn submit(
-        &self,
-        nfa: &Nfa,
-        config: PipelineConfig,
-        streams: &[Vec<u8>],
-        opts: &BatchOptions,
-    ) -> Result<BatchReport, AutomataError> {
-        let pipeline = self.cache.get_or_compile(nfa, config)?;
-        match &self.pool {
-            Some(pool) if opts.workers > 1 => {
-                let streams = Arc::new(streams.to_vec());
-                Ok(run_batch_pooled(pool, &pipeline, &streams, opts))
-            }
-            _ => Ok(run_batch(&pipeline, streams, opts)),
-        }
-    }
-
-    /// [`BatchService::submit`] without copying the stream bytes: the
-    /// shared `streams` are handed to the pool (or borrowed by the
-    /// scoped-thread path) as-is. This is the hot path for callers that
-    /// submit the same streams repeatedly, like the throughput bench.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline compilation failures.
-    pub fn submit_arc(
-        &self,
-        nfa: &Nfa,
-        config: PipelineConfig,
-        streams: &Arc<Vec<Vec<u8>>>,
-        opts: &BatchOptions,
-    ) -> Result<BatchReport, AutomataError> {
-        let pipeline = self.cache.get_or_compile(nfa, config)?;
-        match &self.pool {
-            Some(pool) if opts.workers > 1 => Ok(run_batch_pooled(pool, &pipeline, streams, opts)),
-            _ => Ok(run_batch(&pipeline, streams, opts)),
-        }
-    }
-}
 
 /// Runs `input` through the pipeline's transformed automaton on a single
 /// monolithic engine, returning the reference trace sharded execution
@@ -203,31 +110,22 @@ pub fn verify_stream(
 mod tests {
     use super::*;
     use sunder_automata::regex::compile_rule_set;
+    use sunder_transform::PipelineConfig;
 
     #[test]
-    fn service_caches_across_submissions_and_verifies() {
-        let service = BatchService::new(ShardSpec::MaxShards(3), EngineKind::Adaptive);
+    fn cache_hits_across_batches_and_verifies() {
+        let cache = PipelineCache::new(ShardSpec::MaxShards(3), EngineKind::Adaptive);
         let nfa = compile_rule_set(&["ab", ".*xy", "[0-9]{2}"]).unwrap();
         let streams = vec![b"ab 12 xy".to_vec(), b"zzabzz".to_vec()];
         for round in 0..3 {
-            let report = service
-                .submit(
-                    &nfa,
-                    PipelineConfig::Stride2,
-                    &streams,
-                    &BatchOptions::with_workers(2),
-                )
-                .unwrap();
+            let pipeline = cache.get_or_compile(&nfa, PipelineConfig::Stride2).unwrap();
+            let report = run_batch(&pipeline, &streams, &BatchOptions::with_workers(2));
             assert_eq!(report.ok_count(), 2, "round {round}");
-            let pipeline = service
-                .cache()
-                .get_or_compile(&nfa, PipelineConfig::Stride2)
-                .unwrap();
             for s in &report.streams {
                 assert!(verify_stream(&pipeline, s, &streams[s.stream]).unwrap());
             }
         }
-        assert_eq!(service.cache().misses(), 1);
-        assert!(service.cache().hits() >= 2);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 2);
     }
 }

@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sunder_artifact::CompiledPipeline;
@@ -34,12 +34,12 @@ use sunder_sim::{ReportEvent, RunOutcome, ShardedEngine};
 /// smaller than this run on one worker no matter how many were asked
 /// for.
 ///
-/// Waking a parked helper (or spawning a scoped thread) costs on the
-/// order of tens of microseconds of context switching; after the
-/// single-stream fast path an engine chews through input at GB/s, so a
-/// batch this small is *finished* in roughly the time fan-out spends
-/// waking threads. Below the cutoff, parallelism can only lose — on any
-/// host — and the scheduler runs the batch inline instead.
+/// Spawning a scoped helper thread costs on the order of tens of
+/// microseconds of context switching; after the single-stream fast path
+/// an engine chews through input at GB/s, so a batch this small is
+/// *finished* in roughly the time fan-out spends starting threads.
+/// Below the cutoff, parallelism can only lose — on any host — and the
+/// scheduler runs the batch inline instead.
 pub const SERIAL_CUTOFF_BYTES: usize = 256 * 1024;
 
 /// Scheduling options for one batch.
@@ -325,8 +325,7 @@ fn deal_queues(streams: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
 }
 
 /// One worker's drain loop: own queue first (front), then steal from a
-/// victim's back. Shared verbatim by the scoped-thread and pooled paths
-/// so both schedules stay observably identical.
+/// victim's back.
 #[allow(clippy::too_many_arguments)]
 fn drain_worker(
     w: usize,
@@ -432,200 +431,6 @@ pub fn run_batch(
         workers,
         shards: pipeline.num_shards(),
         steals: steals.load(Ordering::Relaxed),
-        wall: started.elapsed(),
-    }
-}
-
-/// One published batch: everything a pool helper needs, behind `Arc` so
-/// helpers outlive the caller's stack frame without borrowing it.
-#[derive(Debug)]
-struct PoolJob {
-    pipeline: Arc<CompiledPipeline>,
-    streams: Arc<Vec<Vec<u8>>>,
-    opts: BatchOptions,
-    workers: usize,
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    steals: AtomicU64,
-    results: Vec<Mutex<Option<StreamResult>>>,
-}
-
-#[derive(Debug)]
-struct PoolState {
-    /// Bumped once per published batch; helpers run a job at most once.
-    epoch: u64,
-    job: Option<Arc<PoolJob>>,
-    /// Helpers currently draining the published job.
-    active: usize,
-    shutdown: bool,
-}
-
-#[derive(Debug)]
-struct PoolShared {
-    state: Mutex<PoolState>,
-    work: Condvar,
-    done: Condvar,
-}
-
-/// A persistent team of helper threads for [`run_batch_pooled`].
-///
-/// `run_batch` spawns and joins `workers - 1` threads per batch; at
-/// multi-stream service rates that spawn/join tax dominates short
-/// batches. The pool keeps helpers parked on a condvar instead: a batch
-/// is published as an epoch bump, the caller participates as worker 0,
-/// and helpers go back to sleep when the queues drain. Batches are
-/// serialized — the pool runs one at a time.
-#[derive(Debug)]
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    /// Serializes concurrent `run_batch_pooled` callers.
-    batch: Mutex<()>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns `helpers` parked helper threads (worker indices `1..=helpers`;
-    /// the submitting thread is always worker 0).
-    pub fn new(helpers: usize) -> WorkerPool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                active: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let threads = (0..helpers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || pool_helper(&shared, i + 1))
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            batch: Mutex::new(()),
-            threads,
-        }
-    }
-
-    /// Helper threads in the pool (max workers per batch is this + 1).
-    pub fn helpers(&self) -> usize {
-        self.threads.len()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Helper thread body: wait for an epoch bump, join the drain as worker
-/// `index`, report completion, park again.
-fn pool_helper(shared: &PoolShared, index: usize) {
-    let mut last_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != last_epoch {
-                    last_epoch = st.epoch;
-                    // A batch may want fewer workers than the pool has;
-                    // surplus helpers skip this epoch entirely.
-                    let claimed = match &st.job {
-                        Some(job) if index < job.workers => Some(Arc::clone(job)),
-                        _ => None,
-                    };
-                    if claimed.is_some() {
-                        st.active += 1;
-                    }
-                    break claimed;
-                }
-                st = shared.work.wait(st).unwrap();
-            }
-        };
-        let Some(job) = job else { continue };
-        drain_worker(
-            index,
-            job.workers,
-            &job.pipeline,
-            &job.streams,
-            &job.opts,
-            &job.queues,
-            &job.steals,
-            &job.results,
-        );
-        let mut st = shared.state.lock().unwrap();
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
-/// [`run_batch`] over a persistent [`WorkerPool`]: identical scheduling
-/// discipline and an identical report, but no thread spawn/join per
-/// batch. The calling thread always participates as worker 0; at most
-/// `pool.helpers()` helpers join it.
-pub fn run_batch_pooled(
-    pool: &WorkerPool,
-    pipeline: &Arc<CompiledPipeline>,
-    streams: &Arc<Vec<Vec<u8>>>,
-    opts: &BatchOptions,
-) -> BatchReport {
-    let _serial = pool.batch.lock().unwrap();
-    let started = Instant::now();
-    let workers = effective_workers(opts, streams).min(pool.helpers() + 1);
-    let job = Arc::new(PoolJob {
-        pipeline: Arc::clone(pipeline),
-        streams: Arc::clone(streams),
-        opts: opts.clone(),
-        workers,
-        queues: deal_queues(streams.len(), workers),
-        steals: AtomicU64::new(0),
-        results: streams.iter().map(|_| Mutex::new(None)).collect(),
-    });
-    if workers > 1 {
-        let mut st = pool.shared.state.lock().unwrap();
-        st.epoch += 1;
-        st.job = Some(Arc::clone(&job));
-        drop(st);
-        pool.shared.work.notify_all();
-    }
-    drain_worker(
-        0,
-        workers,
-        &job.pipeline,
-        &job.streams,
-        &job.opts,
-        &job.queues,
-        &job.steals,
-        &job.results,
-    );
-    if workers > 1 {
-        let mut st = pool.shared.state.lock().unwrap();
-        while st.active > 0 {
-            st = pool.shared.done.wait(st).unwrap();
-        }
-        // Unpublish so a helper waking late (next epoch) can't rerun it.
-        st.job = None;
-    }
-    BatchReport {
-        streams: collect_results(&job.results),
-        workers,
-        shards: job.pipeline.num_shards(),
-        steals: job.steals.load(Ordering::Relaxed),
         wall: started.elapsed(),
     }
 }
@@ -771,48 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_batches_match_scoped_batches() {
-        let p = Arc::new(pipeline(PipelineConfig::Identity, 3));
-        let inputs = Arc::new(streams(9));
-        let pool = WorkerPool::new(3);
-        let opts = BatchOptions::with_workers(4).without_serial_cutoff();
-        let scoped = run_batch(&p, &inputs, &opts);
-        for round in 0..3 {
-            let pooled = run_batch_pooled(&pool, &p, &inputs, &opts);
-            assert_eq!(pooled.workers, 4, "round {round}");
-            assert_eq!(pooled.ok_count(), 9, "round {round}");
-            for (a, b) in scoped.streams.iter().zip(&pooled.streams) {
-                assert_eq!(a.stream, b.stream);
-                assert_eq!(a.merged, b.merged, "round {round} stream {}", a.stream);
-            }
-        }
-    }
-
-    #[test]
-    fn pool_caps_workers_and_isolates_panics() {
-        let p = Arc::new(pipeline(PipelineConfig::Identity, 4));
-        let shards = p.num_shards();
-        let inputs = Arc::new(streams(6));
-        let pool = WorkerPool::new(1); // at most 2 workers, whatever is asked
-        let opts = BatchOptions {
-            workers: 8,
-            plan: FaultPlan::new(
-                7,
-                vec![Fault {
-                    item: shards + 2, // stream 1, shard 2
-                    kind: FaultKind::Panic,
-                }],
-            ),
-            deadline: None,
-            serial_cutoff: 0,
-        };
-        let report = run_batch_pooled(&pool, &p, &inputs, &opts);
-        assert_eq!(report.workers, 2);
-        assert_eq!(report.ok_count(), 5);
-        assert_eq!(report.streams[1].failed_shards(), vec![(2, "panicked")]);
-    }
-
-    #[test]
     fn corrupt_input_is_confined_to_the_faulted_shard() {
         let p = pipeline(PipelineConfig::Identity, 4);
         let shards = p.num_shards();
@@ -847,15 +610,6 @@ mod tests {
         let report = run_batch(&p, &inputs, &BatchOptions::with_workers(4));
         assert_eq!(report.workers, 1, "tiny batch must not fan out");
         assert_eq!(report.steals, 0);
-
-        let pool = WorkerPool::new(3);
-        let pooled = run_batch_pooled(
-            &pool,
-            &Arc::new(pipeline(PipelineConfig::Identity, 2)),
-            &Arc::new(inputs.clone()),
-            &BatchOptions::with_workers(4),
-        );
-        assert_eq!(pooled.workers, 1, "pooled tiny batch must not fan out");
 
         // The cutoff is a scheduling decision only: results match a
         // forced-parallel run byte for byte.

@@ -2,15 +2,15 @@
 //! the scheduler's queue-depth/steal counters and the pipeline cache's
 //! hit/miss counters through pre-interned handles must not change what
 //! a run exports. The handle cells fold into the same registry
-//! namespace, so totals in a snapshot have to equal the service's own
-//! atomic counters exactly.
+//! namespace, so totals in a snapshot have to equal the cache's and the
+//! batch reports' own counters exactly.
 //!
 //! This test owns the process-global telemetry level, so it must stay
 //! the only `#[test]` in this binary.
 
 use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
-use sunder_shard::{BatchOptions, BatchService, ShardSpec};
+use sunder_shard::{run_batch, BatchOptions, PipelineCache, ShardSpec};
 use sunder_sim::EngineKind;
 use sunder_telemetry::{set_level, Level, MetricValue};
 
@@ -30,7 +30,7 @@ fn handle_routed_counters_match_service_totals() {
     set_level(Level::Metrics);
     sunder_telemetry::metrics::reset();
 
-    let service = BatchService::new(ShardSpec::MaxShards(4), EngineKind::Adaptive);
+    let cache = PipelineCache::new(ShardSpec::MaxShards(4), EngineKind::Adaptive);
     let nfa = compile_rule_set(&["ab+c", "[0-9]{3}", ".*xyz"]).unwrap();
     let streams: Vec<Vec<u8>> = (0..12)
         .map(|i| {
@@ -48,7 +48,8 @@ fn handle_routed_counters_match_service_totals() {
     let mut steals_reported = 0;
     for config in [PipelineConfig::Nibble, PipelineConfig::Stride2] {
         for round in 0..3 {
-            let report = service.submit(&nfa, config, &streams, &opts).unwrap();
+            let pipeline = cache.get_or_compile(&nfa, config).unwrap();
+            let report = run_batch(&pipeline, &streams, &opts);
             assert_eq!(report.ok_count(), streams.len(), "{config:?} round {round}");
             steals_reported += report.steals;
         }
@@ -58,15 +59,15 @@ fn handle_routed_counters_match_service_totals() {
 
     // Cache counters: the handle-exported totals equal the cache's own
     // atomics — 2 misses (one compile per config), 4 hits.
-    assert_eq!(service.cache().misses(), 2);
-    assert_eq!(service.cache().hits(), 4);
+    assert_eq!(cache.misses(), 2);
+    assert_eq!(cache.hits(), 4);
     assert_eq!(
         counter_total(&snap, "pipeline_cache_hits_total"),
-        service.cache().hits()
+        cache.hits()
     );
     assert_eq!(
         counter_total(&snap, "pipeline_cache_misses_total"),
-        service.cache().misses()
+        cache.misses()
     );
     // Labels survived the refactor: per-config series, not one blob.
     for config in [PipelineConfig::Nibble, PipelineConfig::Stride2] {

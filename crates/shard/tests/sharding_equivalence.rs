@@ -5,13 +5,13 @@
 //!
 //! The matrix itself lives in `sunder_oracle::shard`
 //! (`check_sharded_pipelines` / `check_sharded_suite`); this test locks
-//! the whole pipeline down at the service level too: batch submissions
-//! through the `BatchService` cache must pass the per-stream
-//! trace-equality gate for all four configurations.
+//! the whole pipeline down at the batch level too: batches run through
+//! a `PipelineCache` must pass the per-stream trace-equality gate for
+//! all four configurations.
 
 use sunder_oracle::shard::{check_sharded_suite, DEFAULT_SHARD_COUNTS};
 use sunder_oracle::PipelineConfig;
-use sunder_shard::{verify_stream, BatchOptions, BatchService, ShardSpec};
+use sunder_shard::{run_batch, verify_stream, BatchOptions, PipelineCache, ShardSpec};
 use sunder_sim::EngineKind;
 use sunder_workloads::{Benchmark, Scale};
 
@@ -35,7 +35,7 @@ fn suite_is_shard_conformant_at_tiny_scale() {
 /// trace-equality gate for every pipeline configuration and for every
 /// engine kind, under shard counts {1, 2, 4, 8}.
 #[test]
-fn batch_service_passes_the_gate_for_all_configs_and_engines() {
+fn cached_batches_pass_the_gate_for_all_configs_and_engines() {
     let scale = Scale::tiny();
     for bench in [Benchmark::Snort, Benchmark::Ranges05, Benchmark::ExactMatch] {
         let w = bench.build(scale);
@@ -45,13 +45,12 @@ fn batch_service_passes_the_gate_for_all_configs_and_engines() {
         let streams: Vec<Vec<u8>> = w.input.chunks(chunk).map(<[u8]>::to_vec).collect();
         for engine in EngineKind::ALL {
             for &shards in &DEFAULT_SHARD_COUNTS {
-                let service = BatchService::new(ShardSpec::MaxShards(shards), engine);
+                let cache = PipelineCache::new(ShardSpec::MaxShards(shards), engine);
                 for config in PipelineConfig::ALL {
-                    let report = service
-                        .submit(&w.nfa, config, &streams, &BatchOptions::with_workers(2))
-                        .unwrap_or_else(|e| {
-                            panic!("{}/{}/{shards}: {e}", bench.name(), config.name())
-                        });
+                    let pipeline = cache.get_or_compile(&w.nfa, config).unwrap_or_else(|e| {
+                        panic!("{}/{}/{shards}: {e}", bench.name(), config.name())
+                    });
+                    let report = run_batch(&pipeline, &streams, &BatchOptions::with_workers(2));
                     assert_eq!(
                         report.ok_count(),
                         streams.len(),
@@ -60,7 +59,6 @@ fn batch_service_passes_the_gate_for_all_configs_and_engines() {
                         config.name(),
                         shards,
                     );
-                    let pipeline = service.cache().get_or_compile(&w.nfa, config).unwrap();
                     for s in &report.streams {
                         assert!(
                             verify_stream(&pipeline, s, &streams[s.stream]).unwrap(),
@@ -73,7 +71,7 @@ fn batch_service_passes_the_gate_for_all_configs_and_engines() {
                     }
                 }
                 // One compilation per config; nothing was recompiled.
-                assert_eq!(service.cache().misses(), 4, "{}", bench.name());
+                assert_eq!(cache.misses(), 4, "{}", bench.name());
             }
         }
     }

@@ -112,7 +112,7 @@ proptest! {
         }
     }
 
-    /// The cached-pipeline path (what `BatchService` executes) agrees
+    /// The cached-pipeline path (what `run_batch` executes) agrees
     /// with the direct `ShardedEngine` path — compilation through the
     /// cache must not change execution.
     #[test]

@@ -31,7 +31,7 @@ const WINDOW: u32 = 64;
 
 /// Cost-model constants, in nanoseconds per cycle. Fitted to measured
 /// per-cycle times of both engines across the 19-benchmark suite
-/// (`suite --small`, see `BENCH_engine.json`), after the single-stream
+/// (`suite --small --out PATH`), after the single-stream
 /// fast path roughly halved sparse per-cycle cost: the dense engine
 /// costs a fixed base plus ~2.6 ns per state-vector word plus a small
 /// per-word activity term; the sparse engine costs a base plus ~3 ns

@@ -341,7 +341,7 @@ fn cmd_telemetry_report(args: &[String]) -> Result<(), String> {
 /// batch. `--verify` additionally holds every stream's merged trace
 /// against a monolithic run (the sharding equivalence gate).
 fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
-    use sunder::shard::{verify_stream, BatchOptions, BatchService, ShardSpec};
+    use sunder::shard::{run_batch, verify_stream, BatchOptions, CompiledPipeline, ShardSpec};
 
     let flags = Flags { args };
     let nfa = load_nfa(&flags)?;
@@ -369,14 +369,9 @@ fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
     let config = parse_config(&flags)?;
     let engine = parse_engine(&flags)?;
 
-    let service = BatchService::new(ShardSpec::MaxShards(shards), engine);
-    let report = service
-        .submit(&nfa, config, &streams, &BatchOptions::with_workers(workers))
+    let pipeline = CompiledPipeline::compile(&nfa, config, ShardSpec::MaxShards(shards), engine)
         .map_err(|e| e.to_string())?;
-    let pipeline = service
-        .cache()
-        .get_or_compile(&nfa, config)
-        .map_err(|e| e.to_string())?;
+    let report = run_batch(&pipeline, &streams, &BatchOptions::with_workers(workers));
 
     let mut failures = 0usize;
     for s in &report.streams {

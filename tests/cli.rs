@@ -193,6 +193,35 @@ fn bad_rate_is_rejected() {
 }
 
 #[test]
+fn serve_batch_verifies_every_stream() {
+    let rules = write_temp("batch-rules.txt", b"ab+c\n[0-9]{3}\n");
+    let hit = write_temp("batch-hit.bin", b"xx abbbc yy 123 zz");
+    let miss = write_temp("batch-miss.bin", b"nothing to see here");
+    let inputs = format!("{},{}", hit.display(), miss.display());
+    let out = bin()
+        .args(["serve-batch", "--rules"])
+        .arg(&rules)
+        .args(["--inputs", &inputs])
+        .args(["--shards", "2", "--workers", "2", "--config", "nibble"])
+        .arg("--verify")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    for (path, reports) in [(&hit, "reports: 2"), (&miss, "reports: 0")] {
+        let expected = format!("{}\tok\t{reports}\tverified", path.display());
+        let found = lines.iter().filter(|l| **l == expected).count();
+        assert_eq!(found, 1, "want one {expected:?} line in:\n{stdout}");
+    }
+}
+
+#[test]
 fn serve_daemon_takes_stdin_commands_and_drains() {
     use std::process::Stdio;
     let rules = write_temp("serve-rules.txt", b"ab+c\n[0-9]{3}\n");
