@@ -49,6 +49,7 @@ pub mod frame;
 pub mod obs;
 pub mod scheduler;
 pub mod server;
+mod server_core;
 pub mod session;
 
 pub use cache::PipelineCache;

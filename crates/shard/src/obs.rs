@@ -15,35 +15,42 @@
 //!   stdin `status` command of `sunder serve` prints the *same*
 //!   document — one source of truth.
 //!
-//! The listener is plain `std::net`: a nonblocking accept loop on its
-//! own thread, one short-lived request handled at a time (scrapes are
-//! rare and tiny next to match traffic, so there is nothing to pool).
-//! A second thread periodically diffs registry snapshots into
+//! The listener is plain `std::net`: a blocking accept loop on its own
+//! thread, one short-lived request handled at a time (scrapes are rare
+//! and tiny next to match traffic, so there is nothing to pool). A
+//! second thread diffs registry snapshots every `snapshot_interval` into
 //! `*_per_sec` rate gauges ([`sunder_telemetry::publish_rate_gauges`]),
 //! so a scrape shows live rates without the scraper having to keep
-//! state. Both threads stop when [`MatchServer::drain`] completes — the
-//! listener keeps answering (`/readyz` 503) for the whole drain window.
+//! state. Neither thread polls: shutdown wakes the accept with the match
+//! listener's own wake connection and the rate thread through a condvar.
+//! Both stop when [`MatchServer::drain`] completes — the listener keeps
+//! answering (`/readyz` 503) for the whole drain window.
 //!
 //! [`MatchServer::drain`]: crate::server::MatchServer::drain
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sunder_telemetry::json::Json;
+use sunder_telemetry::MetricValue;
 
-use crate::server::ServerInner;
+use crate::server::{accept, join_acceptor, wake_acceptor, ServerInner, ACCEPT_WAKE_LIMIT};
 
 /// A running observability listener; owned by the
 /// [`crate::server::MatchServer`] it describes.
 pub struct ObsHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    stop: Arc<Stop>,
+    http: Option<JoinHandle<()>>,
+    rates: Option<JoinHandle<()>>,
 }
+
+/// The shutdown flag both obs threads check, and the condvar the rate
+/// thread sleeps on between snapshots.
+type Stop = (Mutex<bool>, Condvar);
 
 impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -58,30 +65,30 @@ impl ObsHandle {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
-
-    /// Stops the listener and the snapshot thread, joining both.
-    pub(crate) fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
 }
 
 impl Drop for ObsHandle {
+    /// Stops the listener and the snapshot thread, joining both.
     fn drop(&mut self) {
-        self.shutdown();
+        if let Ok(mut stopped) = self.stop.0.lock() {
+            *stopped = true;
+        }
+        self.stop.1.notify_all();
+        if let Some(http) = self.http.take() {
+            wake_acceptor(self.addr);
+            join_acceptor(http, self.addr, ACCEPT_WAKE_LIMIT);
+        }
+        if let Some(rates) = self.rates.take() {
+            let _ = rates.join();
+        }
     }
 }
 
 /// Binds the obs listener and spawns its two threads.
 pub(crate) fn start_obs(inner: &Arc<ServerInner>, addr: &str) -> Result<ObsHandle, String> {
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind obs {addr}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("obs set nonblocking: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Stop::default());
 
     let http_inner = Arc::clone(inner);
     let http_stop = Arc::clone(&stop);
@@ -100,22 +107,26 @@ pub(crate) fn start_obs(inner: &Arc<ServerInner>, addr: &str) -> Result<ObsHandl
     Ok(ObsHandle {
         addr: local,
         stop,
-        threads: vec![http, rates],
+        http: Some(http),
+        rates: Some(rates),
     })
 }
 
 /// The periodic snapshot differ: every `interval`, diff the previous
 /// registry snapshot against the current one and publish `*_per_sec`
 /// gauges.
-fn rate_loop(interval: Duration, stop: &AtomicBool) {
+fn rate_loop(interval: Duration, (stopped, cv): &Stop) {
     let mut prev = sunder_telemetry::snapshot();
     let mut last = Instant::now();
-    while !stop.load(Ordering::Acquire) {
-        // Sleep in small steps so shutdown never waits out a long tick.
-        std::thread::sleep(Duration::from_millis(10));
-        if last.elapsed() < interval {
-            continue;
+    loop {
+        let guard = stopped.lock().expect("obs stop lock poisoned");
+        let (guard, _) = cv
+            .wait_timeout_while(guard, interval, |stopped| !*stopped)
+            .expect("obs stop lock poisoned");
+        if *guard {
+            return;
         }
+        drop(guard);
         let cur = sunder_telemetry::snapshot();
         sunder_telemetry::publish_rate_gauges(&prev, &cur, last.elapsed());
         last = Instant::now();
@@ -123,14 +134,14 @@ fn rate_loop(interval: Duration, stop: &AtomicBool) {
     }
 }
 
-fn http_loop(inner: &Arc<ServerInner>, listener: &TcpListener, stop: &AtomicBool) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((sock, _peer)) => handle_request(inner, sock),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+fn http_loop(inner: &Arc<ServerInner>, listener: &TcpListener, stop: &Stop) {
+    loop {
+        let sock = accept(listener);
+        if *stop.0.lock().expect("obs stop lock poisoned") {
+            return;
+        }
+        if let Some(sock) = sock {
+            handle_request(inner, sock);
         }
     }
 }
@@ -190,33 +201,22 @@ fn route(inner: &Arc<ServerInner>, path: &str) -> (u16, &'static str, String) {
             sunder_telemetry::render_prometheus(&sunder_telemetry::snapshot()),
         ),
         "/healthz" => (200, "text/plain", "ok\n".to_string()),
-        "/readyz" => {
-            let (status, body) = ready_state(inner);
-            (status, "text/plain", body)
-        }
+        "/readyz" => match inner.core().ready() {
+            Ok(epoch) => (200, "text/plain", format!("ready epoch={epoch}\n")),
+            Err(why) => (503, "text/plain", format!("{why}\n")),
+        },
         "/statusz" => (200, "application/json", status_json(inner).render()),
         _ => (404, "text/plain", format!("no such endpoint: {path}\n")),
     }
 }
 
-/// The readiness decision: not ready while draining or while a hot
-/// reload is compiling the next epoch.
-pub(crate) fn ready_state(inner: &ServerInner) -> (u16, String) {
-    if inner.is_draining() {
-        (503, "draining\n".to_string())
-    } else if inner.is_reloading() {
-        (503, "reloading\n".to_string())
-    } else {
-        (200, format!("ready epoch={}\n", inner.epoch()))
-    }
-}
-
 /// Builds the `/statusz` document. Everything except the latency and
-/// SLO blocks comes from the server's own state (atomics and the cache's
-/// counters), so the document stays truthful even with telemetry off;
-/// the latency quantiles appear once per-tenant histograms exist in the
-/// registry.
+/// SLO blocks comes from one snapshot of the server core and from the
+/// cache's counters, so the document stays truthful even with telemetry
+/// off; the latency quantiles appear once per-tenant histograms exist in
+/// the registry.
 pub(crate) fn status_json(inner: &ServerInner) -> Json {
+    let core = inner.snapshot();
     let hits = inner.cache.hits();
     let misses = inner.cache.misses();
     let lookups = hits + misses;
@@ -225,15 +225,6 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
     } else {
         0.0
     };
-
-    let mut tenants: Vec<(String, usize)> = inner
-        .tenants
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(k, v)| (k.clone(), *v))
-        .collect();
-    tenants.sort();
 
     let snap = sunder_telemetry::snapshot();
     let mut latency = Vec::new();
@@ -255,44 +246,32 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
             .find(|(k, _)| *k == "tenant")
             .map(|(_, v)| v.clone());
         match (&e.value, e.name, tenant) {
-            (
-                sunder_telemetry::MetricValue::Histogram(h),
-                "serve_chunk_service_us",
-                Some(tenant),
-            ) => latency.push((tenant, quantiles(h))),
-            (sunder_telemetry::MetricValue::Histogram(h), "serve_reply_write_us", Some(tenant)) => {
-                reply_write.push((tenant, quantiles(h)))
+            (MetricValue::Histogram(h), "serve_chunk_service_us", Some(t)) => {
+                latency.push((t, quantiles(h)));
             }
-            (
-                sunder_telemetry::MetricValue::Counter(c),
-                "serve_slo_violations_total",
-                Some(tenant),
-            ) => {
-                slo.push((tenant, Json::Num(*c as f64)));
+            (MetricValue::Histogram(h), "serve_reply_write_us", Some(t)) => {
+                reply_write.push((t, quantiles(h)));
+            }
+            (MetricValue::Counter(c), "serve_slo_violations_total", Some(t)) => {
+                slo.push((t, Json::Num(*c as f64)));
             }
             _ => {}
         }
     }
 
     Json::Obj(vec![
-        ("epoch".into(), Json::Num(inner.epoch() as f64)),
+        ("epoch".into(), Json::Num(core.epoch as f64)),
         (
             "uptime_s".into(),
             Json::Num(inner.started.elapsed().as_secs() as f64),
         ),
-        ("draining".into(), Json::Bool(inner.is_draining())),
-        ("reloading".into(), Json::Bool(inner.is_reloading())),
+        ("draining".into(), Json::Bool(core.draining)),
+        ("reloading".into(), Json::Bool(core.reloading)),
         (
             "sessions".into(),
             Json::Obj(vec![
-                (
-                    "active".into(),
-                    Json::Num(inner.active.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "started".into(),
-                    Json::Num(inner.sessions_started.load(Ordering::Relaxed) as f64),
-                ),
+                ("active".into(), Json::Num(core.active as f64)),
+                ("started".into(), Json::Num(core.started as f64)),
                 ("max".into(), Json::Num(inner.cfg.max_sessions as f64)),
                 (
                     "per_tenant_limit".into(),
@@ -303,7 +282,7 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
         (
             "tenants".into(),
             Json::Obj(
-                tenants
+                core.tenants
                     .into_iter()
                     .map(|(t, n)| (t, Json::Num(n as f64)))
                     .collect(),
@@ -312,10 +291,7 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
         (
             "queue".into(),
             Json::Obj(vec![
-                (
-                    "queued".into(),
-                    Json::Num(inner.queued.load(Ordering::Relaxed) as f64),
-                ),
+                ("queued".into(), Json::Num(core.queued as f64)),
                 (
                     "depth_per_session".into(),
                     Json::Num(inner.cfg.queue_depth as f64),
@@ -417,23 +393,6 @@ mod tests {
 
         let (status, _) = http_get(obs, "/nope", timeout).unwrap();
         assert_eq!(status, 404);
-    }
-
-    #[test]
-    fn ready_state_flips_on_drain_and_reload_flags() {
-        let server = obs_server();
-        let inner = &server.inner_for_tests();
-        assert_eq!(ready_state(inner).0, 200);
-        inner.reloading.store(true, Ordering::Release);
-        let (status, body) = ready_state(inner);
-        assert_eq!((status, body.as_str()), (503, "reloading\n"));
-        inner.reloading.store(false, Ordering::Release);
-        inner.draining.store(true, Ordering::Release);
-        let (status, body) = ready_state(inner);
-        assert_eq!((status, body.as_str()), (503, "draining\n"));
-        // Draining wins over reloading in the body, and the real drain
-        // path sets the same flag — put it back so drop drains cleanly.
-        inner.draining.store(false, Ordering::Release);
     }
 
     #[test]

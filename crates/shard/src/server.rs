@@ -18,25 +18,27 @@
 //!   an `Error` frame, the fault is attributed in telemetry, and every
 //!   other session keeps streaming.
 //!
-//! **Admission control** happens in two steps: a global session cap at
-//! accept time (`ERR_BUSY`) and a per-tenant quota at `Hello`
-//! (`ERR_QUOTA`). **Hot reload** swaps the epoch atomically: new
-//! sessions pin the new pipeline; in-flight sessions finish on the
-//! `Arc` they pinned at open. **Graceful drain** stops accepting,
-//! waits for in-flight sessions up to a hard deadline, then cancels
-//! their budgets and shuts their sockets down.
+//! **Policy** — admission, epochs, readiness and drain — lives in one
+//! socket-free `ServerCore` behind one mutex; this module is its I/O
+//! shell. **Admission control** happens in two steps: a global session
+//! cap at accept time (`ERR_BUSY`) and a per-tenant quota at `Hello`
+//! (`ERR_QUOTA`). **Hot reload** builds the next pipeline outside the
+//! lock, then numbers and installs it in one core call: new sessions pin
+//! the new epoch; in-flight sessions finish on the `Arc` they pinned at
+//! `Hello`. **Graceful drain** stops admission, waits on a condvar that
+//! every session close notifies, up to a hard deadline, then cancels the
+//! stragglers' budgets and shuts their sockets down.
 //!
 //! Server-side fault injection reuses [`FaultPlan`]: worker-level
 //! directives (`panic ITEM`, `stall ITEM MS`) are matched against the
 //! trailing integer of the *tenant name* (`tenant "s7"` → plan item 7),
 //! so injection is deterministic no matter the order connections land.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,9 +52,10 @@ use sunder_transform::PipelineConfig;
 use crate::cache::PipelineCache;
 use crate::frame::{
     decode_client, read_raw, ClientFrame, FrameError, ServerFrame, DEFAULT_MAX_FRAME_BYTES,
-    ERR_BUSY, ERR_DEADLINE, ERR_INTERNAL, ERR_PANIC, ERR_PROTOCOL, ERR_QUOTA, ERR_RELOAD,
-    ERR_SHUTDOWN, ERR_VERSION, PROTOCOL_VERSION,
+    ERR_BUSY, ERR_DEADLINE, ERR_INTERNAL, ERR_PANIC, ERR_PROTOCOL, ERR_RELOAD, ERR_VERSION,
+    PROTOCOL_VERSION,
 };
+use crate::server_core::{ConnId, Refusal, ServerCore, Snapshot};
 use crate::session::{SessionError, StreamSession};
 
 /// Tuning and robustness knobs for a [`MatchServer`].
@@ -195,46 +198,38 @@ impl WorkQueue {
             q = self.cv.wait(q).unwrap();
         }
     }
+
+    /// Items waiting now.
+    fn len(&self) -> usize {
+        self.items.lock().unwrap().len()
+    }
 }
 
-/// Per-connection registry entry so drain can reach into live sessions.
+/// What drain and `/statusz` reach into a live connection through.
+#[derive(Clone)]
 pub(crate) struct ConnHandle {
     cancel: CancelToken,
     sock: Arc<TcpStream>,
+    queue: Arc<WorkQueue>,
 }
 
 pub(crate) struct ServerInner {
     pub(crate) cfg: ServerConfig,
     pub(crate) cache: PipelineCache,
-    pub(crate) db: Mutex<Arc<LoadedDb>>,
-    pub(crate) next_epoch: AtomicU64,
-    pub(crate) draining: std::sync::atomic::AtomicBool,
-    /// True while a hot reload is compiling the next epoch; `/readyz`
-    /// reports 503 for the window.
-    pub(crate) reloading: std::sync::atomic::AtomicBool,
-    pub(crate) active: AtomicUsize,
-    pub(crate) tenants: Mutex<HashMap<String, usize>>,
-    pub(crate) conns: Mutex<HashMap<u64, ConnHandle>>,
-    pub(crate) next_conn: AtomicU64,
-    /// Sessions ever accepted (telemetry-independent, for `/statusz`).
-    pub(crate) sessions_started: AtomicU64,
-    /// Frames currently sitting in reader→worker queues, server-wide.
-    pub(crate) queued: AtomicUsize,
     /// When the server started (uptime in `/statusz`).
     pub(crate) started: Instant,
+    core: Mutex<ServerCore<ConnHandle>>,
+    /// Notified on every session close; drain waits on it.
+    closed: Condvar,
 }
 
 impl ServerInner {
-    pub(crate) fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+    pub(crate) fn core(&self) -> MutexGuard<'_, ServerCore<ConnHandle>> {
+        self.core.lock().expect("server core lock poisoned")
     }
 
-    pub(crate) fn is_reloading(&self) -> bool {
-        self.reloading.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn epoch(&self) -> u64 {
-        self.db.lock().unwrap().epoch
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        self.core().snapshot(|conn| conn.queue.len())
     }
 }
 
@@ -245,14 +240,13 @@ pub struct MatchServer {
     addr: SocketAddr,
     accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     obs: Option<crate::obs::ObsHandle>,
-    drained: bool,
 }
 
 impl std::fmt::Debug for MatchServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatchServer")
             .field("addr", &self.addr)
-            .field("active", &self.inner.active.load(Ordering::Relaxed))
+            .field("active", &self.active_sessions())
             .field("epoch", &self.epoch())
             .finish()
     }
@@ -273,20 +267,13 @@ impl MatchServer {
             .map_err(|e| format!("compile pattern DB: {e}"))?;
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         let local = listener.local_addr().map_err(|e| e.to_string())?;
+        let core = ServerCore::new(cfg.max_sessions, cfg.per_tenant_sessions, pipeline);
         let inner = Arc::new(ServerInner {
             cfg,
             cache,
-            db: Mutex::new(Arc::new(LoadedDb { epoch: 1, pipeline })),
-            next_epoch: AtomicU64::new(2),
-            draining: std::sync::atomic::AtomicBool::new(false),
-            reloading: std::sync::atomic::AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            tenants: Mutex::new(HashMap::new()),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            sessions_started: AtomicU64::new(0),
-            queued: AtomicUsize::new(0),
             started: Instant::now(),
+            core: Mutex::new(core),
+            closed: Condvar::new(),
         });
         let obs = match &inner.cfg.obs_addr {
             Some(addr) => Some(crate::obs::start_obs(&inner, addr)?),
@@ -302,7 +289,6 @@ impl MatchServer {
             addr: local,
             accept: Some(accept),
             obs,
-            drained: false,
         })
     }
 
@@ -313,12 +299,12 @@ impl MatchServer {
 
     /// The current pattern-DB epoch.
     pub fn epoch(&self) -> u64 {
-        self.inner.db.lock().unwrap().epoch
+        self.inner.core().epoch()
     }
 
     /// Sessions currently open.
     pub fn active_sessions(&self) -> usize {
-        self.inner.active.load(Ordering::Relaxed)
+        self.inner.core().active()
     }
 
     /// The pipeline cache (hit/miss counters survive reloads).
@@ -335,13 +321,6 @@ impl MatchServer {
     /// shared by the HTTP endpoint and the stdin `status` command.
     pub fn status_json(&self) -> String {
         crate::obs::status_json(&self.inner).render()
-    }
-
-    /// Direct access to server internals for in-crate tests (readiness
-    /// flag manipulation without racing a real drain or reload).
-    #[cfg(test)]
-    pub(crate) fn inner_for_tests(&self) -> Arc<ServerInner> {
-        Arc::clone(&self.inner)
     }
 
     /// Hot-reloads the pattern DB from `nfa`, returning the new epoch.
@@ -366,7 +345,32 @@ impl MatchServer {
     /// Validation rejections and parameter mismatches, as strings (the
     /// caller is the CLI).
     pub fn reload_artifact(&self, path: &std::path::Path) -> Result<u64, String> {
-        reload_db_artifact(&self.inner, path)
+        reload(&self.inner, &[("source", "artifact")], || {
+            let pipeline = sunder_artifact::MappedDb::open(path)
+                .map_err(|e| format!("load artifact: {e}"))?
+                .into_pipeline();
+            let cfg = &self.inner.cfg;
+            if pipeline.config != cfg.config {
+                return Err(format!(
+                    "artifact config {} does not match server config {}",
+                    pipeline.config, cfg.config
+                ));
+            }
+            if pipeline.spec != cfg.spec {
+                return Err(format!(
+                    "artifact sharding spec \"{}\" does not match server spec \"{}\"",
+                    pipeline.spec, cfg.spec
+                ));
+            }
+            if pipeline.engine != cfg.engine {
+                return Err(format!(
+                    "artifact engine {} does not match server engine {}",
+                    pipeline.engine.name(),
+                    cfg.engine.name()
+                ));
+            }
+            Ok(Arc::new(pipeline))
+        })
     }
 
     /// Stops accepting, waits for in-flight sessions up to the
@@ -375,24 +379,29 @@ impl MatchServer {
     pub fn drain(&mut self) -> DrainReport {
         let started = Instant::now();
         let _span = sunder_telemetry::span("serve.drain");
-        self.inner.draining.store(true, Ordering::Release);
+        let at_start = {
+            let mut core = self.inner.core();
+            core.begin_drain();
+            core.active()
+        };
         if self.accept.is_some() {
             wake_acceptor(self.addr);
         }
-        let deadline = started + self.inner.cfg.drain_deadline;
-        let at_start = self.inner.active.load(Ordering::Acquire);
-        while self.inner.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        let (core, _) = self
+            .inner
+            .closed
+            .wait_timeout_while(self.inner.core(), self.inner.cfg.drain_deadline, |core| {
+                !core.drained()
+            })
+            .expect("server core lock poisoned");
+        let stragglers = core.active();
+        // Hard deadline: cancel in-flight chunk budgets and yank the
+        // sockets so blocked reads/writes unblock immediately.
+        for conn in core.stragglers() {
+            conn.cancel.cancel();
+            let _ = conn.sock.shutdown(Shutdown::Both);
         }
-        let stragglers = self.inner.active.load(Ordering::Acquire);
-        if stragglers > 0 {
-            // Hard deadline: cancel in-flight chunk budgets and yank the
-            // sockets so blocked reads/writes unblock immediately.
-            for conn in self.inner.conns.lock().unwrap().values() {
-                conn.cancel.cancel();
-                let _ = conn.sock.shutdown(Shutdown::Both);
-            }
-        }
+        drop(core);
         let workers = match self.accept.take() {
             Some(accept) => join_acceptor(accept, self.addr, ACCEPT_WAKE_LIMIT),
             None => Vec::new(),
@@ -402,10 +411,7 @@ impl MatchServer {
         }
         // The obs listener answers (`/readyz` 503) for the whole drain
         // window; it goes down with the last worker.
-        if let Some(mut obs) = self.obs.take() {
-            obs.shutdown();
-        }
-        self.drained = true;
+        drop(self.obs.take());
         let duration = started.elapsed();
         sunder_telemetry::instant(
             "serve.drained",
@@ -425,112 +431,108 @@ impl MatchServer {
 
 impl Drop for MatchServer {
     fn drop(&mut self) {
-        if !self.drained {
+        // The acceptor handle is taken by the first drain.
+        if self.accept.is_some() {
             self.drain();
         }
     }
 }
 
-fn reload_db_artifact(inner: &ServerInner, path: &std::path::Path) -> Result<u64, String> {
-    inner.reloading.store(true, Ordering::Release);
-    let result = (|| {
-        let pipeline = sunder_artifact::MappedDb::open(path)
-            .map_err(|e| format!("load artifact: {e}"))?
-            .into_pipeline();
-        if pipeline.config != inner.cfg.config {
-            return Err(format!(
-                "artifact config {} does not match server config {}",
-                pipeline.config, inner.cfg.config
-            ));
-        }
-        if pipeline.spec != inner.cfg.spec {
-            return Err(format!(
-                "artifact sharding spec \"{}\" does not match server spec \"{}\"",
-                pipeline.spec, inner.cfg.spec
-            ));
-        }
-        if pipeline.engine != inner.cfg.engine {
-            return Err(format!(
-                "artifact engine {} does not match server engine {}",
-                pipeline.engine.name(),
-                inner.cfg.engine.name()
-            ));
-        }
-        let pipeline = Arc::new(pipeline);
-        let epoch = inner.next_epoch.fetch_add(1, Ordering::Relaxed);
-        *inner.db.lock().unwrap() = Arc::new(LoadedDb { epoch, pipeline });
-        sunder_telemetry::counter_add("serve_reloads_total", &[("source", "artifact")], 1);
-        sunder_telemetry::instant("serve.reloaded", &[("epoch", epoch.into())]);
-        Ok(epoch)
-    })();
-    inner.reloading.store(false, Ordering::Release);
-    result
+fn reload_db(inner: &ServerInner, nfa: &Nfa) -> Result<u64, AutomataError> {
+    reload(inner, &[], || {
+        inner.cache.get_or_compile(nfa, inner.cfg.config)
+    })
 }
 
-fn reload_db(inner: &ServerInner, nfa: &Nfa) -> Result<u64, AutomataError> {
-    // `/readyz` reports 503 while the next epoch compiles: a scraping
-    // load balancer stops routing new streams to a server mid-swap.
-    inner.reloading.store(true, Ordering::Release);
-    let result = (|| {
-        let pipeline = inner.cache.get_or_compile(nfa, inner.cfg.config)?;
-        let epoch = inner.next_epoch.fetch_add(1, Ordering::Relaxed);
-        *inner.db.lock().unwrap() = Arc::new(LoadedDb { epoch, pipeline });
-        sunder_telemetry::counter_add("serve_reloads_total", &[], 1);
-        sunder_telemetry::instant("serve.reloaded", &[("epoch", epoch.into())]);
-        Ok(epoch)
-    })();
-    inner.reloading.store(false, Ordering::Release);
-    result
+/// One hot reload. `build` runs outside the core lock while `/readyz`
+/// reports 503, so a scraping load balancer stops routing new streams to
+/// a server mid-swap; the core then numbers and installs what it built.
+fn reload<E>(
+    inner: &ServerInner,
+    labels: &[(&'static str, &str)],
+    build: impl FnOnce() -> Result<Arc<CompiledPipeline>, E>,
+) -> Result<u64, E> {
+    let ticket = inner.core().begin_reload();
+    let built = build();
+    let epoch = inner
+        .core()
+        .finish_reload(ticket, built.as_ref().ok().map(Arc::clone));
+    built?;
+    let epoch = epoch.expect("a built pipeline is installed");
+    sunder_telemetry::counter_add("serve_reloads_total", labels, 1);
+    sunder_telemetry::instant("serve.reloaded", &[("epoch", epoch.into())]);
+    Ok(epoch)
 }
 
 /// Accepts until drain; returns the connection thread handles so drain
 /// can join them. `accept()` blocks: [`wake_acceptor`] ends the wait.
 fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.is_draining() {
-        let sock = match listener.accept() {
-            Ok((sock, _peer)) => Arc::new(sock),
-            Err(_) => {
-                // A failing accept (out of descriptors, say) returns at
-                // once; pause so the failure does not become a spin.
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
+    loop {
+        let Some(sock) = accept(listener) else {
+            continue;
         };
         // Replies are whole frames in one write: never hold one back.
         let _ = sock.set_nodelay(true);
-        if inner.is_draining() {
-            refuse(&sock, ERR_SHUTDOWN, "server is draining");
-            continue;
-        }
-        if inner.active.load(Ordering::Acquire) >= inner.cfg.max_sessions {
-            sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "busy")], 1);
-            refuse(&sock, ERR_BUSY, "session cap reached");
-            continue;
-        }
-        inner.active.fetch_add(1, Ordering::AcqRel);
-        let (conn_inner, conn_sock) = (Arc::clone(inner), Arc::clone(&sock));
+        let conn = ConnHandle {
+            cancel: CancelToken::new(),
+            sock: Arc::new(sock),
+            queue: Arc::new(WorkQueue::new(inner.cfg.queue_depth)),
+        };
+        let id = match inner.core().open(conn.clone()) {
+            Ok(id) => id,
+            Err(refusal) => {
+                if refusal == Refusal::Busy {
+                    sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "busy")], 1);
+                }
+                let (code, message) = refusal.frame();
+                refuse(&conn.sock, code, &message);
+                if refusal == Refusal::Draining {
+                    return conns;
+                }
+                continue;
+            }
+        };
+        let (conn_inner, sock) = (Arc::clone(inner), Arc::clone(&conn.sock));
         match std::thread::Builder::new()
             .name("serve-conn".into())
-            .spawn(move || serve_connection(&conn_inner, &conn_sock))
+            .spawn(move || serve_connection(&conn_inner, id, &conn))
         {
             Ok(handle) => conns.push(handle),
             Err(_) => {
                 // Out of threads: shed this connection, keep accepting.
-                inner.active.fetch_sub(1, Ordering::AcqRel);
+                close(inner, id);
                 sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "spawn")], 1);
                 refuse(&sock, ERR_BUSY, "no thread for the session");
             }
         }
     }
-    conns
 }
 
-/// Gets the acceptor out of its blocking `accept()` once `draining` is
-/// set, with a throw-away connection to the listener's own port. One
+/// One blocking `accept()`, shared by the match and obs listeners.
+pub(crate) fn accept(listener: &TcpListener) -> Option<TcpStream> {
+    match listener.accept() {
+        Ok((sock, _peer)) => Some(sock),
+        Err(_) => {
+            // A failing accept (out of descriptors, say) returns at once;
+            // pause so the failure does not become a spin.
+            std::thread::sleep(Duration::from_millis(5));
+            None
+        }
+    }
+}
+
+/// Releases connection `id` in the core and wakes a waiting drain.
+fn close(inner: &ServerInner, id: ConnId) {
+    inner.core().close(id);
+    inner.closed.notify_all();
+}
+
+/// Gets an acceptor out of its blocking `accept()` once it is told to
+/// stop, with a throw-away connection to the listener's own port. One
 /// connect can fail with the acceptor still parked (ephemeral ports
 /// exhausted, a local firewall rule): [`join_acceptor`] retries.
-fn wake_acceptor(mut addr: SocketAddr) {
+pub(crate) fn wake_acceptor(mut addr: SocketAddr) {
     if addr.ip().is_unspecified() {
         addr.set_ip(match addr {
             SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
@@ -541,22 +543,23 @@ fn wake_acceptor(mut addr: SocketAddr) {
 }
 
 /// How long drain keeps re-waking a parked acceptor before giving it up.
-const ACCEPT_WAKE_LIMIT: Duration = Duration::from_secs(1);
+pub(crate) const ACCEPT_WAKE_LIMIT: Duration = Duration::from_secs(1);
 
-/// Joins the acceptor, waking it again for as long as it stays parked.
-/// Past `limit` the thread is left behind with its listener and the
-/// connection handles it holds — those sessions have ended or been forced
-/// by now — because a drain that never returns is the worse failure.
-fn join_acceptor(
-    accept: JoinHandle<Vec<JoinHandle<()>>>,
+/// Joins an acceptor, waking it again for as long as it stays parked.
+/// Past `limit` the thread is left behind with its listener and whatever
+/// it holds — for the match listener, connection handles whose sessions
+/// have ended or been forced by now — because a drain that never returns
+/// is the worse failure.
+pub(crate) fn join_acceptor<T: Default>(
+    accept: JoinHandle<T>,
     addr: SocketAddr,
     limit: Duration,
-) -> Vec<JoinHandle<()>> {
+) -> T {
     let give_up = Instant::now() + limit;
     while !accept.is_finished() {
         if Instant::now() >= give_up {
             sunder_telemetry::instant("serve.acceptor_abandoned", &[]);
-            return Vec::new();
+            return T::default();
         }
         std::thread::sleep(Duration::from_millis(1));
         wake_acceptor(addr);
@@ -804,88 +807,52 @@ impl SessionObs {
 }
 
 /// Runs one connection to completion: handshake, reader-thread spawn,
-/// worker loop. Always decrements the active count and deregisters on
-/// the way out.
-fn serve_connection(inner: &Arc<ServerInner>, sock: &Arc<TcpStream>) {
-    let conn_id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
-    let cancel = CancelToken::new();
-    inner.conns.lock().unwrap().insert(
-        conn_id,
-        ConnHandle {
-            cancel: cancel.clone(),
-            sock: Arc::clone(sock),
-        },
-    );
+/// worker loop. Always releases the connection in the core on the way
+/// out.
+fn serve_connection(inner: &Arc<ServerInner>, id: ConnId, conn: &ConnHandle) {
     sunder_telemetry::counter_add("serve_sessions_total", &[], 1);
-    inner.sessions_started.fetch_add(1, Ordering::Relaxed);
-    if let Some(tenant) = run_session(inner, sock, &cancel, conn_id) {
-        let mut tenants = inner.tenants.lock().unwrap();
-        if let Some(n) = tenants.get_mut(&tenant) {
-            *n -= 1;
-            if *n == 0 {
-                tenants.remove(&tenant);
-            }
-        }
-    }
-    inner.conns.lock().unwrap().remove(&conn_id);
-    let _ = sock.shutdown(Shutdown::Both);
-    inner.active.fetch_sub(1, Ordering::AcqRel);
+    run_session(inner, id, conn);
+    let _ = conn.sock.shutdown(Shutdown::Both);
+    close(inner, id);
 }
 
-/// The session proper. Returns the tenant name once admitted (so the
-/// caller can release the quota), `None` if admission failed.
-fn run_session(
-    inner: &Arc<ServerInner>,
-    sock: &TcpStream,
-    cancel: &CancelToken,
-    conn_id: u64,
-) -> Option<String> {
+/// The session proper, from `Hello` to its last reply.
+fn run_session(inner: &Arc<ServerInner>, id: ConnId, conn: &ConnHandle) {
+    let sock = &*conn.sock;
     let mut reader = BufReader::new(sock);
     let mut writer = FrameWriter::new(sock);
     let max_frame = inner.cfg.max_frame_bytes;
 
     // Handshake: the first frame must be a well-formed Hello.
-    let hello = match read_raw(&mut reader, max_frame) {
-        Ok(Some(body)) => decode_client(&body),
-        Ok(None) => return None,
-        Err(e) => Err(e),
-    };
-    let tenant = match hello {
-        Ok(ClientFrame::Hello { tenant, .. }) => tenant,
-        Ok(_) => {
+    let tenant = match read_frame(&mut reader, max_frame) {
+        Ok(Some(ClientFrame::Hello { tenant, .. })) => tenant,
+        Ok(None) => return,
+        Ok(Some(_)) => {
             writer.error(ERR_PROTOCOL, "expected Hello");
-            return None;
+            return;
         }
         Err(e) => {
             writer.error(frame_error_code(&e), e.to_string());
-            return None;
+            return;
         }
     };
 
-    // Tenant quota.
-    {
-        let mut tenants = inner.tenants.lock().unwrap();
-        let n = tenants.entry(tenant.clone()).or_insert(0);
-        if *n >= inner.cfg.per_tenant_sessions {
-            drop(tenants);
+    // Tenant quota; the session pins the current epoch for its life.
+    let db = match inner.core().hello(id, &tenant) {
+        Ok(db) => db,
+        Err(refusal) => {
             sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "quota")], 1);
-            writer.error(
-                ERR_QUOTA,
-                format!("tenant {tenant:?} is at its session quota"),
-            );
-            return None;
+            let (code, message) = refusal.frame();
+            writer.error(code, message);
+            return;
         }
-        *n += 1;
-    }
-
-    // Pin the current epoch for the whole session.
-    let db = Arc::clone(&inner.db.lock().unwrap());
+    };
     let mut session = StreamSession::new(Arc::clone(&db.pipeline), db.epoch);
     if !writer.send(&ServerFrame::HelloAck {
         version: PROTOCOL_VERSION,
         epoch: db.epoch,
     }) {
-        return Some(tenant);
+        return;
     }
     sunder_telemetry::instant(
         "serve.session_open",
@@ -896,43 +863,23 @@ fn run_session(
     );
 
     let faults = injected_for(&inner.cfg.fault_plan, &tenant);
-    let mut obs = SessionObs::new(&inner.cfg, &tenant, conn_id, db.epoch);
+    let mut obs = SessionObs::new(&inner.cfg, &tenant, id, db.epoch);
 
     // Reader thread: socket → bounded queue. Scoped so a dead worker
     // path can't leak it past the connection.
-    let queue = Arc::new(WorkQueue::new(inner.cfg.queue_depth));
+    let queue = &*conn.queue;
     std::thread::scope(|scope| {
-        let reader_queue = Arc::clone(&queue);
-        let reader_inner = Arc::clone(inner);
-        scope.spawn(move || {
-            let push = |work: Work| {
-                reader_queue.push(work);
-                reader_inner.queued.fetch_add(1, Ordering::Relaxed);
+        scope.spawn(move || loop {
+            let work = match read_frame(&mut reader, max_frame) {
+                Ok(Some(frame)) => Work::Frame(frame),
+                Ok(None) => Work::Eof,
+                Err(e) => Work::Bad(e),
             };
-            loop {
-                match read_raw(&mut reader, max_frame) {
-                    Ok(Some(body)) => match decode_client(&body) {
-                        Ok(frame) => {
-                            let finish = matches!(frame, ClientFrame::Finish);
-                            push(Work::Frame(frame));
-                            if finish {
-                                break; // protocol: nothing follows Finish
-                            }
-                        }
-                        Err(e) => {
-                            push(Work::Bad(e));
-                            break;
-                        }
-                    },
-                    Ok(None) => {
-                        push(Work::Eof);
-                        break;
-                    }
-                    Err(e) => {
-                        push(Work::Bad(e));
-                        break;
-                    }
-                }
+            // Protocol: nothing follows Finish, an error or the end.
+            let last = !matches!(&work, Work::Frame(f) if !matches!(f, ClientFrame::Finish));
+            queue.push(work);
+            if last {
+                break;
             }
         });
 
@@ -942,8 +889,8 @@ fn run_session(
             &mut session,
             &tenant,
             &faults,
-            &queue,
-            cancel,
+            queue,
+            &conn.cancel,
             &mut writer,
             &mut obs,
         );
@@ -951,7 +898,16 @@ fn run_session(
         // exits before the scope joins it.
         let _ = sock.shutdown(Shutdown::Read);
     });
-    Some(tenant)
+}
+
+/// Reads and decodes one client frame; `None` at a clean end of stream.
+fn read_frame(
+    reader: &mut impl std::io::Read,
+    max: u32,
+) -> Result<Option<ClientFrame>, FrameError> {
+    read_raw(reader, max)?
+        .map(|body| decode_client(&body))
+        .transpose()
 }
 
 /// The budget each `feed`/`finish` runs under: the session's cancel
@@ -978,7 +934,6 @@ fn worker_loop(
     let mut first_chunk = true;
     loop {
         let (work, wait) = queue.pop();
-        inner.queued.fetch_sub(1, Ordering::Relaxed);
         match work {
             Work::Frame(ClientFrame::Chunk(bytes)) => {
                 if first_chunk {
@@ -1113,7 +1068,7 @@ mod tests {
         let (release, parked) = std::sync::mpsc::channel::<()>();
         let accept = std::thread::spawn(move || {
             let _ = parked.recv();
-            Vec::new()
+            Vec::<JoinHandle<()>>::new()
         });
         let started = Instant::now();
         let workers = join_acceptor(accept, dead, Duration::from_millis(50));

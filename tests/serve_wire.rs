@@ -84,3 +84,22 @@ fn lock_step_session_over_loopback_never_stalls_and_matches_the_reference() {
     );
     assert_eq!(server.drain().forced, 0);
 }
+
+/// Reloads race from every session's worker and from the CLI's stdin at
+/// once; each must install a fresh epoch, in order, with none lost.
+#[test]
+fn concurrent_reloads_install_every_epoch_in_order() {
+    let nfa = compile_rule_set(&["[a-z]"]).unwrap();
+    let server = MatchServer::start("127.0.0.1:0", &nfa, ServerConfig::default()).unwrap();
+    let reload_eight = || -> Vec<u64> { (0..8).map(|_| server.reload(&nfa).unwrap()).collect() };
+    let mut epochs: Vec<u64> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4).map(|_| scope.spawn(reload_eight)).collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect()
+    });
+    epochs.sort_unstable();
+    assert_eq!(epochs, (2..=33).collect::<Vec<u64>>());
+    assert_eq!(server.epoch(), 33);
+}
