@@ -58,15 +58,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// Guaranteed rejections (given the section's payload was nonzero, which
 /// the caller checks): identity text diverges from the header key
-/// (`SourceAnml`), zeroed metadata contradicts pinned global values
-/// (`Meta`, `ShardMeta`), key text mismatches (`SpecKey`), NUL text
-/// fails the ANML parser (`NfaAnml`, `ShardNfa`), histograms and report
-/// bitsets are cross-checked against the shard automaton (`SpCodes`,
-/// `SpReportBits`, `DnReportMask`), offset tables must end at their flat
-/// table's length (`SpSuccOff`, `SpStartOff`), member tables must be
-/// strictly ascending (`ShardMembers`, two or more entries), and a
-/// zeroed class-offset table leaves every class-map entry out of range
-/// (`DnClassOff`).
+/// (`SourceAnml`), zeroed metadata contradicts the automaton (`Meta`),
+/// key text mismatches (`SpecKey`), NUL text fails the ANML parser
+/// (`NfaAnml`), a changed member table breaks the exact cover
+/// (`ShardMembers`), histograms and report bitsets are cross-checked
+/// against the automaton (`SpCodes`, `SpReportBits`, `DnReportMask`),
+/// offset tables must end at their flat table's length (`SpSuccOff`,
+/// `SpStartOff`), and a zeroed class-offset table leaves every class-map
+/// entry out of range (`DnClassOff`). Zeroed oversized flags are valid.
 fn zeroed_must_error(
     sections: &[(SectionKind, u32, usize, usize)],
     kind: SectionKind,
@@ -83,13 +82,11 @@ fn zeroed_must_error(
         | SectionKind::Meta
         | SectionKind::SpecKey
         | SectionKind::NfaAnml
-        | SectionKind::ShardNfa
-        | SectionKind::ShardMeta
+        | SectionKind::ShardMembers
         | SectionKind::SpCodes
         | SectionKind::SpReportBits
         | SectionKind::DnClassOff
         | SectionKind::DnReportMask => true,
-        SectionKind::ShardMembers => len_of(SectionKind::ShardMembers) / 4 >= 2,
         SectionKind::SpSuccOff => len_of(SectionKind::SpSuccFlat) > 0,
         SectionKind::SpStartOff => len_of(SectionKind::SpStartFlat) > 0,
         _ => false,

@@ -39,15 +39,20 @@
 //! `VERSION` is bumped on **any** layout change — there are no in-place
 //! extensions. Readers reject any version other than their own; writers
 //! only ever emit the current version. The 16 reserved header bytes must
-//! be zero under version 1, so they cannot be reused later without a
-//! version bump being detected by old readers.
+//! be zero, so they cannot be reused later without a version bump being
+//! detected by old readers.
+//!
+//! Version 2 holds **one** engine table set, built over the whole
+//! transformed automaton; the shard plan is placement data only, stored
+//! as one member table per shard plus a flag array. Version 1 stored a
+//! sub-automaton, a metadata record and a table set per shard.
 
 use crate::error::ArtifactError;
 
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"SUNDERDB";
 /// Current (and only) format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Endianness tag as written by the producing host. A reader on a host
 /// with different byte order sees these bytes permuted and rejects.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
@@ -57,10 +62,8 @@ pub const HEADER_LEN: usize = 64;
 pub const SECTION_ENTRY_LEN: usize = 24;
 /// Required alignment of every payload section.
 pub const SECTION_ALIGN: usize = 8;
-/// Serialized size of [`GlobalMeta`] (12 × u64).
-pub const GLOBAL_META_LEN: usize = 96;
-/// Serialized size of [`ShardMeta`] (15 × u64).
-pub const SHARD_META_LEN: usize = 120;
+/// Serialized size of [`GlobalMeta`] (21 × u64).
+pub const GLOBAL_META_LEN: usize = 168;
 
 /// Byte offsets of the fixed header fields.
 pub mod header_offset {
@@ -86,9 +89,9 @@ pub mod header_offset {
 
 /// Every section kind, with its stable on-disk tag.
 ///
-/// Kinds below 10 are global (their `shard` field must be 0); kinds 10+
-/// are per-shard. Sparse-engine tables use the 1x range, dense-engine
-/// tables the 3x range.
+/// Only [`SectionKind::ShardMembers`] is per-shard; every other kind is
+/// global (its `shard` field must be 0). Sparse-engine tables use the 1x
+/// range, dense-engine tables the 3x range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u32)]
 pub enum SectionKind {
@@ -101,15 +104,15 @@ pub enum SectionKind {
     SpecKey = 3,
     /// Canonical ANML text of the transformed (executable) automaton.
     NfaAnml = 4,
-    /// Canonical ANML text of one shard's sub-automaton.
-    ShardNfa = 10,
-    /// [`ShardMeta`], exactly [`SHARD_META_LEN`] bytes.
-    ShardMeta = 11,
-    /// `u32` original state id per shard-local state, ascending.
+    /// `u64` per plan shard: 1 when the shard holds an oversized
+    /// (dedicated) component, else 0.
+    ShardOversized = 5,
+    /// `u32` state ids of one plan shard's members, ascending; the
+    /// member tables of all shards cover every state exactly once.
     ShardMembers = 12,
     /// Sparse CSR successor offsets (`u32`, `num_states + 1`).
     SpSuccOff = 13,
-    /// Sparse CSR successor arena (`u32` shard-local state ids).
+    /// Sparse CSR successor arena (`u32` state ids).
     SpSuccFlat = 14,
     /// Packed [`CodeRec`]s, `num_states × stride` of them.
     SpCodes = 15,
@@ -151,13 +154,12 @@ pub enum SectionKind {
 
 impl SectionKind {
     /// Every kind, in tag order.
-    pub const ALL: [SectionKind; 26] = [
+    pub const ALL: [SectionKind; 25] = [
         SectionKind::SourceAnml,
         SectionKind::Meta,
         SectionKind::SpecKey,
         SectionKind::NfaAnml,
-        SectionKind::ShardNfa,
-        SectionKind::ShardMeta,
+        SectionKind::ShardOversized,
         SectionKind::ShardMembers,
         SectionKind::SpSuccOff,
         SectionKind::SpSuccFlat,
@@ -192,7 +194,7 @@ impl SectionKind {
 
     /// `true` for kinds that carry a meaningful shard index.
     pub fn is_per_shard(self) -> bool {
-        self.tag() >= 10
+        self == SectionKind::ShardMembers
     }
 
     /// Element size in bytes; byte lengths must be a multiple of this.
@@ -201,9 +203,7 @@ impl SectionKind {
             SectionKind::SourceAnml
             | SectionKind::Meta
             | SectionKind::SpecKey
-            | SectionKind::NfaAnml
-            | SectionKind::ShardNfa
-            | SectionKind::ShardMeta => 1,
+            | SectionKind::NfaAnml => 1,
             SectionKind::SpSparseArena | SectionKind::DnClassOf => 2,
             SectionKind::ShardMembers
             | SectionKind::SpSuccOff
@@ -212,7 +212,8 @@ impl SectionKind {
             | SectionKind::SpStartOff
             | SectionKind::SpStartFlat
             | SectionKind::DnClassOff => 4,
-            SectionKind::SpCodes
+            SectionKind::ShardOversized
+            | SectionKind::SpCodes
             | SectionKind::SpDenseArena
             | SectionKind::SpStartLut
             | SectionKind::SpReportBits
@@ -242,15 +243,20 @@ pub fn read_u64(bytes: &[u8], offset: usize) -> u64 {
     u64::from_ne_bytes(bytes[offset..offset + 8].try_into().expect("eight bytes"))
 }
 
-/// Global pipeline metadata — the [`SectionKind::Meta`] payload, stored
-/// as 12 native-endian `u64`s in field order.
+/// Global pipeline and table metadata — the [`SectionKind::Meta`]
+/// payload, stored as 21 native-endian `u64`s in field order.
 ///
 /// Invariants: the three `*_tag` fields index the corresponding `ALL`
 /// arrays ([`sunder_transform::PipelineConfig::ALL`],
 /// `sunder_sim::EngineKind::ALL`, and the
 /// [`sunder_automata::partition::ShardSpec::tags`] space);
-/// `per_original ≥ 1`; `plan_total_states == num_states`; every
-/// per-shard section's shard index is `< shard_count`.
+/// `per_original ≥ 1`; `num_states`, `stride`, `symbol_bits` and
+/// `start_period` match the transformed automaton; every per-shard
+/// section's shard index is `< shard_count`; `start_index_tag` is 0
+/// (bucketed — requires a [`SectionKind::SpStartOff`] section) exactly
+/// when the alphabet fits the bucketed bound, 1 (flat) otherwise;
+/// `has_dense` gates the nine `Dn*` sections; `dn_words ==
+/// ceil(num_states / 64)` when dense tables are present, 0 otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalMeta {
     /// Index into `PipelineConfig::ALL`.
@@ -264,7 +270,7 @@ pub struct GlobalMeta {
     /// Oversize policy (0 = error, 1 = dedicate); meaningful for budget
     /// specs, must be 0 otherwise.
     pub oversize_tag: u64,
-    /// Number of shards (and of each per-shard section).
+    /// Number of plan shards (and of member tables).
     pub shard_count: u64,
     /// Symbol width of the transformed automaton in bits.
     pub symbol_bits: u64,
@@ -276,8 +282,18 @@ pub struct GlobalMeta {
     pub num_states: u64,
     /// The plan's recorded STE budget.
     pub plan_ste_budget: u64,
-    /// The plan's recorded total state count (must equal `num_states`).
-    pub plan_total_states: u64,
+    /// The transformed automaton's start period.
+    pub start_period: u64,
+    /// Start-index layout (0 = bucketed, 1 = flat).
+    pub start_index_tag: u64,
+    /// 1 when the nine dense-table sections are present.
+    pub has_dense: u64,
+    /// Words per dense state vector (`ceil(num_states / 64)`), 0 when
+    /// `has_dense` is 0.
+    pub dn_words: u64,
+    /// Charset-encoding histogram, index-aligned with
+    /// `sunder_sim::fastpath::ENCODING_KINDS`.
+    pub encoding_counts: [u64; 6],
 }
 
 impl GlobalMeta {
@@ -315,12 +331,17 @@ impl GlobalMeta {
             per_original: f(8),
             num_states: f(9),
             plan_ste_budget: f(10),
-            plan_total_states: f(11),
+            start_period: f(11),
+            start_index_tag: f(12),
+            has_dense: f(13),
+            dn_words: f(14),
+            encoding_counts: std::array::from_fn(|i| f(15 + i)),
         })
     }
 
-    fn fields(&self) -> [u64; 12] {
-        [
+    fn fields(&self) -> [u64; GLOBAL_META_LEN / 8] {
+        let mut out = [0u64; GLOBAL_META_LEN / 8];
+        out[..15].copy_from_slice(&[
             self.config_tag,
             self.engine_tag,
             self.spec_tag,
@@ -332,99 +353,13 @@ impl GlobalMeta {
             self.per_original,
             self.num_states,
             self.plan_ste_budget,
-            self.plan_total_states,
-        ]
-    }
-}
-
-/// Per-shard metadata — the [`SectionKind::ShardMeta`] payload, stored
-/// as 15 native-endian `u64`s in field order.
-///
-/// Invariants: `stride`, and `alphabet == 1 << symbol_bits` must match
-/// the global record; `num_states` equals the shard sub-automaton's
-/// state count and the member-table length; `dense_words ==
-/// ceil(alphabet / 64)`; `start_index_tag` is 0 (bucketed — requires a
-/// [`SectionKind::SpStartOff`] section) exactly when the alphabet fits
-/// the bucketed bound, 1 (flat) otherwise; `has_dense` gates the nine
-/// `Dn*` sections; `dn_words == ceil(num_states / 64)` when dense
-/// tables are present, 0 otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMeta {
-    /// States in this shard's sub-automaton.
-    pub num_states: u64,
-    /// Stride (must equal the global stride).
-    pub stride: u64,
-    /// Alphabet size (`1 << symbol_bits`).
-    pub alphabet: u64,
-    /// The sub-automaton's start period.
-    pub start_period: u64,
-    /// Words per dense-arena bitset (`ceil(alphabet / 64)`).
-    pub dense_words: u64,
-    /// Start-index layout (0 = bucketed, 1 = flat).
-    pub start_index_tag: u64,
-    /// 1 when the shard holds an oversized (dedicated) component.
-    pub oversized: u64,
-    /// 1 when the nine dense-table sections are present.
-    pub has_dense: u64,
-    /// Charset-encoding histogram, index-aligned with
-    /// `sunder_sim::fastpath::ENCODING_KINDS`.
-    pub encoding_counts: [u64; 6],
-    /// Words per dense state vector (`ceil(num_states / 64)`), 0 when
-    /// `has_dense` is 0.
-    pub dn_words: u64,
-}
-
-impl ShardMeta {
-    /// Serializes in field order.
-    pub fn to_bytes(&self) -> [u8; SHARD_META_LEN] {
-        let mut out = [0u8; SHARD_META_LEN];
-        let mut fields = vec![
-            self.num_states,
-            self.stride,
-            self.alphabet,
             self.start_period,
-            self.dense_words,
             self.start_index_tag,
-            self.oversized,
             self.has_dense,
-        ];
-        fields.extend_from_slice(&self.encoding_counts);
-        fields.push(self.dn_words);
-        for (i, v) in fields.into_iter().enumerate() {
-            out[i * 8..(i + 1) * 8].copy_from_slice(&v.to_ne_bytes());
-        }
+            self.dn_words,
+        ]);
+        out[15..].copy_from_slice(&self.encoding_counts);
         out
-    }
-
-    /// Parses a [`SectionKind::ShardMeta`] payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArtifactError::CountMismatch`] unless the payload is
-    /// exactly [`SHARD_META_LEN`] bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardMeta, ArtifactError> {
-        if bytes.len() != SHARD_META_LEN {
-            return Err(ArtifactError::CountMismatch {
-                context: "shard metadata record",
-            });
-        }
-        let f = |i: usize| read_u64(bytes, i * 8);
-        let mut encoding_counts = [0u64; 6];
-        for (i, slot) in encoding_counts.iter_mut().enumerate() {
-            *slot = f(8 + i);
-        }
-        Ok(ShardMeta {
-            num_states: f(0),
-            stride: f(1),
-            alphabet: f(2),
-            start_period: f(3),
-            dense_words: f(4),
-            start_index_tag: f(5),
-            oversized: f(6),
-            has_dense: f(7),
-            encoding_counts,
-            dn_words: f(14),
-        })
     }
 }
 
@@ -494,28 +429,14 @@ mod tests {
             per_original: 2,
             num_states: 77,
             plan_ste_budget: 256,
-            plan_total_states: 77,
+            start_period: 2,
+            start_index_tag: 0,
+            has_dense: 1,
+            dn_words: 2,
+            encoding_counts: [1, 2, 3, 4, 5, 6],
         };
         assert_eq!(GlobalMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
-        assert!(GlobalMeta::from_bytes(&[0u8; 95]).is_err());
-    }
-
-    #[test]
-    fn shard_meta_round_trips() {
-        let meta = ShardMeta {
-            num_states: 9,
-            stride: 2,
-            alphabet: 16,
-            start_period: 2,
-            dense_words: 1,
-            start_index_tag: 0,
-            oversized: 1,
-            has_dense: 1,
-            encoding_counts: [1, 2, 3, 4, 5, 6],
-            dn_words: 1,
-        };
-        assert_eq!(ShardMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
-        assert!(ShardMeta::from_bytes(&[0u8; 121]).is_err());
+        assert!(GlobalMeta::from_bytes(&[0u8; GLOBAL_META_LEN - 1]).is_err());
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Zero-copy mmap-able compiled pattern databases (`.sdb`).
 //!
 //! Compiling a pipeline — FlexAmata nibble decomposition, temporal
-//! striding, partitioning, per-shard engine tables — is the expensive
+//! striding, engine tables, the shard placement plan — is the expensive
 //! half of deploying a rule set; executing it is the cheap half. This
 //! crate serializes the *compiled* form into a versioned, offset-based,
 //! checksummed on-disk format so a process can [`MappedDb::open`] a
 //! database and start matching without re-running any of the
-//! compilation: every flat engine table (CSR successors, charset
-//! arenas, prefilter LUT, dense accept/successor matrices) is borrowed
-//! straight out of the mapping via `sunder_sim::TableBuf`, not
-//! deserialized.
+//! compilation: the one engine table set (CSR successors, charset
+//! arenas, prefilter LUT, dense accept/successor matrices), built over
+//! the whole transformed automaton, is borrowed straight out of the
+//! mapping via `sunder_sim::TableBuf`, not deserialized. The shard plan
+//! is placement data only: one member table per shard, validated as an
+//! exact cover at load.
 //!
 //! The trust model is explicit: a `.sdb` file is *data*, not code, and
 //! may be truncated, bit-flipped, or adversarial. The loader therefore
@@ -41,8 +43,11 @@ pub mod mapped;
 pub mod validate;
 pub mod write;
 
+use std::sync::Arc;
+
 use sunder_automata::partition::ShardSpec;
 use sunder_automata::{anml, AutomataError, Nfa};
+use sunder_sim::fastpath::SparseTables;
 use sunder_sim::{EngineKind, ShardedEngine};
 use sunder_transform::{PipelineConfig, PositionMap};
 
@@ -125,7 +130,7 @@ pub fn pipeline_key(
 
 /// One compiled pipeline: its identity, the transformed automaton, the
 /// position map folding its reports back to original-symbol coordinates,
-/// and the sharded engine ready to execute it.
+/// and the engine ready to execute it.
 ///
 /// This is the only compiled form. [`CompiledPipeline::compile`] builds
 /// it, [`CompiledPipeline::to_bytes`] and [`CompiledPipeline::write`]
@@ -139,21 +144,22 @@ pub struct CompiledPipeline {
     pub config: PipelineConfig,
     /// Sharding spec.
     pub spec: ShardSpec,
-    /// Per-shard engine kind.
+    /// Engine kind.
     pub engine: EngineKind,
     /// Canonical ANML of the source (untransformed) automaton.
     pub source_anml: String,
-    /// The transformed (executable) automaton.
-    pub nfa: Nfa,
+    /// The transformed (executable) automaton, shared with the engine.
+    pub nfa: Arc<Nfa>,
     /// Folds transformed report positions to original-symbol coordinates.
     pub map: PositionMap,
-    /// Sharded execution over the transformed automaton.
+    /// One-engine execution over the transformed automaton, with its
+    /// shard placement plan.
     pub sharded: ShardedEngine,
 }
 
 impl CompiledPipeline {
-    /// Compiles `source` under `config`, shards it per `spec`, and
-    /// prepares `engine` on every shard.
+    /// Compiles `source` under `config`, plans its shard placement per
+    /// `spec`, and prepares `engine` over the whole automaton.
     ///
     /// # Errors
     ///
@@ -167,7 +173,10 @@ impl CompiledPipeline {
         let source_anml = anml::serialize(source);
         let key = key_of_anml(config, spec, engine, &source_anml);
         let (nfa, map) = config.apply(source)?;
-        let sharded = ShardedEngine::new(&nfa, spec, engine)?;
+        let plan = spec.plan(&nfa)?;
+        let sparse = Arc::new(SparseTables::build(&nfa));
+        let nfa = Arc::new(nfa);
+        let sharded = ShardedEngine::from_prebuilt(Arc::clone(&nfa), plan, engine, sparse, None);
         Ok(CompiledPipeline {
             key,
             config,
@@ -180,7 +189,7 @@ impl CompiledPipeline {
         })
     }
 
-    /// Number of shards in the compiled plan.
+    /// Number of shards in the placement plan.
     pub fn num_shards(&self) -> usize {
         self.sharded.num_shards()
     }

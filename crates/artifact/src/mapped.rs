@@ -27,6 +27,7 @@ use std::any::Any;
 use std::path::Path;
 use std::sync::Arc;
 
+use sunder_automata::graph::extract_subautomaton;
 use sunder_automata::partition::{Shard, ShardPlan, ShardSpec};
 use sunder_automata::{anml, Nfa, StateId};
 use sunder_sim::dense::DenseTables;
@@ -37,7 +38,7 @@ use sunder_sim::{EngineKind, ShardedEngine, TableBuf};
 use sunder_transform::{PipelineConfig, PositionMap};
 
 use crate::error::ArtifactError;
-use crate::format::{CodeRec, GlobalMeta, SectionKind, ShardMeta};
+use crate::format::{CodeRec, GlobalMeta, SectionKind};
 use crate::validate::{validate_bytes, RawDb, RawSection};
 use crate::{key_of_anml, CompiledPipeline};
 
@@ -354,10 +355,10 @@ impl MappedDb {
     }
 }
 
-/// Per-shard derived sizes, computed with checked arithmetic from the
-/// shard metadata *before* any cross-check, so forged counts fail as
+/// Table sizes derived from the metadata with checked arithmetic
+/// *before* any cross-check, so forged counts fail as
 /// [`ArtifactError::CountOverflow`] rather than wrapping.
-struct ShardSizes {
+struct TableSizes {
     n: usize,
     stride: usize,
     alphabet: usize,
@@ -366,31 +367,27 @@ struct ShardSizes {
     state_words: usize,
 }
 
-impl ShardSizes {
-    fn derive(sm: &ShardMeta) -> Result<ShardSizes, ArtifactError> {
-        let n = to_usize(sm.num_states, "shard state count")?;
-        let stride = to_usize(sm.stride, "shard stride")?;
-        let alphabet = to_usize(sm.alphabet, "shard alphabet")?;
-        let dense_words = to_usize(sm.dense_words, "dense arena width")?;
+impl TableSizes {
+    fn derive(meta: &GlobalMeta) -> Result<TableSizes, ArtifactError> {
+        if meta.symbol_bits == 0 || meta.symbol_bits > 16 {
+            return Err(bad("symbol width"));
+        }
+        let n = to_usize(meta.num_states, "state count")?;
+        let stride = to_usize(meta.stride, "stride")?;
+        let alphabet = 1usize << meta.symbol_bits;
         let codes = checked_mul(n, stride, "code table")?;
         // Guard the +1s and ×8s downstream in one place.
         checked_mul(codes, 8, "code table bytes")?;
-        let state_words = n.div_ceil(64);
         n.checked_add(1).ok_or(ArtifactError::CountOverflow {
             context: "offset table",
         })?;
-        alphabet
-            .checked_add(1)
-            .ok_or(ArtifactError::CountOverflow {
-                context: "start offset table",
-            })?;
-        Ok(ShardSizes {
+        Ok(TableSizes {
             n,
             stride,
             alphabet,
-            dense_words,
+            dense_words: alphabet.div_ceil(64),
             codes,
-            state_words,
+            state_words: n.div_ceil(64),
         })
     }
 }
@@ -399,11 +396,11 @@ fn bad(context: &'static str) -> ArtifactError {
     ArtifactError::BadValue { context }
 }
 
-/// Decodes and bounds-checks one shard's code table against its arenas.
+/// Decodes and bounds-checks the code table against its arenas.
 fn decode_codes(
     raw: &RawDb<'_>,
     codes_sec: &RawSection,
-    sizes: &ShardSizes,
+    sizes: &TableSizes,
     sparse_arena: &[u16],
     dense_arena_len: usize,
     expected_counts: &[u64; 6],
@@ -483,7 +480,7 @@ fn check_offsets(off: &[u32], total: usize, context: &'static str) -> Result<(),
     Ok(())
 }
 
-/// Validates a reporting bitset against the shard automaton: exact per-
+/// Validates a reporting bitset against the automaton: exact per-
 /// state agreement plus a zero tail.
 fn check_report_bits(words: &[u64], nfa: &Nfa, context: &'static str) -> Result<(), ArtifactError> {
     if !tail_bits_zero(words, nfa.num_states()) {
@@ -499,36 +496,31 @@ fn check_report_bits(words: &[u64], nfa: &Nfa, context: &'static str) -> Result<
     Ok(())
 }
 
-/// Loads one shard's sparse tables, fully validated.
-#[allow(clippy::too_many_arguments)]
+/// Loads the sparse tables, fully validated.
 fn load_sparse(
     raw: &RawDb<'_>,
     mapping: &Arc<Mapping>,
-    shard: u32,
-    sm: &ShardMeta,
-    sizes: &ShardSizes,
-    shard_nfa: &Nfa,
+    meta: &GlobalMeta,
+    sizes: &TableSizes,
+    nfa: &Nfa,
     borrowed: &mut usize,
 ) -> Result<SparseTables, ArtifactError> {
     let n = sizes.n;
 
-    let succ_off_sec = raw.require(SectionKind::SpSuccOff, shard)?;
+    let succ_off_sec = raw.require(SectionKind::SpSuccOff, 0)?;
     require_count(succ_off_sec, n + 1, "successor offset table")?;
-    let succ_flat_sec = raw.require(SectionKind::SpSuccFlat, shard)?;
+    let succ_flat_sec = raw.require(SectionKind::SpSuccFlat, 0)?;
     let succ_off: TableBuf<u32> = borrow_table(mapping, succ_off_sec);
     let succ_flat: TableBuf<StateId> = borrow_table(mapping, succ_flat_sec);
     check_offsets(&succ_off, succ_flat.len(), "successor offsets")?;
     check_ids(&succ_flat, n, "successor state id")?;
 
-    let sparse_arena_sec = raw.require(SectionKind::SpSparseArena, shard)?;
-    let dense_arena_sec = raw.require(SectionKind::SpDenseArena, shard)?;
+    let sparse_arena_sec = raw.require(SectionKind::SpSparseArena, 0)?;
+    let dense_arena_sec = raw.require(SectionKind::SpDenseArena, 0)?;
     let sparse_arena: TableBuf<u16> = borrow_table(mapping, sparse_arena_sec);
     let dense_arena: TableBuf<u64> = borrow_table(mapping, dense_arena_sec);
-    if sizes.dense_words != sizes.alphabet.div_ceil(64) {
-        return Err(bad("dense arena word width"));
-    }
 
-    let codes_sec = raw.require(SectionKind::SpCodes, shard)?;
+    let codes_sec = raw.require(SectionKind::SpCodes, 0)?;
     require_count(codes_sec, sizes.codes, "code table")?;
     let codes = decode_codes(
         raw,
@@ -536,22 +528,22 @@ fn load_sparse(
         sizes,
         &sparse_arena,
         dense_arena.len(),
-        &sm.encoding_counts,
+        &meta.encoding_counts,
     )?;
 
-    let sod_sec = raw.require(SectionKind::SpSodStarts, shard)?;
+    let sod_sec = raw.require(SectionKind::SpSodStarts, 0)?;
     let sod_starts: TableBuf<StateId> = borrow_table(mapping, sod_sec);
     check_ids(&sod_starts, n, "start-of-data state id")?;
 
-    let start_flat_sec = raw.require(SectionKind::SpStartFlat, shard)?;
+    let start_flat_sec = raw.require(SectionKind::SpStartFlat, 0)?;
     let start_flat: TableBuf<StateId> = borrow_table(mapping, start_flat_sec);
     check_ids(&start_flat, n, "start state id")?;
-    let start_index = match sm.start_index_tag {
+    let start_index = match meta.start_index_tag {
         0 => {
             if sizes.alphabet > MAX_BUCKETED_ALPHABET {
                 return Err(bad("bucketed start index over wide alphabet"));
             }
-            let off_sec = raw.require(SectionKind::SpStartOff, shard)?;
+            let off_sec = raw.require(SectionKind::SpStartOff, 0)?;
             require_count(off_sec, sizes.alphabet + 1, "start offset table")?;
             let off: TableBuf<u32> = borrow_table(mapping, off_sec);
             check_offsets(&off, start_flat.len(), "start offsets")?;
@@ -565,7 +557,7 @@ fn load_sparse(
             if sizes.alphabet <= MAX_BUCKETED_ALPHABET {
                 return Err(bad("flat start index over narrow alphabet"));
             }
-            if raw.find(SectionKind::SpStartOff, shard).is_some() {
+            if raw.find(SectionKind::SpStartOff, 0).is_some() {
                 return Err(bad("unexpected start offset table"));
             }
             StartIndex::Flat(start_flat)
@@ -573,17 +565,17 @@ fn load_sparse(
         _ => return Err(bad("start index tag")),
     };
 
-    let lut_sec = raw.require(SectionKind::SpStartLut, shard)?;
+    let lut_sec = raw.require(SectionKind::SpStartLut, 0)?;
     require_count(lut_sec, sizes.dense_words, "start LUT")?;
     let start_lut: TableBuf<u64> = borrow_table(mapping, lut_sec);
     if !tail_bits_zero(&start_lut, sizes.alphabet) {
         return Err(bad("start LUT tail"));
     }
 
-    let report_sec = raw.require(SectionKind::SpReportBits, shard)?;
+    let report_sec = raw.require(SectionKind::SpReportBits, 0)?;
     require_count(report_sec, sizes.state_words, "report bitset")?;
     let report_bits: TableBuf<u64> = borrow_table(mapping, report_sec);
-    check_report_bits(&report_bits, shard_nfa, "report bitset")?;
+    check_report_bits(&report_bits, nfa, "report bitset")?;
 
     // succ_off, succ_flat, sparse_arena, dense_arena, sod_starts,
     // start_flat, start_lut, report_bits (SpStartOff counted above).
@@ -592,7 +584,7 @@ fn load_sparse(
     Ok(SparseTables {
         stride: sizes.stride,
         alphabet: sizes.alphabet,
-        start_period: sm.start_period,
+        start_period: meta.start_period,
         succ_off,
         succ_flat,
         codes,
@@ -603,32 +595,31 @@ fn load_sparse(
         start_index,
         start_lut,
         report_bits,
-        encoding_counts: sm.encoding_counts,
+        encoding_counts: meta.encoding_counts,
     })
 }
 
-/// Loads one shard's dense tables, fully validated.
+/// Loads the dense tables, fully validated.
 fn load_dense(
     raw: &RawDb<'_>,
     mapping: &Arc<Mapping>,
-    shard: u32,
-    sm: &ShardMeta,
-    sizes: &ShardSizes,
-    shard_nfa: &Nfa,
+    meta: &GlobalMeta,
+    sizes: &TableSizes,
+    nfa: &Nfa,
     borrowed: &mut usize,
 ) -> Result<DenseTables, ArtifactError> {
     let n = sizes.n;
-    let words = to_usize(sm.dn_words, "dense word width")?;
+    let words = to_usize(meta.dn_words, "dense word width")?;
     if words != sizes.state_words {
         return Err(bad("dense word width"));
     }
 
-    let class_of_sec = raw.require(SectionKind::DnClassOf, shard)?;
+    let class_of_sec = raw.require(SectionKind::DnClassOf, 0)?;
     let class_map_len = checked_mul(sizes.stride, sizes.alphabet, "class map")?;
     require_count(class_of_sec, class_map_len, "class map")?;
     let class_of: TableBuf<u16> = borrow_table(mapping, class_of_sec);
 
-    let class_off_sec = raw.require(SectionKind::DnClassOff, shard)?;
+    let class_off_sec = raw.require(SectionKind::DnClassOff, 0)?;
     require_count(class_off_sec, sizes.stride + 1, "class offset table")?;
     let class_off_raw: TableBuf<u32> = borrow_table(mapping, class_off_sec);
     // Owned copy: DenseTables keeps class_off as a plain Vec (it is tiny
@@ -651,7 +642,7 @@ fn load_dense(
         }
     }
 
-    let accept_sec = raw.require(SectionKind::DnAccept, shard)?;
+    let accept_sec = raw.require(SectionKind::DnAccept, 0)?;
     require_count(
         accept_sec,
         checked_mul(total_rows, words, "accept matrix")?,
@@ -659,7 +650,7 @@ fn load_dense(
     )?;
     let accept: TableBuf<u64> = borrow_table(mapping, accept_sec);
 
-    let pad_sec = raw.require(SectionKind::DnPadFull, shard)?;
+    let pad_sec = raw.require(SectionKind::DnPadFull, 0)?;
     require_count(
         pad_sec,
         checked_mul(sizes.stride, words, "padding matrix")?,
@@ -667,7 +658,7 @@ fn load_dense(
     )?;
     let pad_full: TableBuf<u64> = borrow_table(mapping, pad_sec);
 
-    let succ_sec = raw.require(SectionKind::DnSucc, shard)?;
+    let succ_sec = raw.require(SectionKind::DnSucc, 0)?;
     require_count(
         succ_sec,
         checked_mul(n, words, "successor matrix")?,
@@ -699,7 +690,7 @@ fn load_dense(
         (SectionKind::DnStartSod, "start-of-data vector"),
         (SectionKind::DnReportMask, "report mask"),
     ] {
-        let sec = raw.require(kind, shard)?;
+        let sec = raw.require(kind, 0)?;
         require_count(sec, words, context)?;
         let table: TableBuf<u64> = borrow_table(mapping, sec);
         if !tail_bits_zero(&table, n) {
@@ -711,7 +702,7 @@ fn load_dense(
     let start_sod = vectors.pop().expect("three vectors");
     let start_allinput = vectors.pop().expect("two vectors");
     let has_succ = vectors.pop().expect("one vector");
-    check_report_bits(&report_mask, shard_nfa, "report mask")?;
+    check_report_bits(&report_mask, nfa, "report mask")?;
 
     *borrowed += 8; // class_of, accept, pad_full, succ, and the 4 vectors
 
@@ -728,18 +719,21 @@ fn load_dense(
         start_allinput,
         start_sod,
         report_mask,
-        start_period: sm.start_period,
+        start_period: meta.start_period,
     })
 }
 
-/// The full load path: byte validation, metadata decoding, per-shard
-/// table assembly, content-hash cross-check.
+/// The full load path: byte validation, metadata decoding, table
+/// assembly, plan cover check, content-hash cross-check.
 fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     let raw = validate_bytes(mapping.as_bytes())?;
 
-    // Global metadata and identity.
+    // Global metadata and identity. Checked size derivation FIRST:
+    // forged counts must die here as CountOverflow, not wrap into a later
+    // comparison.
     let meta_sec = *raw.require(SectionKind::Meta, 0)?;
     let meta = GlobalMeta::from_bytes(raw.payload(&meta_sec))?;
+    let sizes = TableSizes::derive(&meta)?;
     let config = usize::try_from(meta.config_tag)
         .ok()
         .and_then(|i| PipelineConfig::ALL.get(i).copied())
@@ -750,21 +744,17 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
         .ok_or(bad("engine tag"))?;
     let spec = ShardSpec::from_tags(meta.spec_tag, meta.spec_value, meta.oversize_tag)
         .ok_or(bad("sharding spec tags"))?;
-    if meta.symbol_bits == 0 || meta.symbol_bits > 16 {
-        return Err(bad("symbol width"));
-    }
     let map =
         PositionMap::from_per_original(meta.per_original).ok_or(bad("per-original factor"))?;
-    if meta.plan_total_states != meta.num_states {
-        return Err(bad("plan total states"));
+    if meta.has_dense > 1 {
+        return Err(bad("dense flag"));
     }
-    let shard_count_u64 = meta.shard_count;
-    if shard_count_u64 > raw.sections.len() as u64 {
+    if meta.shard_count > raw.sections.len() as u64 {
         return Err(bad("shard count exceeds section table"));
     }
-    let shard_count = shard_count_u64 as usize;
+    let shard_count = meta.shard_count as usize;
     for s in &raw.sections {
-        if s.kind.is_per_shard() && u64::from(s.shard) >= shard_count_u64 {
+        if s.kind.is_per_shard() && u64::from(s.shard) >= meta.shard_count {
             return Err(bad("section shard index out of range"));
         }
     }
@@ -790,123 +780,81 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     // The transformed automaton.
     let nfa_sec = *raw.require(SectionKind::NfaAnml, 0)?;
     let nfa = anml::parse(utf8_section(&raw, &nfa_sec)?)?;
-    if nfa.num_states() as u64 != meta.num_states
-        || nfa.stride() as u64 != meta.stride
+    if nfa.num_states() != sizes.n
+        || nfa.stride() != sizes.stride
         || u64::from(nfa.symbol_bits()) != meta.symbol_bits
+        || u64::from(nfa.start_period()) != meta.start_period
     {
         return Err(bad("transformed automaton metadata"));
     }
 
-    // Per-shard tables.
-    let global_n = to_usize(meta.num_states, "state count")?;
-    let mut shards = Vec::with_capacity(shard_count);
-    let mut tables = Vec::with_capacity(shard_count);
-    let mut shard_metas = Vec::with_capacity(shard_count);
+    // The one table set the engine runs from.
     let mut borrowed = 0usize;
-    for shard in 0..shard_count as u32 {
-        let sm_sec = *raw.require(SectionKind::ShardMeta, shard)?;
-        let sm = ShardMeta::from_bytes(raw.payload(&sm_sec))?;
-        // Checked size derivation FIRST: forged counts must die here as
-        // CountOverflow, not wrap into a later comparison.
-        let sizes = ShardSizes::derive(&sm)?;
-        if sm.stride != meta.stride {
-            return Err(bad("shard stride"));
-        }
-        if sm.alphabet != 1u64 << meta.symbol_bits {
-            return Err(bad("shard alphabet"));
-        }
-        if sm.oversized > 1 || sm.has_dense > 1 {
-            return Err(bad("shard flag"));
-        }
-
-        let shard_nfa_sec = *raw.require(SectionKind::ShardNfa, shard)?;
-        let shard_nfa = anml::parse(utf8_section(&raw, &shard_nfa_sec)?)?;
-        if shard_nfa.num_states() != sizes.n
-            || shard_nfa.stride() != sizes.stride
-            || u64::from(shard_nfa.symbol_bits()) != meta.symbol_bits
-            || u64::from(shard_nfa.start_period()) != sm.start_period
-        {
-            return Err(bad("shard automaton metadata"));
-        }
-
-        let members_sec = raw.require(SectionKind::ShardMembers, shard)?;
-        require_count(members_sec, sizes.n, "shard member table")?;
-        let members_view: TableBuf<StateId> = borrow_table(&mapping, members_sec);
-        if !members_view.windows(2).all(|w| w[0].index() < w[1].index()) {
-            return Err(bad("shard member order"));
-        }
-        check_ids(&members_view, global_n, "shard member id")?;
-        let members: Vec<StateId> = members_view.as_slice().to_vec();
-        drop(members_view);
-
-        let sparse = load_sparse(
+    let sparse = load_sparse(&raw, &mapping, &meta, &sizes, &nfa, &mut borrowed)?;
+    let dense = if meta.has_dense == 1 {
+        Some(Arc::new(load_dense(
             &raw,
             &mapping,
-            shard,
-            &sm,
+            &meta,
             &sizes,
-            &shard_nfa,
+            &nfa,
             &mut borrowed,
-        )?;
-        let dense = if sm.has_dense == 1 {
-            Some(Arc::new(load_dense(
-                &raw,
-                &mapping,
-                shard,
-                &sm,
-                &sizes,
-                &shard_nfa,
-                &mut borrowed,
-            )?))
-        } else {
-            for kind in [
-                SectionKind::DnClassOf,
-                SectionKind::DnClassOff,
-                SectionKind::DnAccept,
-                SectionKind::DnPadFull,
-                SectionKind::DnSucc,
-                SectionKind::DnHasSucc,
-                SectionKind::DnStartAllinput,
-                SectionKind::DnStartSod,
-                SectionKind::DnReportMask,
-            ] {
-                if raw.find(kind, shard).is_some() {
-                    return Err(bad("unexpected dense section"));
-                }
+        )?))
+    } else {
+        for kind in [
+            SectionKind::DnClassOf,
+            SectionKind::DnClassOff,
+            SectionKind::DnAccept,
+            SectionKind::DnPadFull,
+            SectionKind::DnSucc,
+            SectionKind::DnHasSucc,
+            SectionKind::DnStartAllinput,
+            SectionKind::DnStartSod,
+            SectionKind::DnReportMask,
+        ] {
+            if raw.find(kind, 0).is_some() {
+                return Err(bad("unexpected dense section"));
             }
-            None
-        };
+        }
+        None
+    };
 
+    // The placement plan: member tables that cover every state exactly
+    // once, turned back into sub-automata.
+    let flags_sec = raw.require(SectionKind::ShardOversized, 0)?;
+    require_count(flags_sec, shard_count, "shard flag table")?;
+    let flags: TableBuf<u64> = borrow_table(&mapping, flags_sec);
+    let mut shards = Vec::with_capacity(shard_count);
+    for (shard, &oversized) in flags.iter().enumerate() {
+        if oversized > 1 {
+            return Err(bad("shard flag"));
+        }
+        let members_sec = raw.require(SectionKind::ShardMembers, shard as u32)?;
+        let members: TableBuf<StateId> = borrow_table(&mapping, members_sec);
+        if !members.windows(2).all(|w| w[0].index() < w[1].index()) {
+            return Err(bad("shard member order"));
+        }
+        check_ids(&members, sizes.n, "shard member id")?;
         shards.push(Shard {
-            members,
-            nfa: shard_nfa,
-            oversized: sm.oversized == 1,
+            nfa: extract_subautomaton(&nfa, &members),
+            members: members.as_slice().to_vec(),
+            oversized: oversized == 1,
         });
-        tables.push((Arc::new(sparse), dense));
-        shard_metas.push(sm);
     }
-
     let plan = ShardPlan {
         shards,
         ste_budget: to_usize(meta.plan_ste_budget, "plan budget")?,
-        total_states: global_n,
+        total_states: sizes.n,
     };
-    let symbol_bits = meta.symbol_bits as u8;
-    let stride = to_usize(meta.stride, "stride")?;
-    let sharded = ShardedEngine::from_prebuilt(plan, engine, symbol_bits, stride, tables);
+    plan.validate_cover(&nfa)
+        .map_err(|_| bad("shard member cover"))?;
 
     // Telemetry parity with the in-memory build path, which emits the
-    // encoding histogram from SparseTables::build once per shard.
+    // encoding histogram from SparseTables::build.
     if sunder_telemetry::enabled() {
-        for sm in &shard_metas {
-            for (kind, &count) in ENCODING_KINDS.iter().zip(&sm.encoding_counts) {
-                if count > 0 {
-                    sunder_telemetry::counter_add(
-                        "state_encodings_total",
-                        &[("kind", kind)],
-                        count,
-                    );
-                }
+        for (kind, &count) in ENCODING_KINDS.iter().zip(&meta.encoding_counts) {
+            if count > 0 {
+                sunder_telemetry::counter_add("state_encodings_total", &[("kind", kind)], count);
             }
         }
     }
@@ -920,6 +868,9 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     let source_anml = source_anml.to_owned();
     drop(raw);
 
+    let nfa = Arc::new(nfa);
+    let sharded =
+        ShardedEngine::from_prebuilt(Arc::clone(&nfa), plan, engine, Arc::new(sparse), dense);
     Ok(MappedDb {
         pipeline: CompiledPipeline {
             key,

@@ -10,7 +10,6 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use sunder_automata::{anml, StateId};
 use sunder_sim::dense::DenseTables;
@@ -19,8 +18,8 @@ use sunder_sim::EngineKind;
 
 use crate::error::ArtifactError;
 use crate::format::{
-    header_offset, CodeRec, GlobalMeta, SectionKind, ShardMeta, ENDIAN_TAG, HEADER_LEN, MAGIC,
-    SECTION_ALIGN, SECTION_ENTRY_LEN, VERSION,
+    header_offset, CodeRec, GlobalMeta, SectionKind, ENDIAN_TAG, HEADER_LEN, MAGIC, SECTION_ALIGN,
+    SECTION_ENTRY_LEN, VERSION,
 };
 use crate::{config_tag, engine_tag, fnv1a_bytes, CompiledPipeline};
 
@@ -79,105 +78,79 @@ fn code_rec(code: SymCode) -> CodeRec {
     }
 }
 
-fn sparse_sections(shard: u32, tables: &SparseTables, out: &mut Vec<(SectionKind, u32, Vec<u8>)>) {
-    out.push((
-        SectionKind::SpSuccOff,
-        shard,
-        bytes_of_u32(&tables.succ_off),
-    ));
-    out.push((
-        SectionKind::SpSuccFlat,
-        shard,
-        bytes_of_ids(&tables.succ_flat),
-    ));
+fn sparse_sections(tables: &SparseTables, out: &mut Vec<(SectionKind, u32, Vec<u8>)>) {
+    out.push((SectionKind::SpSuccOff, 0, bytes_of_u32(&tables.succ_off)));
+    out.push((SectionKind::SpSuccFlat, 0, bytes_of_ids(&tables.succ_flat)));
     let mut codes = Vec::with_capacity(tables.codes.len() * 8);
     for &code in &tables.codes {
         codes.extend_from_slice(&code_rec(code).to_bytes());
     }
-    out.push((SectionKind::SpCodes, shard, codes));
+    out.push((SectionKind::SpCodes, 0, codes));
     out.push((
         SectionKind::SpSparseArena,
-        shard,
+        0,
         bytes_of_u16(&tables.sparse_arena),
     ));
     out.push((
         SectionKind::SpDenseArena,
-        shard,
+        0,
         bytes_of_u64(&tables.dense_arena),
     ));
     out.push((
         SectionKind::SpSodStarts,
-        shard,
+        0,
         bytes_of_ids(&tables.sod_starts),
     ));
     match &tables.start_index {
         StartIndex::Bucketed { off, flat } => {
-            out.push((SectionKind::SpStartOff, shard, bytes_of_u32(off)));
-            out.push((SectionKind::SpStartFlat, shard, bytes_of_ids(flat)));
+            out.push((SectionKind::SpStartOff, 0, bytes_of_u32(off)));
+            out.push((SectionKind::SpStartFlat, 0, bytes_of_ids(flat)));
         }
         StartIndex::Flat(flat) => {
-            out.push((SectionKind::SpStartFlat, shard, bytes_of_ids(flat)));
+            out.push((SectionKind::SpStartFlat, 0, bytes_of_ids(flat)));
         }
     }
-    out.push((
-        SectionKind::SpStartLut,
-        shard,
-        bytes_of_u64(&tables.start_lut),
-    ));
+    out.push((SectionKind::SpStartLut, 0, bytes_of_u64(&tables.start_lut)));
     out.push((
         SectionKind::SpReportBits,
-        shard,
+        0,
         bytes_of_u64(&tables.report_bits),
     ));
 }
 
-fn dense_sections(shard: u32, tables: &DenseTables, out: &mut Vec<(SectionKind, u32, Vec<u8>)>) {
-    out.push((
-        SectionKind::DnClassOf,
-        shard,
-        bytes_of_u16(&tables.class_of),
-    ));
-    out.push((
-        SectionKind::DnClassOff,
-        shard,
-        bytes_of_u32(&tables.class_off),
-    ));
-    out.push((SectionKind::DnAccept, shard, bytes_of_u64(&tables.accept)));
-    out.push((
-        SectionKind::DnPadFull,
-        shard,
-        bytes_of_u64(&tables.pad_full),
-    ));
-    out.push((SectionKind::DnSucc, shard, bytes_of_u64(&tables.succ)));
-    out.push((
-        SectionKind::DnHasSucc,
-        shard,
-        bytes_of_u64(&tables.has_succ),
-    ));
+fn dense_sections(tables: &DenseTables, out: &mut Vec<(SectionKind, u32, Vec<u8>)>) {
+    out.push((SectionKind::DnClassOf, 0, bytes_of_u16(&tables.class_of)));
+    out.push((SectionKind::DnClassOff, 0, bytes_of_u32(&tables.class_off)));
+    out.push((SectionKind::DnAccept, 0, bytes_of_u64(&tables.accept)));
+    out.push((SectionKind::DnPadFull, 0, bytes_of_u64(&tables.pad_full)));
+    out.push((SectionKind::DnSucc, 0, bytes_of_u64(&tables.succ)));
+    out.push((SectionKind::DnHasSucc, 0, bytes_of_u64(&tables.has_succ)));
     out.push((
         SectionKind::DnStartAllinput,
-        shard,
+        0,
         bytes_of_u64(&tables.start_allinput),
     ));
-    out.push((
-        SectionKind::DnStartSod,
-        shard,
-        bytes_of_u64(&tables.start_sod),
-    ));
+    out.push((SectionKind::DnStartSod, 0, bytes_of_u64(&tables.start_sod)));
     out.push((
         SectionKind::DnReportMask,
-        shard,
+        0,
         bytes_of_u64(&tables.report_mask),
     ));
 }
 
 impl CompiledPipeline {
     /// Serializes the pipeline into `.sdb` bytes. For the dense engine
-    /// kind every shard's dense tables are built (once) so the database
-    /// carries them; other kinds persist dense tables only if already
+    /// kind the dense tables are built (once) so the database carries
+    /// them; other kinds persist dense tables only if already
     /// materialized.
     pub fn to_bytes(&self) -> Vec<u8> {
         let plan = self.sharded.plan();
+        let sparse = self.sharded.sparse();
+        let dense = if self.engine == EngineKind::Dense {
+            Some(self.sharded.ensure_dense())
+        } else {
+            self.sharded.dense()
+        };
         let (spec_tag, spec_value, oversize_tag) = self.spec.tags();
         let meta = GlobalMeta {
             config_tag: config_tag(self.config),
@@ -191,8 +164,16 @@ impl CompiledPipeline {
             per_original: self.map.per_original(),
             num_states: self.nfa.num_states() as u64,
             plan_ste_budget: plan.ste_budget as u64,
-            plan_total_states: plan.total_states as u64,
+            start_period: sparse.start_period,
+            start_index_tag: match sparse.start_index {
+                StartIndex::Bucketed { .. } => 0,
+                StartIndex::Flat(_) => 1,
+            },
+            has_dense: u64::from(dense.is_some()),
+            dn_words: dense.as_ref().map_or(0, |d| d.words as u64),
+            encoding_counts: sparse.encoding_counts,
         };
+        let oversized: Vec<u64> = plan.shards.iter().map(|s| u64::from(s.oversized)).collect();
 
         let mut sections: Vec<(SectionKind, u32, Vec<u8>)> = vec![
             (
@@ -207,43 +188,18 @@ impl CompiledPipeline {
                 0,
                 anml::serialize(&self.nfa).into_bytes(),
             ),
+            (SectionKind::ShardOversized, 0, bytes_of_u64(&oversized)),
         ];
-
-        for s in 0..plan.num_shards() {
-            let shard = &plan.shards[s];
-            let sparse = Arc::clone(self.sharded.shard_sparse(s));
-            let dense = if self.engine == EngineKind::Dense {
-                Some(self.sharded.ensure_dense(s))
-            } else {
-                self.sharded.shard_dense(s)
-            };
-            let idx = s as u32;
+        for (idx, shard) in plan.shards.iter().enumerate() {
             sections.push((
-                SectionKind::ShardNfa,
-                idx,
-                anml::serialize(&shard.nfa).into_bytes(),
+                SectionKind::ShardMembers,
+                idx as u32,
+                bytes_of_ids(&shard.members),
             ));
-            let shard_meta = ShardMeta {
-                num_states: shard.nfa.num_states() as u64,
-                stride: sparse.stride as u64,
-                alphabet: sparse.alphabet as u64,
-                start_period: sparse.start_period,
-                dense_words: sparse.dense_words as u64,
-                start_index_tag: match sparse.start_index {
-                    StartIndex::Bucketed { .. } => 0,
-                    StartIndex::Flat(_) => 1,
-                },
-                oversized: u64::from(shard.oversized),
-                has_dense: u64::from(dense.is_some()),
-                encoding_counts: sparse.encoding_counts,
-                dn_words: dense.as_ref().map_or(0, |d| d.words as u64),
-            };
-            sections.push((SectionKind::ShardMeta, idx, shard_meta.to_bytes().to_vec()));
-            sections.push((SectionKind::ShardMembers, idx, bytes_of_ids(&shard.members)));
-            sparse_sections(idx, &sparse, &mut sections);
-            if let Some(dense) = dense {
-                dense_sections(idx, &dense, &mut sections);
-            }
+        }
+        sparse_sections(sparse, &mut sections);
+        if let Some(dense) = dense {
+            dense_sections(&dense, &mut sections);
         }
 
         // Offset assignment: the section table follows the header (64 + 24k

@@ -239,20 +239,43 @@ fn global_section_with_shard_index_is_rejected() {
 }
 
 #[test]
-fn forged_shard_counts_overflow_checked_multiplication() {
-    // num_states = stride = u64::MAX: the usize conversions succeed on a
-    // 64-bit host, so only the *checked multiply* in the derived-size
-    // computation can catch it — and it must, before any cross-check.
+fn forged_state_counts_overflow_checked_multiplication() {
+    // num_states = stride = u64::MAX in the metadata record: the usize
+    // conversions succeed on a 64-bit host, so only the *checked
+    // multiply* in the derived-size computation can catch it — and it
+    // must, before any cross-check.
     let base = base_image();
-    let (off, _) = payload_span(&base, SectionKind::ShardMeta, 0);
+    let (off, _) = payload_span(&base, SectionKind::Meta, 0);
     let mut bytes = base.clone();
-    bytes[off..off + 8].copy_from_slice(&u64::MAX.to_ne_bytes()); // num_states
-    bytes[off + 8..off + 16].copy_from_slice(&u64::MAX.to_ne_bytes()); // stride
+    bytes[off + 9 * 8..off + 10 * 8].copy_from_slice(&u64::MAX.to_ne_bytes()); // num_states
+    bytes[off + 7 * 8..off + 8 * 8].copy_from_slice(&u64::MAX.to_ne_bytes()); // stride
     fix_checksum(&mut bytes);
     assert!(matches!(
         load_err(&bytes),
         ArtifactError::CountOverflow { .. }
     ));
+}
+
+#[test]
+fn member_tables_must_cover_every_state_once() {
+    // Two shards; copy one member table's first id over the other's:
+    // a state is then covered twice and another not at all.
+    let nfa = compile_rule_set(&["ab+c", ".*net"]).expect("rules compile");
+    let base = CompiledPipeline::compile(
+        &nfa,
+        PipelineConfig::ALL[0],
+        ShardSpec::MaxShards(2),
+        EngineKind::ALL[0],
+    )
+    .expect("compile")
+    .to_bytes();
+    let (a, _) = payload_span(&base, SectionKind::ShardMembers, 0);
+    let (b, _) = payload_span(&base, SectionKind::ShardMembers, 1);
+    let mut bytes = base.clone();
+    let first: [u8; 4] = base[a..a + 4].try_into().unwrap();
+    bytes[b..b + 4].copy_from_slice(&first);
+    fix_checksum(&mut bytes);
+    assert!(matches!(load_err(&bytes), ArtifactError::BadValue { .. }));
 }
 
 #[test]

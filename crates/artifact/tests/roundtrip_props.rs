@@ -99,11 +99,10 @@ fn mapped_execution_is_byte_identical_to_in_memory() {
                 };
 
                 // Zero-deserialization really happened: engine tables
-                // borrow from the mapping instead of owning copies
-                // (vacuous only for shard-less, i.e. empty, automata).
+                // borrow from the mapping instead of owning copies.
                 let loaded = mapped.pipeline();
                 assert!(
-                    mapped.borrowed_tables() > 0 || loaded.num_shards() == 0,
+                    mapped.borrowed_tables() > 0,
                     "loader must borrow tables from the mapping"
                 );
                 assert_eq!(loaded.key, reference.key);
@@ -150,20 +149,26 @@ fn mapped_execution_is_byte_identical_to_in_memory() {
                     "count-sink aggregates diverged (case {case})"
                 );
 
-                // Telemetry parity: the stored per-shard encoding
-                // histograms equal what the in-memory build counted.
-                for s in 0..loaded.num_shards() {
-                    assert_eq!(
-                        loaded.sharded.shard_sparse(s).encoding_counts,
-                        reference.sharded.shard_sparse(s).encoding_counts,
-                        "encoding histogram diverged (case {case}, shard {s})"
+                // Telemetry parity: the stored encoding histogram equals
+                // what the in-memory build counted.
+                assert_eq!(
+                    loaded.sharded.sparse().encoding_counts,
+                    reference.sharded.sparse().encoding_counts,
+                    "encoding histogram diverged (case {case})"
+                );
+                if engine == EngineKind::Dense {
+                    assert!(
+                        loaded.sharded.dense().is_some(),
+                        "dense engine must load dense tables"
                     );
-                    if engine == EngineKind::Dense {
-                        assert!(
-                            loaded.sharded.shard_dense(s).is_some(),
-                            "dense engine must load dense tables"
-                        );
-                    }
+                }
+                // The placement plan survives as member tables and flags.
+                let (got, want) = (loaded.sharded.plan(), reference.sharded.plan());
+                assert_eq!(got.ste_budget, want.ste_budget);
+                for (g, w) in got.shards.iter().zip(&want.shards) {
+                    assert_eq!(g.members, w.members, "case {case}");
+                    assert_eq!(g.oversized, w.oversized, "case {case}");
+                    assert_eq!(g.nfa.num_transitions(), w.nfa.num_transitions());
                 }
                 pipelines += 1;
             }

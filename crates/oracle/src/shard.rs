@@ -1,15 +1,17 @@
 //! Sharded-execution conformance: the sharding equivalence suite.
 //!
-//! Sharded execution (`sunder_sim::ShardedEngine`) promises that
-//! partitioning an automaton into connected-component shards, running
-//! each shard independently, and merging the per-shard report traces is
-//! *byte-identical* to monolithic execution. [`check_sharded_pipelines`]
-//! locks that promise down along both axes the repository cares about:
+//! `sunder_sim::ShardedEngine` runs the whole automaton on one engine and
+//! keeps its connected-component shard plan as placement data; the plan
+//! promises that running each shard alone (`run_shard`) and merging the
+//! per-shard report traces is *byte-identical* to the one-engine run.
+//! [`check_sharded_pipelines`] locks both down along both axes the
+//! repository cares about:
 //!
 //! * **against the monolithic engines** — for every pipeline
-//!   configuration × engine kind × shard count, the merged trace must
-//!   equal the monolithic trace event for event (cycle, state, report
-//!   info — not just positions);
+//!   configuration × engine kind × shard count, the `ShardedEngine`
+//!   trace and the merge of its per-shard traces must each equal the
+//!   monolithic trace event for event (cycle, state, report info — not
+//!   just positions);
 //! * **against the reference oracle** — the merged trace, folded back to
 //!   original-symbol coordinates, must equal [`oracle_trace`], the
 //!   engine-independent subset-construction executor.
@@ -20,6 +22,7 @@
 
 use sunder_automata::partition::ShardSpec;
 use sunder_automata::Nfa;
+use sunder_resilience::Budget;
 use sunder_sim::{EngineKind, ShardedEngine, TraceSink};
 use sunder_transform::PipelineConfig;
 use sunder_workloads::{Benchmark, Scale};
@@ -106,6 +109,23 @@ pub fn check_sharded_pipelines(
                              monolithic has {}",
                             sharded.num_shards(),
                             merged.len(),
+                            mono.events.len()
+                        ),
+                    ));
+                }
+                let per_shard = (0..sharded.num_shards())
+                    .map(|s| sharded.run_shard(s, &view, &Budget::unlimited()).0)
+                    .collect();
+                let union = ShardedEngine::merge(per_shard);
+                if union != mono.events {
+                    return Err(diverged(
+                        config,
+                        kind,
+                        format!(
+                            "merged per-shard traces ({shards} shards, {} actual) have {} \
+                             events, monolithic has {}",
+                            sharded.num_shards(),
+                            union.len(),
                             mono.events.len()
                         ),
                     ));

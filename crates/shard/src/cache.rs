@@ -61,7 +61,7 @@ pub struct PipelineCache {
 
 impl PipelineCache {
     /// An empty cache compiling with the given sharding spec and
-    /// per-shard engine kind.
+    /// engine kind.
     pub fn new(spec: ShardSpec, engine: EngineKind) -> PipelineCache {
         PipelineCache {
             spec,
@@ -165,7 +165,7 @@ impl PipelineCache {
         self.spec
     }
 
-    /// The per-shard engine kind used for compilation.
+    /// The engine kind used for compilation.
     pub fn engine(&self) -> EngineKind {
         self.engine
     }
@@ -361,32 +361,55 @@ mod tests {
 
     #[test]
     fn corrupt_disk_artifact_falls_back_to_compilation() {
-        let dir = temp_dir("corrupt");
-        let nfa = compile_rule_set(&["xy+z"]).unwrap();
-        let c1 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineKind::Sparse, &dir);
-        let a = c1.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
-        let path = c1.disk_path(a.key).unwrap();
+        use sunder_artifact::corrupt::fix_checksum;
+        use sunder_artifact::format::{header_offset, VERSION};
+        use sunder_artifact::ArtifactError;
 
-        // Flip a payload byte: the mapped load must be rejected and the
-        // lookup must silently recompile (and repair the artifact).
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xA5;
-        std::fs::write(&path, &bytes).unwrap();
+        let version_of = |bytes: &[u8]| {
+            let at = header_offset::VERSION;
+            u32::from_ne_bytes(bytes[at..at + 4].try_into().unwrap())
+        };
+        // A flipped payload byte, and a previous-version image (version
+        // forged back, checksum fixed): each must be rejected by the
+        // mapped load, and the lookup must silently recompile and rewrite
+        // the artifact at the current version.
+        for previous_version in [false, true] {
+            let dir = temp_dir("corrupt");
+            let nfa = compile_rule_set(&["xy+z"]).unwrap();
+            let c1 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineKind::Sparse, &dir);
+            let a = c1.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
+            let path = c1.disk_path(a.key).unwrap();
 
-        let c2 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineKind::Sparse, &dir);
-        let b = c2.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
-        assert_eq!(
-            (c2.misses(), c2.disk_hits()),
-            (1, 0),
-            "corrupt file must not hit"
-        );
-        assert_eq!(a.key, b.key);
-        // The write-through replaced the corrupt file with a good one.
-        let c3 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineKind::Sparse, &dir);
-        c3.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
-        assert_eq!(c3.disk_hits(), 1);
-        std::fs::remove_dir_all(&dir).ok();
+            let mut bytes = std::fs::read(&path).unwrap();
+            if previous_version {
+                let at = header_offset::VERSION;
+                bytes[at..at + 4].copy_from_slice(&(VERSION - 1).to_ne_bytes());
+                fix_checksum(&mut bytes);
+                assert!(matches!(
+                    MappedDb::load_bytes(&bytes),
+                    Err(ArtifactError::UnsupportedVersion { found }) if found == VERSION - 1
+                ));
+            } else {
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0xA5;
+            }
+            std::fs::write(&path, &bytes).unwrap();
+
+            let c2 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineKind::Sparse, &dir);
+            let b = c2.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
+            assert_eq!(
+                (c2.misses(), c2.disk_hits()),
+                (1, 0),
+                "damaged file must not hit"
+            );
+            assert_eq!(a.key, b.key);
+            // The write-through replaced the damaged file with a good one.
+            assert_eq!(version_of(&std::fs::read(&path).unwrap()), VERSION);
+            let c3 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineKind::Sparse, &dir);
+            c3.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
+            assert_eq!(c3.disk_hits(), 1);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -1,20 +1,22 @@
-//! `sunder-shard`: the sharded multi-stream execution service.
+//! `sunder-shard`: the multi-stream execution service.
 //!
 //! The paper's scalability claim is spatial: throughput grows with
 //! subarray count because the automaton is partitioned across them and
 //! reporting never round-trips to the host. This crate is the software
-//! analogue of that axis, built from three pieces:
+//! analogue of that axis: on a CPU the scale comes from independent
+//! streams run in parallel, each one engine pass over the whole
+//! automaton, with the shard partition kept as placement data. It is
+//! built from three pieces:
 //!
 //! * a **compiled-pipeline cache** ([`PipelineCache`]) — content-addressed
 //!   by a hash of the automaton, the pipeline configuration, and the
 //!   sharding spec, so repeated stream submissions skip the FlexAmata /
 //!   striding / partitioning work entirely;
 //! * a **work-stealing stream scheduler** ([`run_batch`]) — N independent
-//!   input streams across M worker threads, per-shard panic isolation
+//!   input streams across M worker threads, per-stream panic isolation
 //!   into [`sunder_resilience::JobOutcome`], fault injection via
-//!   [`sunder_resilience::FaultPlan`] keyed by
-//!   `stream × num_shards + shard`;
-//! * the **equivalence gate** ([`verify_stream`]) — sharded execution
+//!   [`sunder_resilience::FaultPlan`] keyed by stream index;
+//! * the **equivalence gate** ([`verify_stream`]) — every stream's trace
 //!   must be report-trace-identical to monolithic execution; the
 //!   benchmark and `sunder serve-batch --verify` hold every stream to it.
 //!
@@ -57,9 +59,7 @@ pub use chaos::{run_chaos, ChaosOptions, SessionOutcome};
 pub use flight::{validate_flight, FlightRecorder, FlightSummary, FLIGHT_SCHEMA_VERSION};
 pub use frame::{ClientFrame, FrameError, ServerFrame, PROTOCOL_VERSION};
 pub use obs::{http_get, ObsHandle};
-pub use scheduler::{
-    run_batch, BatchOptions, BatchReport, ShardRun, StreamResult, SERIAL_CUTOFF_BYTES,
-};
+pub use scheduler::{run_batch, BatchOptions, BatchReport, StreamResult, SERIAL_CUTOFF_BYTES};
 pub use server::{DrainReport, MatchServer, ServerConfig};
 pub use session::{expected_reports, SessionError, SessionSummary, StreamSession, SymbolFramer};
 pub use sunder_artifact::{pipeline_key, CompiledPipeline, PipelineKey};
@@ -70,8 +70,8 @@ use sunder_automata::AutomataError;
 use sunder_sim::{EngineKind, ReportEvent, TraceSink};
 
 /// Runs `input` through the pipeline's transformed automaton on a single
-/// monolithic engine, returning the reference trace sharded execution
-/// must reproduce byte-identically.
+/// monolithic engine of `kind`, returning the reference trace every
+/// stream must reproduce byte-identically.
 ///
 /// # Errors
 ///
@@ -88,8 +88,8 @@ pub fn monolithic_trace(
     Ok(trace.events)
 }
 
-/// The sharded-vs-monolithic trace-equality gate for one stream: `true`
-/// iff the stream completed and its merged trace is byte-identical to a
+/// The stream-vs-monolithic trace-equality gate for one stream: `true`
+/// iff the stream completed and its trace is byte-identical to a
 /// monolithic run of the same transformed automaton.
 ///
 /// # Errors

@@ -7,17 +7,15 @@
 //! and thief touch opposite ends, so streams migrate in whole units and
 //! the steal count measures actual imbalance).
 //!
-//! Within a stream, each shard executes under its own panic isolation
-//! boundary: a panicking shard is captured as
-//! [`JobOutcome::Panicked`] *attributed to that shard* while every other
-//! shard — and every other stream — completes normally. Fault injection
-//! plugs in through [`sunder_resilience::FaultPlan`] with the flat item
-//! index `stream × num_shards + shard`.
+//! Each stream runs once, on one engine over the whole compiled
+//! automaton, under its own panic isolation boundary and deadline: a
+//! panicking stream is captured as [`JobOutcome::Panicked`] *attributed
+//! to that stream* while every other stream completes normally. Fault
+//! injection plugs in through [`sunder_resilience::FaultPlan`] keyed by
+//! the stream index.
 //!
-//! Telemetry: `scheduler_steals_total{worker}` counters,
-//! `scheduler_queue_depth{worker}` gauges (sampled at each dequeue), and
-//! the per-shard `shard_symbols_total` counters from
-//! [`ShardedEngine::run_shard`].
+//! Telemetry: `scheduler_steals_total{worker}` counters and
+//! `scheduler_queue_depth{worker}` gauges (sampled at each dequeue).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,7 +26,7 @@ use std::time::{Duration, Instant};
 use sunder_artifact::CompiledPipeline;
 use sunder_automata::input::InputView;
 use sunder_resilience::{corrupt, panic_message, Budget, FaultKind, FaultPlan, JobOutcome};
-use sunder_sim::{ReportEvent, RunOutcome, ShardedEngine};
+use sunder_sim::{ReportEvent, RunOutcome, TraceSink};
 
 /// Default [`BatchOptions::serial_cutoff`]: batches whose total input is
 /// smaller than this run on one worker no matter how many were asked
@@ -47,9 +45,9 @@ pub const SERIAL_CUTOFF_BYTES: usize = 256 * 1024;
 pub struct BatchOptions {
     /// Worker threads (0 is treated as 1).
     pub workers: usize,
-    /// Injected faults, keyed by `stream × num_shards + shard`.
+    /// Injected faults, keyed by stream index.
     pub plan: FaultPlan,
-    /// Per-shard wall-clock deadline.
+    /// Per-stream wall-clock deadline.
     pub deadline: Option<Duration>,
     /// Batches with fewer total input bytes than this run on a single
     /// worker regardless of [`workers`](Self::workers). Defaults to
@@ -101,18 +99,6 @@ fn effective_workers(opts: &BatchOptions, streams: &[Vec<u8>]) -> usize {
     requested
 }
 
-/// One shard's execution within one stream.
-#[derive(Debug)]
-pub struct ShardRun {
-    /// Shard index within the pipeline's plan.
-    pub shard: usize,
-    /// What happened; `Ok` carries the shard's report events remapped to
-    /// the transformed automaton's state ids.
-    pub outcome: JobOutcome<Vec<ReportEvent>>,
-    /// Busy time this shard consumed.
-    pub elapsed: Duration,
-}
-
 /// One stream's result within a batch.
 #[derive(Debug)]
 pub struct StreamResult {
@@ -122,27 +108,31 @@ pub struct StreamResult {
     pub worker: usize,
     /// `true` when the stream was stolen from another worker's queue.
     pub stolen: bool,
-    /// Per-shard outcomes, in shard order.
-    pub shard_runs: Vec<ShardRun>,
-    /// The merged, position-stable report trace (transformed-automaton
-    /// coordinates) — `Some` only when *every* shard completed.
+    /// What happened to the stream's one run.
+    pub outcome: JobOutcome<()>,
+    /// The stream's report trace (transformed-automaton coordinates) —
+    /// `Some` exactly when the run completed.
     pub merged: Option<Vec<ReportEvent>>,
-    /// Busy time across all shards plus the merge.
+    /// Shards in the pipeline's placement plan.
+    shards: usize,
+    /// Busy time of the run.
     pub elapsed: Duration,
 }
 
 impl StreamResult {
-    /// `true` when every shard completed and the merge was produced.
+    /// `true` when the run completed and produced a trace.
     pub fn ok(&self) -> bool {
         self.merged.is_some()
     }
 
-    /// The shards that did not complete, with their outcome status.
+    /// The shards that did not complete, with their outcome status. One
+    /// run covers every shard, so a failed stream lists them all.
     pub fn failed_shards(&self) -> Vec<(usize, &'static str)> {
-        self.shard_runs
-            .iter()
-            .filter(|r| r.outcome.value().is_none())
-            .map(|r| (r.shard, r.outcome.status()))
+        if self.ok() {
+            return Vec::new();
+        }
+        (0..self.shards)
+            .map(|shard| (shard, self.outcome.status()))
             .collect()
     }
 }
@@ -154,7 +144,7 @@ pub struct BatchReport {
     pub streams: Vec<StreamResult>,
     /// Worker threads used.
     pub workers: usize,
-    /// Shards per stream.
+    /// Shards in the pipeline's placement plan.
     pub shards: usize,
     /// Streams executed off a victim's queue.
     pub steals: u64,
@@ -163,7 +153,7 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Streams whose merge completed.
+    /// Streams whose run completed.
     pub fn ok_count(&self) -> usize {
         self.streams.iter().filter(|s| s.ok()).count()
     }
@@ -174,86 +164,8 @@ impl BatchReport {
     }
 }
 
-/// Executes one shard of one stream under panic isolation and fault
-/// injection.
-///
-/// `shared_view` is the stream's input, framed once by [`run_stream`];
-/// only a shard whose faults corrupt the bytes re-frames privately.
-fn run_shard_isolated(
-    sharded: &ShardedEngine,
-    shard: usize,
-    stream_idx: usize,
-    bytes: &[u8],
-    shared_view: &Result<InputView, String>,
-    faults: &[FaultKind],
-    deadline: Option<Duration>,
-) -> ShardRun {
-    let start = Instant::now();
-    let mut input = std::borrow::Cow::Borrowed(bytes);
-    let mut transient: Option<u32> = None;
-    for fault in faults {
-        match fault {
-            FaultKind::Stall { millis } => std::thread::sleep(Duration::from_millis(*millis)),
-            FaultKind::CorruptInput { seed } => corrupt(input.to_mut(), *seed),
-            FaultKind::TransientError { failures } => transient = Some(*failures),
-            // Panic is raised inside the isolation boundary below;
-            // engine- and cycle-model-level faults have no hook here.
-            _ => {}
-        }
-    }
-    let inject_panic = faults.iter().any(|f| matches!(f, FaultKind::Panic));
-    let budget = match deadline {
-        Some(d) => Budget::with_deadline(d),
-        None => Budget::unlimited(),
-    };
-
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if inject_panic {
-            panic!("injected panic (stream {stream_idx}, shard {shard})");
-        }
-        if let Some(failures) = transient {
-            if failures > 0 {
-                // The scheduler runs each shard exactly once — a
-                // transient fault therefore surfaces as a hard failure.
-                return Err(format!(
-                    "injected transient fault ({failures} failures requested)"
-                ));
-            }
-        }
-        match &input {
-            std::borrow::Cow::Borrowed(_) => {
-                let view = shared_view.as_ref().map_err(String::clone)?;
-                Ok(sharded.run_shard(shard, view, &budget))
-            }
-            // Corrupted bytes diverge from the shared framing; build a
-            // private view so the fault stays confined to this shard.
-            std::borrow::Cow::Owned(corrupted) => {
-                let view = InputView::new(corrupted, sharded.symbol_bits(), sharded.stride())
-                    .map_err(|e| format!("input framing: {e}"))?;
-                Ok(sharded.run_shard(shard, &view, &budget))
-            }
-        }
-    }));
-
-    let elapsed = start.elapsed();
-    let outcome = match result {
-        Ok(Ok((events, RunOutcome::Completed))) => JobOutcome::Ok(events),
-        Ok(Ok((_, RunOutcome::Interrupted { .. }))) => JobOutcome::TimedOut { elapsed },
-        Ok(Err(error)) => JobOutcome::Failed { error },
-        Err(payload) => {
-            let message = panic_message(payload.as_ref());
-            sunder_telemetry::counter_add("scheduler_shard_panics_total", &[], 1);
-            JobOutcome::Panicked { message }
-        }
-    };
-    ShardRun {
-        shard,
-        outcome,
-        elapsed,
-    }
-}
-
-/// Runs one whole stream: every shard isolated, then the merge.
+/// Runs one whole stream on one engine under panic isolation, its
+/// deadline and its injected faults.
 fn run_stream(
     pipeline: &CompiledPipeline,
     stream_idx: usize,
@@ -267,52 +179,62 @@ fn run_stream(
         .field("stream", stream_idx as u64)
         .field("worker", worker as u64)
         .field("stolen", u64::from(stolen));
-    let num_shards = pipeline.num_shards();
-    // Frame the symbols once per stream, not once per shard: every shard
-    // reads the same view, so re-unpacking per shard is pure overhead.
-    let shared_view = InputView::new(
-        bytes,
-        pipeline.sharded.symbol_bits(),
-        pipeline.sharded.stride(),
-    )
-    .map_err(|e| format!("input framing: {e}"));
-    let plan_empty = opts.plan.is_empty();
-    let mut shard_runs = Vec::with_capacity(num_shards);
-    for shard in 0..num_shards {
-        let flat = stream_idx * num_shards + shard;
-        // `Vec::new()` does not allocate: the common fault-free batch
-        // stays allocation-free here.
-        let faults: Vec<FaultKind> = if plan_empty {
-            Vec::new()
-        } else {
-            opts.plan.faults_for(flat).cloned().collect()
-        };
-        shard_runs.push(run_shard_isolated(
-            &pipeline.sharded,
-            shard,
-            stream_idx,
-            bytes,
-            &shared_view,
-            &faults,
-            opts.deadline,
-        ));
+    let mut input = std::borrow::Cow::Borrowed(bytes);
+    let mut transient: Option<u32> = None;
+    let mut inject_panic = false;
+    for fault in opts.plan.faults_for(stream_idx) {
+        match fault {
+            FaultKind::Stall { millis } => std::thread::sleep(Duration::from_millis(*millis)),
+            FaultKind::CorruptInput { seed } => corrupt(input.to_mut(), *seed),
+            FaultKind::TransientError { failures } => transient = Some(*failures),
+            FaultKind::Panic => inject_panic = true,
+            // Engine- and cycle-model-level faults have no hook here.
+            _ => {}
+        }
     }
-    let merged = if shard_runs.iter().all(|r| r.outcome.value().is_some()) {
-        let traces: Vec<Vec<ReportEvent>> = shard_runs
-            .iter()
-            .map(|r| r.outcome.value().cloned().unwrap_or_default())
-            .collect();
-        Some(ShardedEngine::merge(traces))
-    } else {
-        None
+    let budget = match opts.deadline {
+        Some(d) => Budget::with_deadline(d),
+        None => Budget::unlimited(),
+    };
+
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        if inject_panic {
+            panic!("injected panic (stream {stream_idx})");
+        }
+        if let Some(failures) = transient.filter(|&f| f > 0) {
+            // The scheduler runs each stream exactly once — a transient
+            // fault therefore surfaces as a hard failure.
+            return Err(format!(
+                "injected transient fault ({failures} failures requested)"
+            ));
+        }
+        let sharded = &pipeline.sharded;
+        let view = InputView::new(&input, sharded.symbol_bits(), sharded.stride())
+            .map_err(|e| format!("input framing: {e}"))?;
+        let mut trace = TraceSink::new();
+        let outcome = sharded.run_budgeted(&view, &mut trace, &budget);
+        Ok((trace.events, outcome))
+    }));
+
+    let elapsed = start.elapsed();
+    let (outcome, merged) = match result {
+        Ok(Ok((events, RunOutcome::Completed))) => (JobOutcome::Ok(()), Some(events)),
+        Ok(Ok((_, RunOutcome::Interrupted { .. }))) => (JobOutcome::TimedOut { elapsed }, None),
+        Ok(Err(error)) => (JobOutcome::Failed { error }, None),
+        Err(payload) => {
+            let message = panic_message(payload.as_ref());
+            sunder_telemetry::counter_add("scheduler_stream_panics_total", &[], 1);
+            (JobOutcome::Panicked { message }, None)
+        }
     };
     StreamResult {
         stream: stream_idx,
         worker,
         stolen,
-        shard_runs,
+        outcome,
         merged,
-        elapsed: start.elapsed(),
+        shards: pipeline.num_shards(),
+        elapsed,
     }
 }
 
@@ -505,20 +427,23 @@ mod tests {
         }
     }
 
+    /// Every shard of a failed stream, each with `status`.
+    fn all_shards(p: &CompiledPipeline, status: &'static str) -> Vec<(usize, &'static str)> {
+        (0..p.num_shards()).map(|shard| (shard, status)).collect()
+    }
+
     #[test]
-    fn panicking_shard_is_attributed_and_isolated() {
+    fn panicking_stream_is_attributed_and_isolated() {
         let p = pipeline(PipelineConfig::Identity, 4);
-        let shards = p.num_shards();
-        assert!(shards >= 2);
+        assert!(p.num_shards() >= 2);
         let inputs = streams(6);
-        // Stream 2, shard 1 panics; everything else must be clean.
-        let victim_flat = 2 * shards + 1;
+        // Stream 2 panics; everything else must be clean.
         let opts = BatchOptions {
             workers: 3,
             plan: FaultPlan::new(
                 7,
                 vec![Fault {
-                    item: victim_flat,
+                    item: 2,
                     kind: FaultKind::Panic,
                 }],
             ),
@@ -533,16 +458,17 @@ mod tests {
         let faulty = run_batch(&p, &inputs, &opts);
         let victim = &faulty.streams[2];
         assert!(!victim.ok());
-        assert_eq!(victim.failed_shards(), vec![(1, "panicked")]);
-        match &victim.shard_runs[1].outcome {
+        assert_eq!(victim.failed_shards(), all_shards(&p, "panicked"));
+        match &victim.outcome {
             JobOutcome::Panicked { message } => {
-                assert!(message.contains("stream 2, shard 1"), "{message}");
+                assert!(message.contains("stream 2"), "{message}");
             }
             other => panic!("expected panic, got {}", other.status()),
         }
         for (c, f) in clean.streams.iter().zip(&faulty.streams) {
             if f.stream != 2 {
                 assert_eq!(c.merged, f.merged, "surviving stream {}", f.stream);
+                assert!(crate::verify_stream(&p, f, &inputs[f.stream]).unwrap());
             }
         }
     }
@@ -551,18 +477,17 @@ mod tests {
     fn stall_and_transient_faults_are_observable() {
         let p = pipeline(PipelineConfig::Identity, 2);
         let inputs = streams(2);
-        let shards = p.num_shards();
         let opts = BatchOptions {
             workers: 1,
             plan: FaultPlan::new(
                 1,
                 vec![
                     Fault {
-                        item: 0, // stream 0, shard 0
+                        item: 0,
                         kind: FaultKind::TransientError { failures: 2 },
                     },
                     Fault {
-                        item: shards, // stream 1, shard 0
+                        item: 1,
                         kind: FaultKind::Stall { millis: 5 },
                     },
                 ],
@@ -570,23 +495,22 @@ mod tests {
             ..BatchOptions::default()
         };
         let report = run_batch(&p, &inputs, &opts);
-        assert_eq!(report.streams[0].failed_shards(), vec![(0, "failed")]);
+        assert_eq!(report.streams[0].failed_shards(), all_shards(&p, "failed"));
         assert!(report.streams[1].ok());
-        assert!(report.streams[1].shard_runs[0].elapsed >= Duration::from_millis(5));
+        assert!(crate::verify_stream(&p, &report.streams[1], &inputs[1]).unwrap());
+        assert!(report.streams[1].elapsed >= Duration::from_millis(5));
     }
 
     #[test]
-    fn corrupt_input_is_confined_to_the_faulted_shard() {
+    fn corrupt_input_is_confined_to_the_faulted_stream() {
         let p = pipeline(PipelineConfig::Identity, 4);
-        let shards = p.num_shards();
-        assert!(shards >= 2);
         let inputs = streams(2);
         let opts = BatchOptions {
             workers: 1,
             plan: FaultPlan::new(
                 3,
                 vec![Fault {
-                    item: shards, // stream 1, shard 0
+                    item: 1,
                     kind: FaultKind::CorruptInput { seed: 99 },
                 }],
             ),
@@ -594,13 +518,14 @@ mod tests {
         };
         let clean = run_batch(&p, &inputs, &BatchOptions::with_workers(1));
         let faulty = run_batch(&p, &inputs, &opts);
-        // Stream 0 and the unfaulted shards of stream 1 see pristine bytes.
+        // Stream 0 sees pristine bytes; stream 1 runs to completion on
+        // exactly the corrupted copy of its own bytes.
         assert_eq!(clean.streams[0].merged, faulty.streams[0].merged);
-        for shard in 1..shards {
-            let c = clean.streams[1].shard_runs[shard].outcome.value();
-            let f = faulty.streams[1].shard_runs[shard].outcome.value();
-            assert_eq!(c, f, "shard {shard} must be unaffected");
-        }
+        let mut corrupted = inputs[1].clone();
+        corrupt(&mut corrupted, 99);
+        assert_ne!(corrupted, inputs[1]);
+        let expected = crate::monolithic_trace(&p, p.engine, &corrupted).unwrap();
+        assert_eq!(faulty.streams[1].merged.as_ref(), Some(&expected));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! A [`StreamSession`] is the unit of state the `sunder serve` daemon
 //! keeps per connection: an [`Arc<CompiledPipeline>`] pinned at session
 //! open (hot reloads never swap a live session's automaton), the
-//! suspended per-shard engine frontier ([`sunder_sim::ShardedState`]),
+//! suspended engine frontier ([`sunder_sim::ShardedState`]),
 //! and a [`SymbolFramer`] that buffers the partial symbols a chunk
 //! boundary can leave behind. Between chunks the session holds **no
 //! engine** — just the frontier, a few dozen bytes for typical automata —
 //! so millions of idle streams cost almost nothing. Feeding a chunk
-//! rebuilds the per-shard engines from the pipeline's shared compiled
-//! tables, resumes them from the suspended frontier, runs exactly the
+//! rebuilds the engine from the pipeline's shared compiled tables,
+//! resumes it from the suspended frontier, runs exactly the
 //! chunk's complete cycles, and suspends again.
 //!
 //! The framing rules make a chunked run byte-identical to a whole-input
@@ -256,7 +256,7 @@ impl StreamSession {
         self.reports
     }
 
-    /// Total suspended frontier size across shards (a gauge of how much
+    /// Suspended frontier size (a gauge of how much
     /// match state the stream is carrying between chunks).
     pub fn frontier_len(&self) -> usize {
         self.state.frontier_len()

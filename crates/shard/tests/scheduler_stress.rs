@@ -1,13 +1,14 @@
 //! Concurrency stress for the work-stealing stream scheduler: a seeded
 //! 64-stream × 8-worker batch with a fault plan panicking exactly one
-//! shard of one stream. The panic must be attributed to that shard in
-//! its `JobOutcome`, and every surviving stream's merged trace must be
-//! byte-identical to a clean run of the same batch.
+//! stream. The panic must be attributed to that stream in its
+//! `JobOutcome`, and every surviving stream must complete, verify
+//! against the one-engine reference, and be byte-identical to a clean
+//! run of the same batch.
 
 use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
 use sunder_resilience::{Fault, FaultKind, FaultPlan, JobOutcome};
-use sunder_shard::{run_batch, BatchOptions, CompiledPipeline, ShardSpec};
+use sunder_shard::{run_batch, verify_stream, BatchOptions, CompiledPipeline, ShardSpec};
 use sunder_sim::EngineKind;
 
 const STREAMS: usize = 64;
@@ -15,8 +16,8 @@ const WORKERS: usize = 8;
 const VICTIM_STREAM: usize = 17;
 
 fn pipeline() -> CompiledPipeline {
-    // Six independent rule components so the partitioner has real
-    // packing work and the victim shard holds only part of the automaton.
+    // Six independent rule components so the placement plan has real
+    // packing work: a failed stream must list every shard.
     let nfa = compile_rule_set(&[
         "ab+c",
         ".*net",
@@ -48,11 +49,10 @@ fn streams() -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn panicking_shard_is_attributed_and_survivors_match_clean_run() {
+fn panicking_stream_is_attributed_and_survivors_match_clean_run() {
     let p = pipeline();
     let shards = p.num_shards();
     assert!(shards >= 2, "need a multi-shard plan, got {shards}");
-    let victim_shard = 1;
     let inputs = streams();
 
     let clean = run_batch(
@@ -67,7 +67,7 @@ fn panicking_shard_is_attributed_and_survivors_match_clean_run() {
         plan: FaultPlan::new(
             0xC0FFEE,
             vec![Fault {
-                item: VICTIM_STREAM * shards + victim_shard,
+                item: VICTIM_STREAM,
                 kind: FaultKind::Panic,
             }],
         ),
@@ -76,37 +76,33 @@ fn panicking_shard_is_attributed_and_survivors_match_clean_run() {
     };
     let faulty = run_batch(&p, &inputs, &faulty_opts);
 
-    // Exactly one stream lost, with the panic attributed to the right
-    // shard and carrying the scheduler's (stream, shard) context.
+    // Exactly one stream lost, with the panic attributed to it: one run
+    // covered every shard, so every shard carries the status.
     assert_eq!(faulty.ok_count(), STREAMS - 1);
     let victim = &faulty.streams[VICTIM_STREAM];
-    assert!(!victim.ok(), "victim stream must not produce a merge");
-    assert_eq!(victim.failed_shards(), vec![(victim_shard, "panicked")]);
-    match &victim.shard_runs[victim_shard].outcome {
+    assert!(!victim.ok(), "victim stream must not produce a trace");
+    let every_shard: Vec<_> = (0..shards).map(|s| (s, "panicked")).collect();
+    assert_eq!(victim.failed_shards(), every_shard);
+    match &victim.outcome {
         JobOutcome::Panicked { message } => {
             assert!(
-                message.contains(&format!("stream {VICTIM_STREAM}, shard {victim_shard}")),
+                message.contains(&format!("stream {VICTIM_STREAM}")),
                 "panic message must attribute the fault site: {message}"
             );
         }
         other => panic!("expected Panicked, got {}", other.status()),
     }
-    // The victim's other shards still completed under isolation.
-    for run in &victim.shard_runs {
-        if run.shard != victim_shard {
-            assert!(
-                run.outcome.value().is_some(),
-                "shard {} of the victim stream must survive the panic",
-                run.shard
-            );
-        }
-    }
 
-    // Byte-identical survivors: the panic must not perturb any other
-    // stream, regardless of how the steal schedule shifted around it.
+    // Byte-identical, verified survivors: the panic must not perturb any
+    // other stream, regardless of how the steal schedule shifted around it.
     for (c, f) in clean.streams.iter().zip(&faulty.streams) {
         assert_eq!(c.stream, f.stream);
         if f.stream != VICTIM_STREAM {
+            assert!(
+                verify_stream(&p, f, &inputs[f.stream]).unwrap(),
+                "surviving stream {} must verify",
+                f.stream
+            );
             assert_eq!(
                 c.merged, f.merged,
                 "surviving stream {} diverged from the clean run",

@@ -1,22 +1,21 @@
-//! Sharded execution: run a partitioned automaton shard by shard and
-//! merge the report traces back into the monolithic order.
+//! Shard placement over one whole-automaton engine.
 //!
 //! The hardware scales by placing connected components across subarrays
 //! that all observe the same symbol stream; reports are tagged with the
 //! originating STE, so the aggregate report stream is independent of the
-//! placement. [`ShardedEngine`] is the software analogue: each shard of a
-//! [`ShardPlan`] (whole connected components — see
-//! `sunder_automata::partition`) executes on its own engine over the same
-//! input, shard-local report events are remapped to original state ids,
-//! and [`ShardedEngine::merge`] restores the exact per-cycle,
-//! ascending-state-order delivery the monolithic engines guarantee.
+//! placement. On a CPU, running the shards of a [`ShardPlan`] one after
+//! another buys nothing but k re-scans of the input, so [`ShardedEngine`]
+//! runs the whole transformed automaton on **one** engine per stream and
+//! keeps the plan only as placement data: the shard count, the
+//! `inspect-db` listing, and the diagnostic [`ShardedEngine::run_shard`]
+//! and [`ShardedEngine::merge`].
 //!
-//! The equivalence is structural, not approximate: states in different
-//! weakly-connected components can never influence each other, so the
-//! union of shard frontiers equals the monolithic frontier at every
-//! cycle, and the merged trace is byte-identical to a monolithic run.
-//! The conformance oracle locks this down (`sunder-oracle`'s sharded
-//! checks and the `sunder-shard` property tests).
+//! The diagnostic path still holds the placement to its promise: states
+//! in different weakly-connected components can never influence each
+//! other, so the union of per-shard traces, merged into ascending
+//! (cycle, state) order, equals the one-engine trace. The conformance
+//! oracle locks this down (`sunder-oracle`'s sharded checks and the
+//! `sunder-shard` property tests).
 
 use std::sync::{Arc, OnceLock};
 
@@ -31,31 +30,25 @@ use crate::exec::{Engine, EngineKind, EngineState};
 use crate::fastpath::SparseTables;
 use crate::sink::{ReportEvent, ReportSink, TraceSink};
 
-/// Compiled per-shard tables, shared across every run (and every clone of
-/// the engine handed to worker threads). The sparse tables are built
-/// eagerly at plan time — they are linear in the shard — while the dense
-/// tables are built at most once per shard, on first demand, no matter
-/// how many streams execute the shard concurrently.
+/// Runs a whole transformed automaton on one engine per stream; its
+/// [`ShardPlan`] is placement data only.
+///
+/// The compiled tables are shared across every run and every clone of
+/// the engine handed to worker threads: the sparse tables are built
+/// eagerly (they are linear in the automaton), the dense tables at most
+/// once, on first demand, no matter how many streams run concurrently.
 #[derive(Debug, Clone)]
-struct ShardTables {
+pub struct ShardedEngine {
+    nfa: Arc<Nfa>,
+    plan: ShardPlan,
+    kind: EngineKind,
     sparse: Arc<SparseTables>,
     dense: Arc<OnceLock<Arc<DenseTables>>>,
 }
 
-/// Executes a [`ShardPlan`] and merges per-shard report traces into a
-/// position-stable aggregate identical to monolithic execution.
-#[derive(Debug, Clone)]
-pub struct ShardedEngine {
-    plan: ShardPlan,
-    kind: EngineKind,
-    symbol_bits: u8,
-    stride: usize,
-    tables: Vec<ShardTables>,
-}
-
 impl ShardedEngine {
-    /// Partitions `nfa` under `spec` and prepares sharded execution with
-    /// engine `kind` per shard.
+    /// Partitions `nfa` under `spec` for placement and prepares engine
+    /// `kind` over the whole automaton.
     ///
     /// # Errors
     ///
@@ -69,161 +62,113 @@ impl ShardedEngine {
     }
 
     /// Wraps an existing plan for `nfa` (the plan must have been built
-    /// from this automaton; only its width and stride are read here).
+    /// from this automaton).
     pub fn from_plan(nfa: &Nfa, plan: ShardPlan, kind: EngineKind) -> ShardedEngine {
-        let tables = plan
-            .shards
-            .iter()
-            .map(|s| ShardTables {
-                sparse: Arc::new(SparseTables::build(&s.nfa)),
-                dense: Arc::new(OnceLock::new()),
-            })
-            .collect();
-        ShardedEngine {
-            plan,
-            kind,
-            symbol_bits: nfa.symbol_bits(),
-            stride: nfa.stride(),
-            tables,
-        }
+        let sparse = Arc::new(SparseTables::build(nfa));
+        ShardedEngine::from_prebuilt(Arc::new(nfa.clone()), plan, kind, sparse, None)
     }
 
-    /// Assembles a sharded engine around *already compiled* per-shard
-    /// tables — the mapped-database load path (`sunder-artifact`), where
-    /// the tables borrow straight from an `.sdb` mapping and nothing is
-    /// rebuilt. `tables` must hold one entry per plan shard, each built
-    /// from (or validated against) that shard's automaton; a `None` dense
-    /// half leaves the dense tables to be built lazily on first demand,
-    /// exactly like [`ShardedEngine::from_plan`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tables.len()` differs from the plan's shard count.
+    /// Assembles an engine around *already compiled* whole-automaton
+    /// tables: the compile path shares its automaton, the mapped-database
+    /// load path (`sunder-artifact`) hands in tables that borrow straight
+    /// from an `.sdb` mapping. The tables must have been built from (or
+    /// validated against) `nfa`; a `None` dense half is built lazily on
+    /// first demand, exactly like [`ShardedEngine::from_plan`].
     #[doc(hidden)]
     pub fn from_prebuilt(
+        nfa: Arc<Nfa>,
         plan: ShardPlan,
         kind: EngineKind,
-        symbol_bits: u8,
-        stride: usize,
-        tables: Vec<(Arc<SparseTables>, Option<Arc<DenseTables>>)>,
+        sparse: Arc<SparseTables>,
+        dense: Option<Arc<DenseTables>>,
     ) -> ShardedEngine {
-        assert_eq!(
-            tables.len(),
-            plan.num_shards(),
-            "one table set per plan shard"
-        );
-        let tables = tables
-            .into_iter()
-            .map(|(sparse, dense)| {
-                let cell = OnceLock::new();
-                if let Some(d) = dense {
-                    let _ = cell.set(d);
-                }
-                ShardTables {
-                    sparse,
-                    dense: Arc::new(cell),
-                }
-            })
-            .collect();
+        let cell = OnceLock::new();
+        if let Some(d) = dense {
+            let _ = cell.set(d);
+        }
         ShardedEngine {
+            nfa,
             plan,
             kind,
-            symbol_bits,
-            stride,
-            tables,
+            sparse,
+            dense: Arc::new(cell),
         }
     }
 
-    /// The compiled sparse tables of one shard (artifact writer support).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
+    /// The compiled sparse tables (artifact writer support).
     #[doc(hidden)]
-    pub fn shard_sparse(&self, shard: usize) -> &Arc<SparseTables> {
-        &self.tables[shard].sparse
+    pub fn sparse(&self) -> &Arc<SparseTables> {
+        &self.sparse
     }
 
-    /// The dense tables of one shard, when already built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
+    /// The dense tables, when already built.
     #[doc(hidden)]
-    pub fn shard_dense(&self, shard: usize) -> Option<Arc<DenseTables>> {
-        self.tables[shard].dense.get().cloned()
+    pub fn dense(&self) -> Option<Arc<DenseTables>> {
+        self.dense.get().cloned()
     }
 
-    /// Builds (at most once) and returns the dense tables of one shard —
-    /// lets the artifact writer persist dense matrices for pipelines whose
-    /// engine kind wants them, without waiting for first execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
+    /// Builds (at most once) and returns the dense tables — lets the
+    /// artifact writer persist them for pipelines whose engine kind wants
+    /// them, without waiting for first execution.
     #[doc(hidden)]
-    pub fn ensure_dense(&self, shard: usize) -> Arc<DenseTables> {
-        let nfa = &self.plan.shards[shard].nfa;
+    pub fn ensure_dense(&self) -> Arc<DenseTables> {
         Arc::clone(
-            self.tables[shard]
-                .dense
-                .get_or_init(|| Arc::new(DenseTables::build(nfa))),
+            self.dense
+                .get_or_init(|| Arc::new(DenseTables::build(&self.nfa))),
         )
     }
 
-    /// The underlying plan.
+    /// The placement plan.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
     }
 
-    /// Number of shards.
+    /// Number of shards in the placement plan.
     pub fn num_shards(&self) -> usize {
         self.plan.num_shards()
     }
 
-    /// The per-shard engine kind.
+    /// The engine kind.
     pub fn kind(&self) -> EngineKind {
         self.kind
     }
 
-    /// Stride of the automaton (and so of every shard).
+    /// Stride of the automaton.
     pub fn stride(&self) -> usize {
-        self.stride
+        self.nfa.stride()
     }
 
     /// Symbol width of the automaton.
     pub fn symbol_bits(&self) -> u8 {
-        self.symbol_bits
+        self.nfa.symbol_bits()
     }
 
-    /// Instantiates the engine for one shard from the precompiled shared
-    /// tables: no per-run successor/encoding rebuild, and the dense
-    /// tables — when the kind wants them — are built once per shard and
-    /// then shared by every stream and clone.
-    fn build_shard_engine(&self, shard: usize) -> Box<dyn Engine + '_> {
-        let nfa = &self.plan.shards[shard].nfa;
-        let t = &self.tables[shard];
+    /// Instantiates the engine from the precompiled shared tables: no
+    /// per-run successor/encoding rebuild.
+    fn engine(&self) -> Box<dyn Engine + '_> {
         match self.kind {
-            EngineKind::Sparse => {
-                Box::new(crate::Simulator::with_tables(nfa, Arc::clone(&t.sparse)))
-            }
-            EngineKind::Dense => {
-                let tables = Arc::clone(t.dense.get_or_init(|| Arc::new(DenseTables::build(nfa))));
-                Box::new(crate::DenseEngine::with_tables(nfa, tables))
-            }
+            EngineKind::Sparse => Box::new(crate::Simulator::with_tables(
+                &self.nfa,
+                Arc::clone(&self.sparse),
+            )),
+            EngineKind::Dense => Box::new(crate::DenseEngine::with_tables(
+                &self.nfa,
+                self.ensure_dense(),
+            )),
             EngineKind::Adaptive => Box::new(AdaptiveEngine::with_shared(
-                nfa,
-                Arc::clone(&t.sparse),
-                Arc::clone(&t.dense),
+                &self.nfa,
+                Arc::clone(&self.sparse),
+                Arc::clone(&self.dense),
                 AdaptiveLimits::default(),
             )),
         }
     }
 
-    /// Runs one shard over the whole input under `budget`, returning its
-    /// report events **remapped to original state ids** plus the run
-    /// outcome. Shards are independent, so callers may fan these out
-    /// across threads and [`ShardedEngine::merge`] the results.
+    /// Diagnostic: runs one shard's sub-automaton alone over the whole
+    /// input under `budget`, on an engine built for it on demand,
+    /// returning its report events **remapped to original state ids**
+    /// plus the run outcome. [`ShardedEngine::merge`] of every shard's
+    /// trace equals the one-engine trace.
     ///
     /// # Panics
     ///
@@ -234,59 +179,37 @@ impl ShardedEngine {
         input: &InputView,
         budget: &Budget,
     ) -> (Vec<ReportEvent>, RunOutcome) {
-        let (events, _, outcome) = self.drive_shard(shard, input, &EngineState::initial(), budget);
-        if sunder_telemetry::enabled() {
-            let label = shard.to_string();
-            sunder_telemetry::counter_add(
-                "shard_symbols_total",
-                &[("shard", label.as_str())],
-                input.num_symbols() as u64,
-            );
-        }
-        (events, outcome)
-    }
-
-    /// Build → resume from `from` → run → suspend → remap to original
-    /// state ids, for one shard.
-    fn drive_shard(
-        &self,
-        shard: usize,
-        input: &InputView,
-        from: &EngineState,
-        budget: &Budget,
-    ) -> (Vec<ReportEvent>, EngineState, RunOutcome) {
-        let mut engine = self.build_shard_engine(shard);
-        engine.resume(from);
-        let mut trace = TraceSink::new();
-        let outcome = engine.run_budgeted(input, &mut trace, budget);
-        let mut suspended = EngineState::initial();
-        engine.suspend(&mut suspended);
         let s = &self.plan.shards[shard];
+        let mut trace = TraceSink::new();
+        let outcome = self
+            .kind
+            .build(&s.nfa)
+            .run_budgeted(input, &mut trace, budget);
         let mut events = trace.events;
         for e in &mut events {
             e.state = s.to_original(e.state);
         }
-        (events, suspended, outcome)
+        (events, outcome)
     }
 
     /// Merges per-shard traces (in original state ids) into the
-    /// monolithic delivery order: ascending cycle, then ascending state.
+    /// one-engine delivery order: ascending cycle, then ascending state.
     ///
     /// The sort is stable, so multiple reports from one state keep the
-    /// order its shard produced them in — exactly what a monolithic
-    /// engine does, since every state lives in exactly one shard.
+    /// order its shard produced them in — exactly what one engine does,
+    /// since every state lives in exactly one shard.
     pub fn merge(traces: Vec<Vec<ReportEvent>>) -> Vec<ReportEvent> {
         let mut all: Vec<ReportEvent> = traces.into_iter().flatten().collect();
         all.sort_by_key(|e| (e.cycle, e.state.index()));
         all
     }
 
-    /// Runs every shard over `input` and streams the merged trace into
-    /// `sink`, batched per cycle like a monolithic engine.
+    /// Runs the automaton over `input` and streams its trace into `sink`,
+    /// batched per cycle.
     ///
-    /// Per-cycle activity callbacks are **not** forwarded: activity is a
-    /// per-engine execution detail, while the report stream is the
-    /// observable the equivalence suite locks down.
+    /// Per-cycle activity callbacks are **not** forwarded: activity is an
+    /// execution detail, while the report stream is the observable the
+    /// equivalence suite locks down.
     ///
     /// # Panics
     ///
@@ -296,11 +219,8 @@ impl ShardedEngine {
     }
 
     /// [`ShardedEngine::run`] under a cooperative budget: one
-    /// [`ShardedEngine::run_chunk`] from the initial state. Shards execute
-    /// sequentially; the first interrupted shard aborts the run and
-    /// nothing is delivered to `sink` (a partially-sharded trace would
-    /// be silently missing whole components, which is worse than
-    /// nothing).
+    /// [`ShardedEngine::run_chunk`] from the initial state, so an
+    /// interrupted run delivers nothing to `sink`.
     pub fn run_budgeted(
         &self,
         input: &InputView,
@@ -310,51 +230,47 @@ impl ShardedEngine {
         self.run_chunk(input, sink, &mut self.initial_state(), budget)
     }
 
-    /// Convenience: frames `input` for this automaton, runs all shards,
-    /// and returns the merged trace (original state ids).
+    /// Convenience: frames `input` for this automaton, runs it, and
+    /// returns the trace (transformed-automaton state ids).
     ///
     /// # Errors
     ///
     /// Returns input framing errors.
     pub fn run_trace(&self, input: &[u8]) -> Result<Vec<ReportEvent>, AutomataError> {
-        let view = InputView::new(input, self.symbol_bits, self.stride)?;
+        let view = InputView::new(input, self.symbol_bits(), self.stride())?;
         let mut sink = TraceSink::new();
         self.run(&view, &mut sink);
         Ok(sink.events)
     }
 
-    /// The initial (cycle 0, all-frontiers-empty) suspended state for a
-    /// stream about to execute on this sharded engine.
+    /// The initial (cycle 0, empty frontier) suspended state for a stream
+    /// about to execute on this engine.
     pub fn initial_state(&self) -> ShardedState {
-        ShardedState {
-            shards: vec![EngineState::initial(); self.num_shards()],
-        }
+        ShardedState::default()
     }
 
-    /// Runs one chunk of a longer stream through every shard, resuming
-    /// each shard's engine from `state` and suspending it back afterward.
-    /// The merged, remapped report events of this chunk are streamed into
-    /// `sink`; report cycles continue the stream's global clock, so the
-    /// concatenation of per-chunk traces over a split stream is
-    /// byte-identical to one whole-input run (the chunking equivalence
-    /// gate in `sunder-shard` locks this down).
+    /// Runs one chunk of a longer stream, resuming the engine from
+    /// `state` and suspending it back afterward. The chunk's report
+    /// events are streamed into `sink` one batch per cycle; report cycles
+    /// continue the stream's global clock, so the concatenation of
+    /// per-chunk traces over a split stream is byte-identical to one
+    /// whole-input run (the chunking equivalence gate in `sunder-shard`
+    /// locks this down).
     ///
-    /// Shard engines are rebuilt from the precompiled shared tables per
-    /// chunk — construction is a few vector allocations, the expensive
-    /// per-automaton compilation having been done at plan time — which is
-    /// what lets one compiled pipeline serve an unbounded number of
-    /// concurrently suspended streams at ~`O(frontier)` bytes each.
+    /// The engine is rebuilt from the precompiled shared tables per
+    /// chunk — a few vector allocations, the expensive compilation having
+    /// been done once — which is what lets one compiled pipeline serve an
+    /// unbounded number of concurrently suspended streams at
+    /// ~`O(frontier)` bytes each.
     ///
-    /// On an interrupted outcome the suspended state is left as it was
-    /// *before* the chunk (partial shard progress is discarded), so a
-    /// caller enforcing per-chunk deadlines can retry or abandon the
-    /// stream without observing a half-advanced clock.
+    /// On an interrupted outcome nothing is delivered to `sink` and
+    /// `state` is left as it was *before* the chunk, so a caller
+    /// enforcing per-chunk deadlines can retry or abandon the stream
+    /// without observing a half-advanced clock.
     ///
     /// # Panics
     ///
-    /// Panics if `state` was not created by [`ShardedEngine::initial_state`]
-    /// on an engine with the same shard count, or if the view's stride
-    /// does not match the automaton's.
+    /// Panics if the view's stride does not match the automaton's.
     pub fn run_chunk(
         &self,
         input: &InputView,
@@ -362,64 +278,36 @@ impl ShardedEngine {
         state: &mut ShardedState,
         budget: &Budget,
     ) -> RunOutcome {
-        assert_eq!(
-            input.stride(),
-            self.stride,
-            "input view stride must match the automaton stride"
-        );
-        assert_eq!(
-            state.shards.len(),
-            self.num_shards(),
-            "suspended state must match the shard count"
-        );
-        let mut traces = Vec::with_capacity(self.num_shards());
-        let mut next: Vec<EngineState> = Vec::with_capacity(self.num_shards());
-        for shard in 0..self.num_shards() {
-            let (events, suspended, outcome) =
-                self.drive_shard(shard, input, &state.shards[shard], budget);
-            if let RunOutcome::Interrupted { .. } = outcome {
-                return outcome;
-            }
-            next.push(suspended);
-            traces.push(events);
+        let mut engine = self.engine();
+        engine.resume(&state.engine);
+        let mut staged = TraceSink::new();
+        let outcome = engine.run_budgeted(input, &mut staged, budget);
+        if outcome.is_complete() {
+            engine.suspend(&mut state.engine);
+            sink.on_trace(staged.events);
         }
-        state.shards = next;
-        deliver(Self::merge(traces), sink);
-        RunOutcome::Completed
+        outcome
     }
 }
 
-/// The suspended state of one stream across every shard of a
-/// [`ShardedEngine`]: one [`EngineState`] per shard. This is the whole
-/// per-stream footprint of a suspended streaming session — typically a
-/// few dozen bytes — everything else (tables, plans) is shared.
+/// The suspended state of one stream on a [`ShardedEngine`]: exactly one
+/// [`EngineState`]. This is the whole per-stream footprint of a suspended
+/// streaming session — typically a few dozen bytes — everything else
+/// (tables, plan) is shared.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedState {
-    /// Per-shard suspended engine state (shard-local state ids).
-    pub shards: Vec<EngineState>,
+    engine: EngineState,
 }
 
 impl ShardedState {
-    /// Total states suspended across all shard frontiers.
+    /// Active states at the suspension point.
     pub fn frontier_len(&self) -> usize {
-        self.shards.iter().map(|s| s.frontier.len()).sum()
+        self.engine.frontier.len()
     }
 
-    /// The stream clock: cycles executed so far (all shards advance in
-    /// lockstep over the same input, so any shard's clock is the
-    /// stream's; an empty state reads 0).
+    /// The stream clock: cycles executed so far.
     pub fn cycle(&self) -> u64 {
-        self.shards.first().map_or(0, |s| s.cycle)
-    }
-}
-
-/// Streams a merged trace into a sink, one batch per report cycle.
-fn deliver(merged: Vec<ReportEvent>, sink: &mut dyn ReportSink) {
-    let mut rest = merged.as_slice();
-    while let Some(first) = rest.first() {
-        let n = rest.partition_point(|e| e.cycle == first.cycle);
-        sink.on_cycle_reports(first.cycle, &rest[..n]);
-        rest = &rest[n..];
+        self.engine.cycle
     }
 }
 
@@ -445,15 +333,20 @@ mod tests {
     }
 
     #[test]
-    fn merged_trace_is_byte_identical_to_monolithic() {
+    fn trace_is_byte_identical_to_monolithic_and_to_merged_shards() {
         let nfa = rules();
         let input = b"zab-bc 192net abbbc 007xyq".as_slice();
         let expected = monolithic(&nfa, input);
         assert!(!expected.is_empty());
+        let view = InputView::new(input, 8, 1).unwrap();
         for k in 1..=8 {
             let engine =
                 ShardedEngine::new(&nfa, ShardSpec::MaxShards(k), EngineKind::Adaptive).unwrap();
             assert_eq!(engine.run_trace(input).unwrap(), expected, "shards={k}");
+            let traces = (0..engine.num_shards())
+                .map(|s| engine.run_shard(s, &view, &Budget::unlimited()).0)
+                .collect();
+            assert_eq!(ShardedEngine::merge(traces), expected, "merged shards={k}");
         }
     }
 
@@ -504,24 +397,28 @@ mod tests {
 
     #[test]
     fn chunked_run_matches_whole_run_for_every_engine() {
-        let nfa = rules();
         let input = b"zab-bc 192net abbbc 007xyq xy123net q".as_slice();
-        let expected = monolithic(&nfa, input);
-        assert!(!expected.is_empty());
-        for kind in EngineKind::ALL {
-            for shards in [1usize, 2, 4] {
-                let engine = ShardedEngine::new(&nfa, ShardSpec::MaxShards(shards), kind).unwrap();
-                let mut state = engine.initial_state();
-                let mut sink = TraceSink::new();
-                // Uneven chunk sizes, including a 1-byte chunk.
-                for chunk in [&input[..7], &input[7..8], &input[8..20], &input[20..]] {
-                    let view = InputView::new(chunk, nfa.symbol_bits(), nfa.stride()).unwrap();
-                    let outcome =
-                        engine.run_chunk(&view, &mut sink, &mut state, &Budget::unlimited());
-                    assert!(outcome.is_complete());
+        // The empty automaton has a zero-shard plan; its clock must still
+        // advance with the input.
+        for nfa in [rules(), Nfa::new(8)] {
+            let expected = monolithic(&nfa, input);
+            assert_eq!(expected.is_empty(), nfa.num_states() == 0);
+            for kind in EngineKind::ALL {
+                for shards in [1usize, 2, 4] {
+                    let engine =
+                        ShardedEngine::new(&nfa, ShardSpec::MaxShards(shards), kind).unwrap();
+                    let mut state = engine.initial_state();
+                    let mut sink = TraceSink::new();
+                    // Uneven chunk sizes, including a 1-byte chunk.
+                    for chunk in [&input[..7], &input[7..8], &input[8..20], &input[20..]] {
+                        let view = InputView::new(chunk, nfa.symbol_bits(), nfa.stride()).unwrap();
+                        let outcome =
+                            engine.run_chunk(&view, &mut sink, &mut state, &Budget::unlimited());
+                        assert!(outcome.is_complete());
+                    }
+                    assert_eq!(sink.events, expected, "{kind}/{shards} shards");
+                    assert_eq!(state.cycle(), input.len() as u64, "{kind}/{shards} shards");
                 }
-                assert_eq!(sink.events, expected, "{kind}/{shards} shards");
-                assert_eq!(state.cycle(), input.len() as u64);
             }
         }
     }

@@ -37,6 +37,17 @@ pub trait ReportSink {
     /// Called once per cycle that produced at least one report.
     fn on_cycle_reports(&mut self, cycle: u64, reports: &[ReportEvent]);
 
+    /// Takes a finished trace spanning any number of cycles, in delivery
+    /// order — what a run that stages its reports hands over once it
+    /// completes. The default delivers it one
+    /// [`ReportSink::on_cycle_reports`] batch per cycle; [`TraceSink`]
+    /// adopts the vector instead of copying it.
+    fn on_trace(&mut self, events: Vec<ReportEvent>) {
+        for batch in events.chunk_by(|a, b| a.cycle == b.cycle) {
+            self.on_cycle_reports(batch[0].cycle, batch);
+        }
+    }
+
     /// Called every cycle with the number of active states, after matching.
     ///
     /// The default implementation ignores it; override for utilization
@@ -76,6 +87,10 @@ pub trait ReportSink {
 impl<S: ReportSink + ?Sized> ReportSink for &mut S {
     fn on_cycle_reports(&mut self, cycle: u64, reports: &[ReportEvent]) {
         (**self).on_cycle_reports(cycle, reports);
+    }
+
+    fn on_trace(&mut self, events: Vec<ReportEvent>) {
+        (**self).on_trace(events);
     }
 
     fn on_cycle_activity(&mut self, cycle: u64, active_states: usize) {
@@ -172,6 +187,14 @@ impl TraceSink {
 impl ReportSink for TraceSink {
     fn on_cycle_reports(&mut self, _cycle: u64, reports: &[ReportEvent]) {
         self.events.extend_from_slice(reports);
+    }
+
+    fn on_trace(&mut self, mut events: Vec<ReportEvent>) {
+        if self.events.is_empty() {
+            self.events = events;
+        } else {
+            self.events.append(&mut events);
+        }
     }
 
     fn wants_cycle_activity(&self) -> bool {

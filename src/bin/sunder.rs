@@ -335,11 +335,11 @@ fn cmd_telemetry_report(args: &[String]) -> Result<(), String> {
 }
 
 /// Batches many independent input streams against one rule set through
-/// the sharded execution service: the automaton is partitioned into
-/// connected-component shards, streams fan out across work-stealing
-/// workers, and per-shard failures are attributed without aborting the
-/// batch. `--verify` additionally holds every stream's merged trace
-/// against a monolithic run (the sharding equivalence gate).
+/// the multi-stream execution service: streams fan out across
+/// work-stealing workers, each one engine pass over the whole automaton,
+/// and per-stream failures are attributed without aborting the batch.
+/// `--verify` additionally holds every stream's trace against a
+/// monolithic run (the equivalence gate).
 fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
     use sunder::shard::{run_batch, verify_stream, BatchOptions, CompiledPipeline, ShardSpec};
 
@@ -889,7 +889,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 }
 
 /// Compiles a rule set or ANML program all the way through the pipeline
-/// (transform, partition, per-shard engine tables) and writes the result
+/// (transform, shard placement, engine tables) and writes the result
 /// as a zero-copy `.sdb` pattern database.
 fn cmd_compile_db(args: &[String]) -> Result<(), String> {
     use sunder::shard::{CompiledPipeline, ShardSpec};
@@ -916,8 +916,8 @@ fn cmd_compile_db(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `.sdb` file and prints its identity, each shard's
-/// prefilter density and its section layout.
+/// Validates a `.sdb` file and prints its identity, the prefilter
+/// density of the table set the engine runs from, and its section layout.
 /// Both loader phases run in full (byte-level, then typed semantic
 /// checks), so a clean inspect implies the database would map and run.
 fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
@@ -934,20 +934,21 @@ fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
     println!("  config           {}", pipeline.config.name());
     println!("  sharding spec    {}", pipeline.spec);
     println!("  engine           {}", pipeline.engine.name());
-    println!("  shards           {}", pipeline.num_shards());
+    println!(
+        "  shards           {} (placement only)",
+        pipeline.num_shards()
+    );
     println!(
         "  automaton        {} states, {} transitions",
         pipeline.nfa.num_states(),
         pipeline.nfa.num_transitions()
     );
-    for shard in 0..pipeline.num_shards() {
-        let tables = pipeline.sharded.shard_sparse(shard);
-        let wake: u32 = tables.start_lut.iter().map(|w| w.count_ones()).sum();
-        println!(
-            "  prefilter        shard {shard}: {wake} of {} leading symbols wake a start",
-            tables.alphabet
-        );
-    }
+    let tables = pipeline.sharded.sparse();
+    let wake: u32 = tables.start_lut.iter().map(|w| w.count_ones()).sum();
+    println!(
+        "  prefilter        {wake} of {} leading symbols wake a start",
+        tables.alphabet
+    );
     println!(
         "  file length      {} bytes ({})",
         mapped.file_len(),

@@ -156,9 +156,13 @@ fn inspect_db_shows_the_compiled_automaton() {
         stdout.contains("automaton        2 states, 1 transitions"),
         "{stdout}"
     );
-    // Only `a` can wake the remaining start.
+    // One table set runs; only `a` can wake the remaining start.
     assert!(
-        stdout.contains("prefilter        shard 0: 1 of 256 leading symbols wake a start"),
+        stdout.contains("prefilter        1 of 256 leading symbols wake a start"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("shards           1 (placement only)"),
         "{stdout}"
     );
 }
