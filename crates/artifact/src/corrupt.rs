@@ -54,39 +54,24 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Whether zeroing `(kind, shard)` is guaranteed to be rejected.
+/// Whether zeroing the section of `kind` is guaranteed to be rejected.
 ///
 /// Guaranteed rejections (given the section's payload was nonzero, which
 /// the caller checks): identity text diverges from the header key
 /// (`SourceAnml`), zeroed metadata contradicts the automaton (`Meta`),
 /// key text mismatches (`SpecKey`), NUL text fails the ANML parser
-/// (`NfaAnml`), a changed member table breaks the exact cover
-/// (`ShardMembers`), histograms and report bitsets are cross-checked
-/// against the automaton (`SpCodes`, `SpReportBits`, `DnReportMask`),
-/// offset tables must end at their flat table's length (`SpSuccOff`,
-/// `SpStartOff`), and a zeroed class-offset table leaves every class-map
-/// entry out of range (`DnClassOff`). Zeroed oversized flags are valid.
-fn zeroed_must_error(
-    sections: &[(SectionKind, u32, usize, usize)],
-    kind: SectionKind,
-    shard: u32,
-) -> bool {
-    let len_of = |k: SectionKind| {
-        sections
-            .iter()
-            .find(|s| s.0 == k && s.1 == shard)
-            .map_or(0, |s| s.3)
-    };
+/// (`NfaAnml`), histograms and report bitsets are cross-checked against
+/// the automaton (`SpCodes`, `SpReportBits`), and offset tables must end
+/// at their flat table's length (`SpSuccOff`, `SpStartOff`).
+fn zeroed_must_error(sections: &[(SectionKind, usize, usize)], kind: SectionKind) -> bool {
+    let len_of = |k: SectionKind| sections.iter().find(|s| s.0 == k).map_or(0, |s| s.2);
     match kind {
         SectionKind::SourceAnml
         | SectionKind::Meta
         | SectionKind::SpecKey
         | SectionKind::NfaAnml
-        | SectionKind::ShardMembers
         | SectionKind::SpCodes
-        | SectionKind::SpReportBits
-        | SectionKind::DnClassOff
-        | SectionKind::DnReportMask => true,
+        | SectionKind::SpReportBits => true,
         SectionKind::SpSuccOff => len_of(SectionKind::SpSuccFlat) > 0,
         SectionKind::SpStartOff => len_of(SectionKind::SpStartFlat) > 0,
         _ => false,
@@ -115,7 +100,7 @@ pub fn corpus(base: &[u8], seed: u64) -> Vec<Mutant> {
     let sections: Vec<_> = raw
         .sections
         .iter()
-        .map(|s| (s.kind, s.shard, s.offset, s.len))
+        .map(|s| (s.kind, s.offset, s.len))
         .collect();
     drop(raw);
 
@@ -165,7 +150,7 @@ pub fn corpus(base: &[u8], seed: u64) -> Vec<Mutant> {
     // self-consistent), a zeroed form is valid-but-different data that
     // only the checksum distinguishes — those mutants stay in the corpus
     // as no-panic coverage.
-    for &(kind, shard, offset, len) in &sections {
+    for &(kind, offset, len) in &sections {
         if base[offset..offset + len].iter().all(|&b| b == 0) {
             continue;
         }
@@ -174,14 +159,14 @@ pub fn corpus(base: &[u8], seed: u64) -> Vec<Mutant> {
         fix_checksum(&mut bytes);
         push(
             &mut out,
-            format!("zero section kind={kind:?} shard={shard}"),
+            format!("zero section kind={kind:?}"),
             bytes,
-            zeroed_must_error(&sections, kind, shard),
+            zeroed_must_error(&sections, kind),
         );
     }
 
     // Section-table forgeries (the table is checksummed, so repair it).
-    let nonempty: Vec<usize> = (0..sections.len()).filter(|&i| sections[i].3 > 0).collect();
+    let nonempty: Vec<usize> = (0..sections.len()).filter(|&i| sections[i].2 > 0).collect();
     if let Some(&i) = nonempty.first() {
         let entry = HEADER_LEN + i * SECTION_ENTRY_LEN;
         let kind = sections[i].0;

@@ -52,7 +52,8 @@ pub enum ArtifactError {
         /// Checksum computed over the payload.
         actual: u64,
     },
-    /// The section table (count × 24 bytes) does not fit in the file.
+    /// The section table has more entries than there are section kinds,
+    /// or (count × 24 bytes) does not fit in the file.
     SectionTableOverflow {
         /// Section count recorded in the header.
         count: u32,
@@ -86,19 +87,15 @@ pub enum ArtifactError {
         /// Kind tag of the overlapping section.
         second: u32,
     },
-    /// The same (kind, shard) pair appears twice in the section table.
+    /// The same kind appears twice in the section table.
     DuplicateSection {
         /// Section kind tag.
         kind: u32,
-        /// Shard index.
-        shard: u32,
     },
     /// A section the metadata promises is absent.
     MissingSection {
         /// Section kind tag.
         kind: u32,
-        /// Shard index (0 for global sections).
-        shard: u32,
     },
     /// A section's byte length is not a multiple of its element size.
     BadElementSize {
@@ -200,9 +197,10 @@ impl std::fmt::Display for ArtifactError {
                 f,
                 "payload checksum {actual:#018x} does not match header {expected:#018x}"
             ),
-            ArtifactError::SectionTableOverflow { count } => {
-                write!(f, "section table of {count} entries does not fit the file")
-            }
+            ArtifactError::SectionTableOverflow { count } => write!(
+                f,
+                "section table of {count} entries exceeds the section kinds or the file"
+            ),
             ArtifactError::UnknownSection { kind } => write!(f, "unknown section kind {kind}"),
             ArtifactError::MisalignedSection { kind, offset } => write!(
                 f,
@@ -215,12 +213,8 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::OverlappingSections { first, second } => {
                 write!(f, "section kinds {first} and {second} overlap")
             }
-            ArtifactError::DuplicateSection { kind, shard } => {
-                write!(f, "duplicate section kind {kind} for shard {shard}")
-            }
-            ArtifactError::MissingSection { kind, shard } => {
-                write!(f, "missing section kind {kind} for shard {shard}")
-            }
+            ArtifactError::DuplicateSection { kind } => write!(f, "duplicate section kind {kind}"),
+            ArtifactError::MissingSection { kind } => write!(f, "missing section kind {kind}"),
             ArtifactError::BadElementSize { kind, len, elem } => write!(
                 f,
                 "section kind {kind} length {len} is not a multiple of element size {elem}"

@@ -14,12 +14,20 @@
 //! 0    ┌──────────────────────────────────────────────┐
 //!      │ header (64 bytes, fixed)                     │
 //! 64   ├──────────────────────────────────────────────┤
-//!      │ section table: section_count × 24 bytes      │
+//!      │ section table: section_count × 24 bytes,     │
+//!      │ each (kind: u32, zero: u32, offset, len: u64)│
 //!      ├──────────────────────────────────────────────┤
 //!      │ payload sections, each 8-byte aligned,       │
 //!      │ non-overlapping, zero-padded gaps            │
 //! len  └──────────────────────────────────────────────┘
 //! ```
+//!
+//! The file holds only what the loader cannot derive: the source and
+//! transformed ANML, the [`GlobalMeta`] record, the sharding-spec key
+//! text, and the one sparse table set the engine runs from. The shard
+//! placement plan is re-derived at load from the stored spec
+//! (`ShardSpec::plan` over the transformed automaton, exactly as the
+//! compile path does); dense tables are built on first use.
 //!
 //! Invariants the validator enforces *before any table slice is formed*:
 //!
@@ -27,10 +35,12 @@
 //!   header bytes are zero; `header.file_len == len`.
 //! * `fnv1a(bytes[64..]) == header.checksum` — every payload byte,
 //!   including the section table and inter-section padding, is covered.
-//! * `64 + section_count × 24 ≤ len` (checked arithmetic).
-//! * Every section: known kind, offset `≥` table end and ≡ 0 (mod 8),
-//!   `offset + len ≤ len` (checked), `(kind, shard)` unique, and no two
-//!   sections overlap (zero-length sections may touch).
+//! * `section_count ≤ SectionKind::ALL.len()` (each kind appears at most
+//!   once, so a longer table is malformed before any entry is read) and
+//!   `64 + section_count × 24 ≤ len`.
+//! * Every section: known kind, zero padding word, offset `≥` table end
+//!   and ≡ 0 (mod 8), `offset + len ≤ len` (checked), kind unique, and
+//!   no two sections overlap (zero-length sections may touch).
 //! * All `count × stride`-style size computations downstream use checked
 //!   multiplication and fail with a typed error, never wrap.
 //!
@@ -42,9 +52,10 @@
 //! be zero, so they cannot be reused later without a version bump being
 //! detected by old readers.
 //!
-//! Version 2 holds **one** engine table set, built over the whole
-//! transformed automaton; the shard plan is placement data only, stored
-//! as one member table per shard plus a flag array. Version 1 stored a
+//! Version 3 stores no derived data. Version 2 also stored the placement
+//! plan (one `u32` member table per shard, tagged with a shard index in
+//! the section table, plus an oversized-flag array, cover-checked at
+//! load) and, once built, nine dense-engine tables. Version 1 stored a
 //! sub-automaton, a metadata record and a table set per shard.
 
 use crate::error::ArtifactError;
@@ -52,7 +63,7 @@ use crate::error::ArtifactError;
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"SUNDERDB";
 /// Current (and only) format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Endianness tag as written by the producing host. A reader on a host
 /// with different byte order sees these bytes permuted and rejects.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
@@ -62,8 +73,8 @@ pub const HEADER_LEN: usize = 64;
 pub const SECTION_ENTRY_LEN: usize = 24;
 /// Required alignment of every payload section.
 pub const SECTION_ALIGN: usize = 8;
-/// Serialized size of [`GlobalMeta`] (21 × u64).
-pub const GLOBAL_META_LEN: usize = 168;
+/// Serialized size of [`GlobalMeta`] (17 × u64).
+pub const GLOBAL_META_LEN: usize = 136;
 
 /// Byte offsets of the fixed header fields.
 pub mod header_offset {
@@ -87,11 +98,8 @@ pub mod header_offset {
     pub const RESERVED: usize = 48;
 }
 
-/// Every section kind, with its stable on-disk tag.
-///
-/// Only [`SectionKind::ShardMembers`] is per-shard; every other kind is
-/// global (its `shard` field must be 0). Sparse-engine tables use the 1x
-/// range, dense-engine tables the 3x range.
+/// Every section kind, with its stable on-disk tag. Each kind appears
+/// at most once; sparse-engine tables use the 1x range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u32)]
 pub enum SectionKind {
@@ -104,12 +112,6 @@ pub enum SectionKind {
     SpecKey = 3,
     /// Canonical ANML text of the transformed (executable) automaton.
     NfaAnml = 4,
-    /// `u64` per plan shard: 1 when the shard holds an oversized
-    /// (dedicated) component, else 0.
-    ShardOversized = 5,
-    /// `u32` state ids of one plan shard's members, ascending; the
-    /// member tables of all shards cover every state exactly once.
-    ShardMembers = 12,
     /// Sparse CSR successor offsets (`u32`, `num_states + 1`).
     SpSuccOff = 13,
     /// Sparse CSR successor arena (`u32` state ids).
@@ -132,35 +134,15 @@ pub enum SectionKind {
     SpStartLut = 21,
     /// Reporting-state bitset (`u64`, one bit per state).
     SpReportBits = 22,
-    /// Dense symbol→class map (`u16`, `stride × alphabet`).
-    DnClassOf = 30,
-    /// Dense accept-row offsets per position (`u32`, `stride + 1`).
-    DnClassOff = 31,
-    /// Dense accept matrix (`u64`, `total_rows × words`).
-    DnAccept = 32,
-    /// Dense padding don't-care rows (`u64`, `stride × words`).
-    DnPadFull = 33,
-    /// Dense successor matrix (`u64`, `num_states × words`).
-    DnSucc = 34,
-    /// Dense has-successor vector (`u64`, `words`).
-    DnHasSucc = 35,
-    /// Dense all-input start vector (`u64`, `words`).
-    DnStartAllinput = 36,
-    /// Dense start-of-data vector (`u64`, `words`).
-    DnStartSod = 37,
-    /// Dense reporting-state vector (`u64`, `words`).
-    DnReportMask = 38,
 }
 
 impl SectionKind {
     /// Every kind, in tag order.
-    pub const ALL: [SectionKind; 25] = [
+    pub const ALL: [SectionKind; 14] = [
         SectionKind::SourceAnml,
         SectionKind::Meta,
         SectionKind::SpecKey,
         SectionKind::NfaAnml,
-        SectionKind::ShardOversized,
-        SectionKind::ShardMembers,
         SectionKind::SpSuccOff,
         SectionKind::SpSuccFlat,
         SectionKind::SpCodes,
@@ -171,15 +153,6 @@ impl SectionKind {
         SectionKind::SpStartFlat,
         SectionKind::SpStartLut,
         SectionKind::SpReportBits,
-        SectionKind::DnClassOf,
-        SectionKind::DnClassOff,
-        SectionKind::DnAccept,
-        SectionKind::DnPadFull,
-        SectionKind::DnSucc,
-        SectionKind::DnHasSucc,
-        SectionKind::DnStartAllinput,
-        SectionKind::DnStartSod,
-        SectionKind::DnReportMask,
     ];
 
     /// The on-disk tag.
@@ -192,11 +165,6 @@ impl SectionKind {
         SectionKind::ALL.into_iter().find(|k| k.tag() == tag)
     }
 
-    /// `true` for kinds that carry a meaningful shard index.
-    pub fn is_per_shard(self) -> bool {
-        self == SectionKind::ShardMembers
-    }
-
     /// Element size in bytes; byte lengths must be a multiple of this.
     pub fn elem_size(self) -> usize {
         match self {
@@ -204,26 +172,16 @@ impl SectionKind {
             | SectionKind::Meta
             | SectionKind::SpecKey
             | SectionKind::NfaAnml => 1,
-            SectionKind::SpSparseArena | SectionKind::DnClassOf => 2,
-            SectionKind::ShardMembers
-            | SectionKind::SpSuccOff
+            SectionKind::SpSparseArena => 2,
+            SectionKind::SpSuccOff
             | SectionKind::SpSuccFlat
             | SectionKind::SpSodStarts
             | SectionKind::SpStartOff
-            | SectionKind::SpStartFlat
-            | SectionKind::DnClassOff => 4,
-            SectionKind::ShardOversized
-            | SectionKind::SpCodes
+            | SectionKind::SpStartFlat => 4,
+            SectionKind::SpCodes
             | SectionKind::SpDenseArena
             | SectionKind::SpStartLut
-            | SectionKind::SpReportBits
-            | SectionKind::DnAccept
-            | SectionKind::DnPadFull
-            | SectionKind::DnSucc
-            | SectionKind::DnHasSucc
-            | SectionKind::DnStartAllinput
-            | SectionKind::DnStartSod
-            | SectionKind::DnReportMask => 8,
+            | SectionKind::SpReportBits => 8,
         }
     }
 }
@@ -244,19 +202,16 @@ pub fn read_u64(bytes: &[u8], offset: usize) -> u64 {
 }
 
 /// Global pipeline and table metadata — the [`SectionKind::Meta`]
-/// payload, stored as 21 native-endian `u64`s in field order.
+/// payload, stored as 17 native-endian `u64`s in field order.
 ///
 /// Invariants: the three `*_tag` fields index the corresponding `ALL`
 /// arrays ([`sunder_transform::PipelineConfig::ALL`],
 /// `sunder_sim::EngineKind::ALL`, and the
 /// [`sunder_automata::partition::ShardSpec::tags`] space);
 /// `per_original ≥ 1`; `num_states`, `stride`, `symbol_bits` and
-/// `start_period` match the transformed automaton; every per-shard
-/// section's shard index is `< shard_count`; `start_index_tag` is 0
-/// (bucketed — requires a [`SectionKind::SpStartOff`] section) exactly
-/// when the alphabet fits the bucketed bound, 1 (flat) otherwise;
-/// `has_dense` gates the nine `Dn*` sections; `dn_words ==
-/// ceil(num_states / 64)` when dense tables are present, 0 otherwise.
+/// `start_period` match the transformed automaton; `start_index_tag` is
+/// 0 (bucketed — requires a [`SectionKind::SpStartOff`] section) exactly
+/// when the alphabet fits the bucketed bound, 1 (flat) otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalMeta {
     /// Index into `PipelineConfig::ALL`.
@@ -270,8 +225,6 @@ pub struct GlobalMeta {
     /// Oversize policy (0 = error, 1 = dedicate); meaningful for budget
     /// specs, must be 0 otherwise.
     pub oversize_tag: u64,
-    /// Number of plan shards (and of member tables).
-    pub shard_count: u64,
     /// Symbol width of the transformed automaton in bits.
     pub symbol_bits: u64,
     /// Stride of the transformed automaton.
@@ -280,17 +233,10 @@ pub struct GlobalMeta {
     pub per_original: u64,
     /// States in the transformed automaton.
     pub num_states: u64,
-    /// The plan's recorded STE budget.
-    pub plan_ste_budget: u64,
     /// The transformed automaton's start period.
     pub start_period: u64,
     /// Start-index layout (0 = bucketed, 1 = flat).
     pub start_index_tag: u64,
-    /// 1 when the nine dense-table sections are present.
-    pub has_dense: u64,
-    /// Words per dense state vector (`ceil(num_states / 64)`), 0 when
-    /// `has_dense` is 0.
-    pub dn_words: u64,
     /// Charset-encoding histogram, index-aligned with
     /// `sunder_sim::fastpath::ENCODING_KINDS`.
     pub encoding_counts: [u64; 6],
@@ -325,40 +271,32 @@ impl GlobalMeta {
             spec_tag: f(2),
             spec_value: f(3),
             oversize_tag: f(4),
-            shard_count: f(5),
-            symbol_bits: f(6),
-            stride: f(7),
-            per_original: f(8),
-            num_states: f(9),
-            plan_ste_budget: f(10),
-            start_period: f(11),
-            start_index_tag: f(12),
-            has_dense: f(13),
-            dn_words: f(14),
-            encoding_counts: std::array::from_fn(|i| f(15 + i)),
+            symbol_bits: f(5),
+            stride: f(6),
+            per_original: f(7),
+            num_states: f(8),
+            start_period: f(9),
+            start_index_tag: f(10),
+            encoding_counts: std::array::from_fn(|i| f(11 + i)),
         })
     }
 
     fn fields(&self) -> [u64; GLOBAL_META_LEN / 8] {
         let mut out = [0u64; GLOBAL_META_LEN / 8];
-        out[..15].copy_from_slice(&[
+        out[..11].copy_from_slice(&[
             self.config_tag,
             self.engine_tag,
             self.spec_tag,
             self.spec_value,
             self.oversize_tag,
-            self.shard_count,
             self.symbol_bits,
             self.stride,
             self.per_original,
             self.num_states,
-            self.plan_ste_budget,
             self.start_period,
             self.start_index_tag,
-            self.has_dense,
-            self.dn_words,
         ]);
-        out[15..].copy_from_slice(&self.encoding_counts);
+        out[11..].copy_from_slice(&self.encoding_counts);
         out
     }
 }
@@ -423,16 +361,12 @@ mod tests {
             spec_tag: 1,
             spec_value: 256,
             oversize_tag: 1,
-            shard_count: 3,
             symbol_bits: 4,
             stride: 2,
             per_original: 2,
             num_states: 77,
-            plan_ste_budget: 256,
             start_period: 2,
             start_index_tag: 0,
-            has_dense: 1,
-            dn_words: 2,
             encoding_counts: [1, 2, 3, 4, 5, 6],
         };
         assert_eq!(GlobalMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);

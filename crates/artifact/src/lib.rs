@@ -1,17 +1,22 @@
 //! Zero-copy mmap-able compiled pattern databases (`.sdb`).
 //!
 //! Compiling a pipeline — FlexAmata nibble decomposition, temporal
-//! striding, engine tables, the shard placement plan — is the expensive
-//! half of deploying a rule set; executing it is the cheap half. This
-//! crate serializes the *compiled* form into a versioned, offset-based,
-//! checksummed on-disk format so a process can [`MappedDb::open`] a
-//! database and start matching without re-running any of the
-//! compilation: the one engine table set (CSR successors, charset
-//! arenas, prefilter LUT, dense accept/successor matrices), built over
-//! the whole transformed automaton, is borrowed straight out of the
-//! mapping via `sunder_sim::TableBuf`, not deserialized. The shard plan
-//! is placement data only: one member table per shard, validated as an
-//! exact cover at load.
+//! striding, engine tables — is the expensive half of deploying a rule
+//! set; executing it is the cheap half. This crate serializes the
+//! *compiled* form into a versioned, offset-based, checksummed on-disk
+//! format so a process can [`MappedDb::open`] a database and start
+//! matching without re-running any of the compilation: the one sparse
+//! table set (CSR successors, charset arenas, prefilter LUT, report
+//! bits), built over the whole transformed automaton, is borrowed
+//! straight out of the mapping via `sunder_sim::TableBuf`, not
+//! deserialized.
+//!
+//! The file stores only what cannot be derived. The shard placement plan
+//! is a pure function of the transformed automaton and the stored spec,
+//! so the loader re-derives it with `ShardSpec::plan`, exactly as
+//! [`CompiledPipeline::compile`] does; dense tables are built on first
+//! use. The bytes written for one pipeline therefore never depend on
+//! what has run since it was compiled.
 //!
 //! The trust model is explicit: a `.sdb` file is *data*, not code, and
 //! may be truncated, bit-flipped, or adversarial. The loader therefore
@@ -176,7 +181,7 @@ impl CompiledPipeline {
         let plan = spec.plan(&nfa)?;
         let sparse = Arc::new(SparseTables::build(&nfa));
         let nfa = Arc::new(nfa);
-        let sharded = ShardedEngine::from_prebuilt(Arc::clone(&nfa), plan, engine, sparse, None);
+        let sharded = ShardedEngine::from_prebuilt(Arc::clone(&nfa), plan, engine, sparse);
         Ok(CompiledPipeline {
             key,
             config,

@@ -27,10 +27,8 @@ use std::any::Any;
 use std::path::Path;
 use std::sync::Arc;
 
-use sunder_automata::graph::extract_subautomaton;
-use sunder_automata::partition::{Shard, ShardPlan, ShardSpec};
+use sunder_automata::partition::ShardSpec;
 use sunder_automata::{anml, Nfa, StateId};
-use sunder_sim::dense::DenseTables;
 use sunder_sim::fastpath::{
     SparseTables, StartIndex, SymCode, ENCODING_KINDS, MAX_BUCKETED_ALPHABET,
 };
@@ -287,7 +285,7 @@ pub struct MappedDb {
     pipeline: CompiledPipeline,
     file_len: usize,
     mmapped: bool,
-    sections: Vec<(SectionKind, u32, usize, usize)>,
+    sections: Vec<(SectionKind, usize, usize)>,
     borrowed_tables: usize,
 }
 
@@ -336,9 +334,9 @@ impl MappedDb {
         self.mmapped
     }
 
-    /// `(kind, shard, offset, len)` of every section, in table order —
-    /// the `inspect-db` listing.
-    pub fn sections(&self) -> &[(SectionKind, u32, usize, usize)] {
+    /// `(kind, offset, len)` of every section, in table order — the
+    /// `inspect-db` listing.
+    pub fn sections(&self) -> &[(SectionKind, usize, usize)] {
         &self.sections
     }
 
@@ -482,15 +480,15 @@ fn check_offsets(off: &[u32], total: usize, context: &'static str) -> Result<(),
 
 /// Validates a reporting bitset against the automaton: exact per-
 /// state agreement plus a zero tail.
-fn check_report_bits(words: &[u64], nfa: &Nfa, context: &'static str) -> Result<(), ArtifactError> {
+fn check_report_bits(words: &[u64], nfa: &Nfa) -> Result<(), ArtifactError> {
     if !tail_bits_zero(words, nfa.num_states()) {
-        return Err(bad(context));
+        return Err(bad("report bitset"));
     }
     for (id, ste) in nfa.states() {
         let i = id.index();
         let bit = (words[i >> 6] >> (i & 63)) & 1 != 0;
         if bit == ste.reports().is_empty() {
-            return Err(bad(context));
+            return Err(bad("report bitset"));
         }
     }
     Ok(())
@@ -507,20 +505,20 @@ fn load_sparse(
 ) -> Result<SparseTables, ArtifactError> {
     let n = sizes.n;
 
-    let succ_off_sec = raw.require(SectionKind::SpSuccOff, 0)?;
+    let succ_off_sec = raw.require(SectionKind::SpSuccOff)?;
     require_count(succ_off_sec, n + 1, "successor offset table")?;
-    let succ_flat_sec = raw.require(SectionKind::SpSuccFlat, 0)?;
+    let succ_flat_sec = raw.require(SectionKind::SpSuccFlat)?;
     let succ_off: TableBuf<u32> = borrow_table(mapping, succ_off_sec);
     let succ_flat: TableBuf<StateId> = borrow_table(mapping, succ_flat_sec);
     check_offsets(&succ_off, succ_flat.len(), "successor offsets")?;
     check_ids(&succ_flat, n, "successor state id")?;
 
-    let sparse_arena_sec = raw.require(SectionKind::SpSparseArena, 0)?;
-    let dense_arena_sec = raw.require(SectionKind::SpDenseArena, 0)?;
+    let sparse_arena_sec = raw.require(SectionKind::SpSparseArena)?;
+    let dense_arena_sec = raw.require(SectionKind::SpDenseArena)?;
     let sparse_arena: TableBuf<u16> = borrow_table(mapping, sparse_arena_sec);
     let dense_arena: TableBuf<u64> = borrow_table(mapping, dense_arena_sec);
 
-    let codes_sec = raw.require(SectionKind::SpCodes, 0)?;
+    let codes_sec = raw.require(SectionKind::SpCodes)?;
     require_count(codes_sec, sizes.codes, "code table")?;
     let codes = decode_codes(
         raw,
@@ -531,11 +529,11 @@ fn load_sparse(
         &meta.encoding_counts,
     )?;
 
-    let sod_sec = raw.require(SectionKind::SpSodStarts, 0)?;
+    let sod_sec = raw.require(SectionKind::SpSodStarts)?;
     let sod_starts: TableBuf<StateId> = borrow_table(mapping, sod_sec);
     check_ids(&sod_starts, n, "start-of-data state id")?;
 
-    let start_flat_sec = raw.require(SectionKind::SpStartFlat, 0)?;
+    let start_flat_sec = raw.require(SectionKind::SpStartFlat)?;
     let start_flat: TableBuf<StateId> = borrow_table(mapping, start_flat_sec);
     check_ids(&start_flat, n, "start state id")?;
     let start_index = match meta.start_index_tag {
@@ -543,7 +541,7 @@ fn load_sparse(
             if sizes.alphabet > MAX_BUCKETED_ALPHABET {
                 return Err(bad("bucketed start index over wide alphabet"));
             }
-            let off_sec = raw.require(SectionKind::SpStartOff, 0)?;
+            let off_sec = raw.require(SectionKind::SpStartOff)?;
             require_count(off_sec, sizes.alphabet + 1, "start offset table")?;
             let off: TableBuf<u32> = borrow_table(mapping, off_sec);
             check_offsets(&off, start_flat.len(), "start offsets")?;
@@ -557,7 +555,7 @@ fn load_sparse(
             if sizes.alphabet <= MAX_BUCKETED_ALPHABET {
                 return Err(bad("flat start index over narrow alphabet"));
             }
-            if raw.find(SectionKind::SpStartOff, 0).is_some() {
+            if raw.find(SectionKind::SpStartOff).is_some() {
                 return Err(bad("unexpected start offset table"));
             }
             StartIndex::Flat(start_flat)
@@ -565,17 +563,17 @@ fn load_sparse(
         _ => return Err(bad("start index tag")),
     };
 
-    let lut_sec = raw.require(SectionKind::SpStartLut, 0)?;
+    let lut_sec = raw.require(SectionKind::SpStartLut)?;
     require_count(lut_sec, sizes.dense_words, "start LUT")?;
     let start_lut: TableBuf<u64> = borrow_table(mapping, lut_sec);
     if !tail_bits_zero(&start_lut, sizes.alphabet) {
         return Err(bad("start LUT tail"));
     }
 
-    let report_sec = raw.require(SectionKind::SpReportBits, 0)?;
+    let report_sec = raw.require(SectionKind::SpReportBits)?;
     require_count(report_sec, sizes.state_words, "report bitset")?;
     let report_bits: TableBuf<u64> = borrow_table(mapping, report_sec);
-    check_report_bits(&report_bits, nfa, "report bitset")?;
+    check_report_bits(&report_bits, nfa)?;
 
     // succ_off, succ_flat, sparse_arena, dense_arena, sod_starts,
     // start_flat, start_lut, report_bits (SpStartOff counted above).
@@ -599,139 +597,15 @@ fn load_sparse(
     })
 }
 
-/// Loads the dense tables, fully validated.
-fn load_dense(
-    raw: &RawDb<'_>,
-    mapping: &Arc<Mapping>,
-    meta: &GlobalMeta,
-    sizes: &TableSizes,
-    nfa: &Nfa,
-    borrowed: &mut usize,
-) -> Result<DenseTables, ArtifactError> {
-    let n = sizes.n;
-    let words = to_usize(meta.dn_words, "dense word width")?;
-    if words != sizes.state_words {
-        return Err(bad("dense word width"));
-    }
-
-    let class_of_sec = raw.require(SectionKind::DnClassOf, 0)?;
-    let class_map_len = checked_mul(sizes.stride, sizes.alphabet, "class map")?;
-    require_count(class_of_sec, class_map_len, "class map")?;
-    let class_of: TableBuf<u16> = borrow_table(mapping, class_of_sec);
-
-    let class_off_sec = raw.require(SectionKind::DnClassOff, 0)?;
-    require_count(class_off_sec, sizes.stride + 1, "class offset table")?;
-    let class_off_raw: TableBuf<u32> = borrow_table(mapping, class_off_sec);
-    // Owned copy: DenseTables keeps class_off as a plain Vec (it is tiny
-    // — stride + 1 entries).
-    let class_off: Vec<u32> = class_off_raw.as_slice().to_vec();
-    if class_off.first() != Some(&0) || !class_off.windows(2).all(|w| w[0] <= w[1]) {
-        return Err(bad("class offsets"));
-    }
-    let total_rows = to_usize(
-        u64::from(*class_off.last().expect("stride+1 ≥ 1")),
-        "class rows",
-    )?;
-
-    // Every symbol's class must select an in-range accept row.
-    for j in 0..sizes.stride {
-        let rows = (class_off[j + 1] - class_off[j]) as usize;
-        let row = &class_of[j * sizes.alphabet..(j + 1) * sizes.alphabet];
-        if row.iter().any(|&c| usize::from(c) >= rows) {
-            return Err(bad("class map entry"));
-        }
-    }
-
-    let accept_sec = raw.require(SectionKind::DnAccept, 0)?;
-    require_count(
-        accept_sec,
-        checked_mul(total_rows, words, "accept matrix")?,
-        "accept matrix",
-    )?;
-    let accept: TableBuf<u64> = borrow_table(mapping, accept_sec);
-
-    let pad_sec = raw.require(SectionKind::DnPadFull, 0)?;
-    require_count(
-        pad_sec,
-        checked_mul(sizes.stride, words, "padding matrix")?,
-        "padding matrix",
-    )?;
-    let pad_full: TableBuf<u64> = borrow_table(mapping, pad_sec);
-
-    let succ_sec = raw.require(SectionKind::DnSucc, 0)?;
-    require_count(
-        succ_sec,
-        checked_mul(n, words, "successor matrix")?,
-        "successor matrix",
-    )?;
-    let succ: TableBuf<u64> = borrow_table(mapping, succ_sec);
-
-    // Any set bit past the state count becomes a phantom StateId at run
-    // time (and a panic inside report delivery), so every row of every
-    // state-indexed matrix must have a zero tail.
-    for (table, context) in [
-        (&accept, "accept matrix tail"),
-        (&pad_full, "padding matrix tail"),
-        (&succ, "successor matrix tail"),
-    ] {
-        if words > 0 {
-            for row in table.chunks_exact(words) {
-                if !tail_bits_zero(row, n) {
-                    return Err(bad(context));
-                }
-            }
-        }
-    }
-
-    let mut vectors = Vec::new();
-    for (kind, context) in [
-        (SectionKind::DnHasSucc, "has-successor vector"),
-        (SectionKind::DnStartAllinput, "all-input start vector"),
-        (SectionKind::DnStartSod, "start-of-data vector"),
-        (SectionKind::DnReportMask, "report mask"),
-    ] {
-        let sec = raw.require(kind, 0)?;
-        require_count(sec, words, context)?;
-        let table: TableBuf<u64> = borrow_table(mapping, sec);
-        if !tail_bits_zero(&table, n) {
-            return Err(bad(context));
-        }
-        vectors.push(table);
-    }
-    let report_mask = vectors.pop().expect("four vectors");
-    let start_sod = vectors.pop().expect("three vectors");
-    let start_allinput = vectors.pop().expect("two vectors");
-    let has_succ = vectors.pop().expect("one vector");
-    check_report_bits(&report_mask, nfa, "report mask")?;
-
-    *borrowed += 8; // class_of, accept, pad_full, succ, and the 4 vectors
-
-    Ok(DenseTables {
-        words,
-        alphabet: sizes.alphabet,
-        stride: sizes.stride,
-        class_of,
-        class_off,
-        accept,
-        pad_full,
-        succ,
-        has_succ,
-        start_allinput,
-        start_sod,
-        report_mask,
-        start_period: meta.start_period,
-    })
-}
-
-/// The full load path: byte validation, metadata decoding, table
-/// assembly, plan cover check, content-hash cross-check.
+/// The full load path: byte validation, metadata decoding, content-hash
+/// cross-check, table assembly, plan derivation.
 fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     let raw = validate_bytes(mapping.as_bytes())?;
 
     // Global metadata and identity. Checked size derivation FIRST:
     // forged counts must die here as CountOverflow, not wrap into a later
     // comparison.
-    let meta_sec = *raw.require(SectionKind::Meta, 0)?;
+    let meta_sec = *raw.require(SectionKind::Meta)?;
     let meta = GlobalMeta::from_bytes(raw.payload(&meta_sec))?;
     let sizes = TableSizes::derive(&meta)?;
     let config = usize::try_from(meta.config_tag)
@@ -746,24 +620,12 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
         .ok_or(bad("sharding spec tags"))?;
     let map =
         PositionMap::from_per_original(meta.per_original).ok_or(bad("per-original factor"))?;
-    if meta.has_dense > 1 {
-        return Err(bad("dense flag"));
-    }
-    if meta.shard_count > raw.sections.len() as u64 {
-        return Err(bad("shard count exceeds section table"));
-    }
-    let shard_count = meta.shard_count as usize;
-    for s in &raw.sections {
-        if s.kind.is_per_shard() && u64::from(s.shard) >= meta.shard_count {
-            return Err(bad("section shard index out of range"));
-        }
-    }
 
-    let spec_key_sec = *raw.require(SectionKind::SpecKey, 0)?;
+    let spec_key_sec = *raw.require(SectionKind::SpecKey)?;
     if utf8_section(&raw, &spec_key_sec)? != spec.key_text() {
         return Err(bad("spec key text"));
     }
-    let source_sec = *raw.require(SectionKind::SourceAnml, 0)?;
+    let source_sec = *raw.require(SectionKind::SourceAnml)?;
     let source_anml = utf8_section(&raw, &source_sec)?;
 
     // Content-hash cross-check: the header key must be reproducible from
@@ -778,7 +640,7 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     }
 
     // The transformed automaton.
-    let nfa_sec = *raw.require(SectionKind::NfaAnml, 0)?;
+    let nfa_sec = *raw.require(SectionKind::NfaAnml)?;
     let nfa = anml::parse(utf8_section(&raw, &nfa_sec)?)?;
     if nfa.num_states() != sizes.n
         || nfa.stride() != sizes.stride
@@ -791,63 +653,10 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     // The one table set the engine runs from.
     let mut borrowed = 0usize;
     let sparse = load_sparse(&raw, &mapping, &meta, &sizes, &nfa, &mut borrowed)?;
-    let dense = if meta.has_dense == 1 {
-        Some(Arc::new(load_dense(
-            &raw,
-            &mapping,
-            &meta,
-            &sizes,
-            &nfa,
-            &mut borrowed,
-        )?))
-    } else {
-        for kind in [
-            SectionKind::DnClassOf,
-            SectionKind::DnClassOff,
-            SectionKind::DnAccept,
-            SectionKind::DnPadFull,
-            SectionKind::DnSucc,
-            SectionKind::DnHasSucc,
-            SectionKind::DnStartAllinput,
-            SectionKind::DnStartSod,
-            SectionKind::DnReportMask,
-        ] {
-            if raw.find(kind, 0).is_some() {
-                return Err(bad("unexpected dense section"));
-            }
-        }
-        None
-    };
 
-    // The placement plan: member tables that cover every state exactly
-    // once, turned back into sub-automata.
-    let flags_sec = raw.require(SectionKind::ShardOversized, 0)?;
-    require_count(flags_sec, shard_count, "shard flag table")?;
-    let flags: TableBuf<u64> = borrow_table(&mapping, flags_sec);
-    let mut shards = Vec::with_capacity(shard_count);
-    for (shard, &oversized) in flags.iter().enumerate() {
-        if oversized > 1 {
-            return Err(bad("shard flag"));
-        }
-        let members_sec = raw.require(SectionKind::ShardMembers, shard as u32)?;
-        let members: TableBuf<StateId> = borrow_table(&mapping, members_sec);
-        if !members.windows(2).all(|w| w[0].index() < w[1].index()) {
-            return Err(bad("shard member order"));
-        }
-        check_ids(&members, sizes.n, "shard member id")?;
-        shards.push(Shard {
-            nfa: extract_subautomaton(&nfa, &members),
-            members: members.as_slice().to_vec(),
-            oversized: oversized == 1,
-        });
-    }
-    let plan = ShardPlan {
-        shards,
-        ste_budget: to_usize(meta.plan_ste_budget, "plan budget")?,
-        total_states: sizes.n,
-    };
-    plan.validate_cover(&nfa)
-        .map_err(|_| bad("shard member cover"))?;
+    // The placement plan, derived from the stored spec exactly as
+    // `CompiledPipeline::compile` derives it.
+    let plan = spec.plan(&nfa)?;
 
     // Telemetry parity with the in-memory build path, which emits the
     // encoding histogram from SparseTables::build.
@@ -862,15 +671,14 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     let sections = raw
         .sections
         .iter()
-        .map(|s| (s.kind, s.shard, s.offset, s.len))
+        .map(|s| (s.kind, s.offset, s.len))
         .collect();
     let file_len = raw.header.file_len as usize;
     let source_anml = source_anml.to_owned();
     drop(raw);
 
     let nfa = Arc::new(nfa);
-    let sharded =
-        ShardedEngine::from_prebuilt(Arc::clone(&nfa), plan, engine, Arc::new(sparse), dense);
+    let sharded = ShardedEngine::from_prebuilt(Arc::clone(&nfa), plan, engine, Arc::new(sparse));
     Ok(MappedDb {
         pipeline: CompiledPipeline {
             key,

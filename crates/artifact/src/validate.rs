@@ -3,7 +3,7 @@
 //!
 //! [`validate_bytes`] takes the raw file bytes and either rejects them
 //! with a typed [`ArtifactError`] or returns a [`RawDb`] whose section
-//! descriptors are proven in-bounds, aligned, unique, and
+//! descriptors are proven in-bounds, aligned, unique by kind, and
 //! non-overlapping. Only after this gate does the loader
 //! ([`crate::mapped`]) interpret section payloads — so a hostile file
 //! can at worst produce a typed error, never an out-of-bounds access.
@@ -28,13 +28,12 @@ pub struct Header {
     pub section_count: u32,
 }
 
-/// One validated section descriptor: in-bounds, aligned, unique.
+/// One validated section descriptor: in-bounds, aligned, the only one
+/// of its kind.
 #[derive(Debug, Clone, Copy)]
 pub struct RawSection {
     /// Section kind.
     pub kind: SectionKind,
-    /// Shard index (0 for global kinds).
-    pub shard: u32,
     /// Payload offset from the start of the file.
     pub offset: usize,
     /// Payload length in bytes.
@@ -54,11 +53,9 @@ pub struct RawDb<'a> {
 }
 
 impl<'a> RawDb<'a> {
-    /// Looks up the section of `(kind, shard)`, if present.
-    pub fn find(&self, kind: SectionKind, shard: u32) -> Option<&RawSection> {
-        self.sections
-            .iter()
-            .find(|s| s.kind == kind && s.shard == shard)
+    /// Looks up the section of `kind`, if present.
+    pub fn find(&self, kind: SectionKind) -> Option<&RawSection> {
+        self.sections.iter().find(|s| s.kind == kind)
     }
 
     /// Looks up a section the format requires.
@@ -66,11 +63,9 @@ impl<'a> RawDb<'a> {
     /// # Errors
     ///
     /// Returns [`ArtifactError::MissingSection`] when absent.
-    pub fn require(&self, kind: SectionKind, shard: u32) -> Result<&RawSection, ArtifactError> {
-        self.find(kind, shard).ok_or(ArtifactError::MissingSection {
-            kind: kind.tag(),
-            shard,
-        })
+    pub fn require(&self, kind: SectionKind) -> Result<&RawSection, ArtifactError> {
+        self.find(kind)
+            .ok_or(ArtifactError::MissingSection { kind: kind.tag() })
     }
 
     /// The payload bytes of a validated section.
@@ -134,26 +129,23 @@ pub fn validate_bytes(bytes: &[u8]) -> Result<RawDb<'_>, ArtifactError> {
         });
     }
 
-    // Section table: checked size, then per-entry invariants.
-    let table_bytes = (header.section_count as usize)
-        .checked_mul(SECTION_ENTRY_LEN)
-        .ok_or(ArtifactError::SectionTableOverflow {
+    // Section table: at most one entry per kind and inside the file,
+    // both settled before any entry is read; then per-entry invariants.
+    let count = header.section_count as usize;
+    if count > SectionKind::ALL.len() || HEADER_LEN + count * SECTION_ENTRY_LEN > bytes.len() {
+        return Err(ArtifactError::SectionTableOverflow {
             count: header.section_count,
-        })?;
-    let table_end = HEADER_LEN
-        .checked_add(table_bytes)
-        .filter(|&end| end <= bytes.len())
-        .ok_or(ArtifactError::SectionTableOverflow {
-            count: header.section_count,
-        })?;
+        });
+    }
+    let table_end = HEADER_LEN + count * SECTION_ENTRY_LEN;
 
-    let mut sections = Vec::with_capacity(header.section_count as usize);
-    for i in 0..header.section_count as usize {
+    let mut sections = Vec::with_capacity(count);
+    for i in 0..count {
         let base = HEADER_LEN + i * SECTION_ENTRY_LEN;
         let kind_tag = read_u32(bytes, base);
         let kind = SectionKind::from_tag(kind_tag)
             .ok_or(ArtifactError::UnknownSection { kind: kind_tag })?;
-        let shard = read_u32(bytes, base + 4);
+        let padding = read_u32(bytes, base + 4);
         let offset = read_u64(bytes, base + 8);
         let len = read_u64(bytes, base + 16);
         if offset < table_end as u64 || !(offset as usize).is_multiple_of(SECTION_ALIGN) {
@@ -178,23 +170,16 @@ pub fn validate_bytes(bytes: &[u8]) -> Result<RawDb<'_>, ArtifactError> {
                 elem: kind.elem_size() as u64,
             });
         }
-        if !kind.is_per_shard() && shard != 0 {
+        if padding != 0 {
             return Err(ArtifactError::BadValue {
-                context: "global section with nonzero shard index",
+                context: "section entry padding",
             });
         }
-        if sections
-            .iter()
-            .any(|s: &RawSection| s.kind == kind && s.shard == shard)
-        {
-            return Err(ArtifactError::DuplicateSection {
-                kind: kind_tag,
-                shard,
-            });
+        if sections.iter().any(|s: &RawSection| s.kind == kind) {
+            return Err(ArtifactError::DuplicateSection { kind: kind_tag });
         }
         sections.push(RawSection {
             kind,
-            shard,
             // Bounds were proven against bytes.len() above, so the usize
             // conversions cannot truncate.
             offset: offset as usize,

@@ -12,9 +12,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sunder_automata::{anml, StateId};
-use sunder_sim::dense::DenseTables;
 use sunder_sim::fastpath::{SparseTables, StartIndex, SymCode};
-use sunder_sim::EngineKind;
 
 use crate::error::ArtifactError;
 use crate::format::{
@@ -78,79 +76,39 @@ fn code_rec(code: SymCode) -> CodeRec {
     }
 }
 
-fn sparse_sections(tables: &SparseTables, out: &mut Vec<(SectionKind, u32, Vec<u8>)>) {
-    out.push((SectionKind::SpSuccOff, 0, bytes_of_u32(&tables.succ_off)));
-    out.push((SectionKind::SpSuccFlat, 0, bytes_of_ids(&tables.succ_flat)));
+fn sparse_sections(tables: &SparseTables, out: &mut Vec<(SectionKind, Vec<u8>)>) {
+    out.push((SectionKind::SpSuccOff, bytes_of_u32(&tables.succ_off)));
+    out.push((SectionKind::SpSuccFlat, bytes_of_ids(&tables.succ_flat)));
     let mut codes = Vec::with_capacity(tables.codes.len() * 8);
     for &code in &tables.codes {
         codes.extend_from_slice(&code_rec(code).to_bytes());
     }
-    out.push((SectionKind::SpCodes, 0, codes));
+    out.push((SectionKind::SpCodes, codes));
     out.push((
         SectionKind::SpSparseArena,
-        0,
         bytes_of_u16(&tables.sparse_arena),
     ));
-    out.push((
-        SectionKind::SpDenseArena,
-        0,
-        bytes_of_u64(&tables.dense_arena),
-    ));
-    out.push((
-        SectionKind::SpSodStarts,
-        0,
-        bytes_of_ids(&tables.sod_starts),
-    ));
+    out.push((SectionKind::SpDenseArena, bytes_of_u64(&tables.dense_arena)));
+    out.push((SectionKind::SpSodStarts, bytes_of_ids(&tables.sod_starts)));
     match &tables.start_index {
         StartIndex::Bucketed { off, flat } => {
-            out.push((SectionKind::SpStartOff, 0, bytes_of_u32(off)));
-            out.push((SectionKind::SpStartFlat, 0, bytes_of_ids(flat)));
+            out.push((SectionKind::SpStartOff, bytes_of_u32(off)));
+            out.push((SectionKind::SpStartFlat, bytes_of_ids(flat)));
         }
         StartIndex::Flat(flat) => {
-            out.push((SectionKind::SpStartFlat, 0, bytes_of_ids(flat)));
+            out.push((SectionKind::SpStartFlat, bytes_of_ids(flat)));
         }
     }
-    out.push((SectionKind::SpStartLut, 0, bytes_of_u64(&tables.start_lut)));
-    out.push((
-        SectionKind::SpReportBits,
-        0,
-        bytes_of_u64(&tables.report_bits),
-    ));
-}
-
-fn dense_sections(tables: &DenseTables, out: &mut Vec<(SectionKind, u32, Vec<u8>)>) {
-    out.push((SectionKind::DnClassOf, 0, bytes_of_u16(&tables.class_of)));
-    out.push((SectionKind::DnClassOff, 0, bytes_of_u32(&tables.class_off)));
-    out.push((SectionKind::DnAccept, 0, bytes_of_u64(&tables.accept)));
-    out.push((SectionKind::DnPadFull, 0, bytes_of_u64(&tables.pad_full)));
-    out.push((SectionKind::DnSucc, 0, bytes_of_u64(&tables.succ)));
-    out.push((SectionKind::DnHasSucc, 0, bytes_of_u64(&tables.has_succ)));
-    out.push((
-        SectionKind::DnStartAllinput,
-        0,
-        bytes_of_u64(&tables.start_allinput),
-    ));
-    out.push((SectionKind::DnStartSod, 0, bytes_of_u64(&tables.start_sod)));
-    out.push((
-        SectionKind::DnReportMask,
-        0,
-        bytes_of_u64(&tables.report_mask),
-    ));
+    out.push((SectionKind::SpStartLut, bytes_of_u64(&tables.start_lut)));
+    out.push((SectionKind::SpReportBits, bytes_of_u64(&tables.report_bits)));
 }
 
 impl CompiledPipeline {
-    /// Serializes the pipeline into `.sdb` bytes. For the dense engine
-    /// kind the dense tables are built (once) so the database carries
-    /// them; other kinds persist dense tables only if already
-    /// materialized.
+    /// Serializes the pipeline into `.sdb` bytes: its identity, both
+    /// automata and the sparse tables — nothing the loader can derive,
+    /// so the bytes depend only on the pipeline's content.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let plan = self.sharded.plan();
         let sparse = self.sharded.sparse();
-        let dense = if self.engine == EngineKind::Dense {
-            Some(self.sharded.ensure_dense())
-        } else {
-            self.sharded.dense()
-        };
         let (spec_tag, spec_value, oversize_tag) = self.spec.tags();
         let meta = GlobalMeta {
             config_tag: config_tag(self.config),
@@ -158,56 +116,38 @@ impl CompiledPipeline {
             spec_tag,
             spec_value,
             oversize_tag,
-            shard_count: plan.num_shards() as u64,
             symbol_bits: u64::from(self.nfa.symbol_bits()),
             stride: self.nfa.stride() as u64,
             per_original: self.map.per_original(),
             num_states: self.nfa.num_states() as u64,
-            plan_ste_budget: plan.ste_budget as u64,
             start_period: sparse.start_period,
             start_index_tag: match sparse.start_index {
                 StartIndex::Bucketed { .. } => 0,
                 StartIndex::Flat(_) => 1,
             },
-            has_dense: u64::from(dense.is_some()),
-            dn_words: dense.as_ref().map_or(0, |d| d.words as u64),
             encoding_counts: sparse.encoding_counts,
         };
-        let oversized: Vec<u64> = plan.shards.iter().map(|s| u64::from(s.oversized)).collect();
 
-        let mut sections: Vec<(SectionKind, u32, Vec<u8>)> = vec![
+        let mut sections: Vec<(SectionKind, Vec<u8>)> = vec![
             (
                 SectionKind::SourceAnml,
-                0,
                 self.source_anml.as_bytes().to_vec(),
             ),
-            (SectionKind::Meta, 0, meta.to_bytes().to_vec()),
-            (SectionKind::SpecKey, 0, self.spec.key_text().into_bytes()),
+            (SectionKind::Meta, meta.to_bytes().to_vec()),
+            (SectionKind::SpecKey, self.spec.key_text().into_bytes()),
             (
                 SectionKind::NfaAnml,
-                0,
                 anml::serialize(&self.nfa).into_bytes(),
             ),
-            (SectionKind::ShardOversized, 0, bytes_of_u64(&oversized)),
         ];
-        for (idx, shard) in plan.shards.iter().enumerate() {
-            sections.push((
-                SectionKind::ShardMembers,
-                idx as u32,
-                bytes_of_ids(&shard.members),
-            ));
-        }
         sparse_sections(sparse, &mut sections);
-        if let Some(dense) = dense {
-            dense_sections(&dense, &mut sections);
-        }
 
         // Offset assignment: the section table follows the header (64 + 24k
         // is always 8-aligned), payloads follow with 8-byte alignment.
         let table_end = HEADER_LEN + sections.len() * SECTION_ENTRY_LEN;
         let mut offsets = Vec::with_capacity(sections.len());
         let mut cursor = table_end;
-        for (_, _, payload) in &sections {
+        for (_, payload) in &sections {
             offsets.push(cursor);
             cursor += payload.len();
             cursor = cursor.next_multiple_of(SECTION_ALIGN);
@@ -229,10 +169,10 @@ impl CompiledPipeline {
         buf[header_offset::HEADER_LEN..header_offset::HEADER_LEN + 4]
             .copy_from_slice(&(HEADER_LEN as u32).to_ne_bytes());
 
-        for (i, ((kind, shard, payload), offset)) in sections.iter().zip(&offsets).enumerate() {
+        for (i, ((kind, payload), offset)) in sections.iter().zip(&offsets).enumerate() {
             let base = HEADER_LEN + i * SECTION_ENTRY_LEN;
             buf[base..base + 4].copy_from_slice(&kind.tag().to_ne_bytes());
-            buf[base + 4..base + 8].copy_from_slice(&shard.to_ne_bytes());
+            // Bytes 4..8 are padding and stay zero.
             buf[base + 8..base + 16].copy_from_slice(&(*offset as u64).to_ne_bytes());
             buf[base + 16..base + 24].copy_from_slice(&(payload.len() as u64).to_ne_bytes());
             buf[*offset..*offset + payload.len()].copy_from_slice(payload);

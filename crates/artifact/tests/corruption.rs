@@ -13,9 +13,9 @@ use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
 use sunder_sim::EngineKind;
 
-/// The corpus base: small but structurally complete — one shard
-/// (everything in the section table exercised), edges, charset
-/// variety, and reporting states.
+/// The corpus base: small but structurally complete — every section
+/// kind a narrow-alphabet pipeline writes, edges, charset variety, and
+/// reporting states.
 fn base_image() -> Vec<u8> {
     let nfa = compile_rule_set(&["ab+c", ".*net"]).expect("rules compile");
     let db = CompiledPipeline::compile(

@@ -7,14 +7,19 @@
 use sunder_artifact::corrupt::fix_checksum;
 use sunder_artifact::format::{header_offset, SectionKind, HEADER_LEN, SECTION_ENTRY_LEN};
 use sunder_artifact::validate::validate_bytes;
-use sunder_artifact::{ArtifactError, CompiledPipeline, MappedDb};
+use sunder_artifact::{pipeline_key, ArtifactError, CompiledPipeline, MappedDb};
 use sunder_automata::partition::ShardSpec;
 use sunder_automata::regex::compile_rule_set;
+use sunder_automata::{AutomataError, Nfa};
 use sunder_oracle::PipelineConfig;
 use sunder_sim::EngineKind;
 
+fn source() -> Nfa {
+    compile_rule_set(&["ab+c", ".*net"]).expect("rules compile")
+}
+
 fn base_image() -> Vec<u8> {
-    let nfa = compile_rule_set(&["ab+c", ".*net"]).expect("rules compile");
+    let nfa = source();
     CompiledPipeline::compile(
         &nfa,
         PipelineConfig::ALL[0],
@@ -29,26 +34,40 @@ fn load_err(bytes: &[u8]) -> ArtifactError {
     MappedDb::load_bytes(bytes).expect_err("mutant must be rejected")
 }
 
-/// Table-slot byte offset of the section-table entry for `(kind, shard)`.
-fn entry_offset(base: &[u8], kind: SectionKind, shard: u32) -> usize {
+/// Table-slot byte offset of the section-table entry for `kind`.
+fn entry_offset(base: &[u8], kind: SectionKind) -> usize {
     let raw = validate_bytes(base).expect("base is valid");
     let idx = raw
         .sections
         .iter()
-        .position(|s| s.kind == kind && s.shard == shard)
+        .position(|s| s.kind == kind)
         .expect("section present in base");
     HEADER_LEN + idx * SECTION_ENTRY_LEN
 }
 
-/// Payload location of `(kind, shard)`.
-fn payload_span(base: &[u8], kind: SectionKind, shard: u32) -> (usize, usize) {
+/// Payload location of `kind`.
+fn payload_span(base: &[u8], kind: SectionKind) -> (usize, usize) {
     let raw = validate_bytes(base).expect("base is valid");
-    let s = raw
-        .sections
-        .iter()
-        .find(|s| s.kind == kind && s.shard == shard)
-        .expect("section present in base");
+    let s = raw.find(kind).expect("section present in base");
     (s.offset, s.len)
+}
+
+/// A well-formed header over a section table of `count` zero-length
+/// `SourceAnml` entries and nothing else, checksum and length fixed.
+fn forged_table(base: &[u8], count: u32) -> Vec<u8> {
+    let table_end = HEADER_LEN + count as usize * SECTION_ENTRY_LEN;
+    let mut bytes = vec![0u8; table_end];
+    bytes[..HEADER_LEN].copy_from_slice(&base[..HEADER_LEN]);
+    bytes[header_offset::SECTION_COUNT..header_offset::SECTION_COUNT + 4]
+        .copy_from_slice(&count.to_ne_bytes());
+    bytes[header_offset::FILE_LEN..header_offset::FILE_LEN + 8]
+        .copy_from_slice(&(table_end as u64).to_ne_bytes());
+    for entry in bytes[HEADER_LEN..].chunks_exact_mut(SECTION_ENTRY_LEN) {
+        entry[..4].copy_from_slice(&SectionKind::SourceAnml.tag().to_ne_bytes());
+        entry[8..16].copy_from_slice(&(table_end as u64).to_ne_bytes());
+    }
+    fix_checksum(&mut bytes);
+    bytes
 }
 
 #[test]
@@ -106,6 +125,13 @@ fn reserved_bytes_and_header_len_are_pinned() {
     let mut bytes = base.clone();
     bytes[header_offset::HEADER_LEN] = 32;
     assert!(matches!(load_err(&bytes), ArtifactError::BadHeader { .. }));
+
+    // The word between an entry's kind and its offset is padding.
+    let entry = entry_offset(&base, SectionKind::SourceAnml);
+    let mut bytes = base.clone();
+    bytes[entry + 4] = 1;
+    fix_checksum(&mut bytes);
+    assert!(matches!(load_err(&bytes), ArtifactError::BadValue { .. }));
 }
 
 #[test]
@@ -142,6 +168,19 @@ fn section_table_overflow_and_missing_section() {
         ArtifactError::SectionTableOverflow { .. }
     ));
 
+    // A table with more entries than there are kinds is rejected before
+    // any entry is read, however many it holds.
+    for count in [SectionKind::ALL.len() + 1, 64_000] {
+        let bytes = forged_table(&base, count as u32);
+        assert!(
+            matches!(
+                load_err(&bytes),
+                ArtifactError::SectionTableOverflow { count: c } if c as usize == count
+            ),
+            "{count} entries"
+        );
+    }
+
     // Dropping the last table entry leaves a required section missing.
     let raw = validate_bytes(&base).expect("valid");
     let count = raw.header.section_count;
@@ -160,7 +199,7 @@ fn misaligned_overlapping_duplicate_unknown_sections() {
     let base = base_image();
 
     // Misalign: +4 keeps the section in bounds but off the 8-byte grid.
-    let entry = entry_offset(&base, SectionKind::SourceAnml, 0);
+    let entry = entry_offset(&base, SectionKind::SourceAnml);
     let mut bytes = base.clone();
     let off = u64::from_ne_bytes(bytes[entry + 8..entry + 16].try_into().unwrap());
     bytes[entry + 8..entry + 16].copy_from_slice(&(off + 4).to_ne_bytes());
@@ -171,8 +210,8 @@ fn misaligned_overlapping_duplicate_unknown_sections() {
     ));
 
     // Overlap: point NfaAnml at SourceAnml's payload.
-    let src = entry_offset(&base, SectionKind::SourceAnml, 0);
-    let dst = entry_offset(&base, SectionKind::NfaAnml, 0);
+    let src = entry_offset(&base, SectionKind::SourceAnml);
+    let dst = entry_offset(&base, SectionKind::NfaAnml);
     let mut bytes = base.clone();
     let off = u64::from_ne_bytes(bytes[src + 8..src + 16].try_into().unwrap());
     bytes[dst + 8..dst + 16].copy_from_slice(&off.to_ne_bytes());
@@ -205,7 +244,7 @@ fn misaligned_overlapping_duplicate_unknown_sections() {
 #[test]
 fn out_of_bounds_and_bad_element_size() {
     let base = base_image();
-    let entry = entry_offset(&base, SectionKind::SpReportBits, 0);
+    let entry = entry_offset(&base, SectionKind::SpReportBits);
 
     let mut bytes = base.clone();
     bytes[entry + 16..entry + 24].copy_from_slice(&u64::MAX.to_ne_bytes());
@@ -217,7 +256,7 @@ fn out_of_bounds_and_bad_element_size() {
 
     // Shrink a u64-element section by one byte: still in bounds, no
     // longer a whole number of elements.
-    let (_, len) = payload_span(&base, SectionKind::SpReportBits, 0);
+    let (_, len) = payload_span(&base, SectionKind::SpReportBits);
     assert!(len >= 8);
     let mut bytes = base.clone();
     bytes[entry + 16..entry + 24].copy_from_slice(&((len - 1) as u64).to_ne_bytes());
@@ -229,26 +268,16 @@ fn out_of_bounds_and_bad_element_size() {
 }
 
 #[test]
-fn global_section_with_shard_index_is_rejected() {
-    let base = base_image();
-    let entry = entry_offset(&base, SectionKind::SourceAnml, 0);
-    let mut bytes = base.clone();
-    bytes[entry + 4..entry + 8].copy_from_slice(&1u32.to_ne_bytes());
-    fix_checksum(&mut bytes);
-    assert!(matches!(load_err(&bytes), ArtifactError::BadValue { .. }));
-}
-
-#[test]
 fn forged_state_counts_overflow_checked_multiplication() {
     // num_states = stride = u64::MAX in the metadata record: the usize
     // conversions succeed on a 64-bit host, so only the *checked
     // multiply* in the derived-size computation can catch it — and it
     // must, before any cross-check.
     let base = base_image();
-    let (off, _) = payload_span(&base, SectionKind::Meta, 0);
+    let (off, _) = payload_span(&base, SectionKind::Meta);
     let mut bytes = base.clone();
-    bytes[off + 9 * 8..off + 10 * 8].copy_from_slice(&u64::MAX.to_ne_bytes()); // num_states
-    bytes[off + 7 * 8..off + 8 * 8].copy_from_slice(&u64::MAX.to_ne_bytes()); // stride
+    bytes[off + 8 * 8..off + 9 * 8].copy_from_slice(&u64::MAX.to_ne_bytes()); // num_states
+    bytes[off + 6 * 8..off + 7 * 8].copy_from_slice(&u64::MAX.to_ne_bytes()); // stride
     fix_checksum(&mut bytes);
     assert!(matches!(
         load_err(&bytes),
@@ -257,32 +286,10 @@ fn forged_state_counts_overflow_checked_multiplication() {
 }
 
 #[test]
-fn member_tables_must_cover_every_state_once() {
-    // Two shards; copy one member table's first id over the other's:
-    // a state is then covered twice and another not at all.
-    let nfa = compile_rule_set(&["ab+c", ".*net"]).expect("rules compile");
-    let base = CompiledPipeline::compile(
-        &nfa,
-        PipelineConfig::ALL[0],
-        ShardSpec::MaxShards(2),
-        EngineKind::ALL[0],
-    )
-    .expect("compile")
-    .to_bytes();
-    let (a, _) = payload_span(&base, SectionKind::ShardMembers, 0);
-    let (b, _) = payload_span(&base, SectionKind::ShardMembers, 1);
-    let mut bytes = base.clone();
-    let first: [u8; 4] = base[a..a + 4].try_into().unwrap();
-    bytes[b..b + 4].copy_from_slice(&first);
-    fix_checksum(&mut bytes);
-    assert!(matches!(load_err(&bytes), ArtifactError::BadValue { .. }));
-}
-
-#[test]
 fn invalid_utf8_and_unparsable_automaton() {
     let base = base_image();
 
-    let (off, len) = payload_span(&base, SectionKind::SourceAnml, 0);
+    let (off, len) = payload_span(&base, SectionKind::SourceAnml);
     assert!(len > 0);
     let mut bytes = base.clone();
     bytes[off] = 0xFF;
@@ -292,7 +299,7 @@ fn invalid_utf8_and_unparsable_automaton() {
     // Garbage-but-UTF-8 automaton text: dies in the ANML parser, typed
     // as a propagated automata error (NfaAnml is not part of the key, so
     // this gets past the stale-hash check).
-    let (off, len) = payload_span(&base, SectionKind::NfaAnml, 0);
+    let (off, len) = payload_span(&base, SectionKind::NfaAnml);
     let mut bytes = base.clone();
     bytes[off..off + len].fill(b'z');
     fix_checksum(&mut bytes);
@@ -302,13 +309,34 @@ fn invalid_utf8_and_unparsable_automaton() {
 #[test]
 fn spec_key_text_is_cross_checked() {
     let base = base_image();
-    let (off, len) = payload_span(&base, SectionKind::SpecKey, 0);
+    let (off, len) = payload_span(&base, SectionKind::SpecKey);
     assert!(len > 0);
     // "max-shards=1" → "max-shards=2": valid UTF-8, wrong parameters.
     let mut bytes = base.clone();
     bytes[off + len - 1] = b'2';
     fix_checksum(&mut bytes);
     assert!(matches!(load_err(&bytes), ArtifactError::BadValue { .. }));
+
+    // A consistent forgery of `MaxShards(0)` — metadata tags, key text,
+    // header key and checksum all agree — passes every identity check,
+    // and the plan derived from it fails exactly as compiling would.
+    let spec = ShardSpec::MaxShards(0);
+    let (meta_off, _) = payload_span(&base, SectionKind::Meta);
+    let (spec_tag, spec_value, oversize_tag) = spec.tags();
+    let mut bytes = base.clone();
+    for (field, value) in [(2, spec_tag), (3, spec_value), (4, oversize_tag)] {
+        let at = meta_off + field * 8;
+        bytes[at..at + 8].copy_from_slice(&value.to_ne_bytes());
+    }
+    bytes[off..off + len].copy_from_slice(spec.key_text().as_bytes());
+    let key = pipeline_key(&source(), PipelineConfig::ALL[0], spec, EngineKind::ALL[0]);
+    bytes[header_offset::PIPELINE_KEY..header_offset::PIPELINE_KEY + 8]
+        .copy_from_slice(&key.0.to_ne_bytes());
+    fix_checksum(&mut bytes);
+    assert!(matches!(
+        load_err(&bytes),
+        ArtifactError::Automata(AutomataError::Capacity { budget: 0, .. })
+    ));
 }
 
 #[test]

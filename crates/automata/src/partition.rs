@@ -11,18 +11,20 @@
 //!
 //! This module is the software analogue: [`partition`] bin-packs the
 //! connected components of an [`Nfa`] toward a per-shard STE budget and
-//! extracts each shard as a standalone sub-automaton. Because shards are
-//! unions of whole components, running every shard over the same input
-//! and merging the report traces is observably identical to running the
-//! monolithic automaton (see `sunder-sim`'s `ShardedEngine`, which is
-//! locked to that property by the conformance oracle).
+//! records each shard as a member list — placement data, not a copy of
+//! the automaton. Because shards are unions of whole components, running
+//! each shard's sub-automaton (`graph::extract_subautomaton` over its
+//! members) over the same input and merging the report traces is
+//! observably identical to running the monolithic automaton (see
+//! `sunder-sim`'s `ShardedEngine`, which is locked to that property by
+//! the conformance oracle).
 //!
 //! Determinism: components are packed first-fit in decreasing size order
 //! (ties broken by lowest member id), so the same automaton and options
 //! always produce the same plan.
 
 use crate::error::AutomataError;
-use crate::graph::{connected_components, extract_subautomaton};
+use crate::graph::connected_components;
 use crate::nfa::{Nfa, StateId};
 
 /// Default per-shard STE budget: one 256×256 subarray, one STE per column.
@@ -75,16 +77,15 @@ impl PartitionOptions {
     }
 }
 
-/// One shard: a union of whole connected components, extracted as a
-/// standalone automaton.
-#[derive(Debug, Clone)]
+/// One shard: a union of whole connected components, named by its
+/// members.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Shard {
     /// Original state ids of the shard's members, ascending. Local state
-    /// `StateId(i)` of [`Shard::nfa`] corresponds to `members[i]`.
+    /// `StateId(i)` of the shard's sub-automaton
+    /// (`graph::extract_subautomaton(nfa, &members)`) corresponds to
+    /// `members[i]`.
     pub members: Vec<StateId>,
-    /// The extracted sub-automaton (same symbol width, stride, and start
-    /// period as the source).
-    pub nfa: Nfa,
     /// `true` when the shard holds a single component that exceeded the
     /// STE budget under [`OversizePolicy::Dedicate`].
     pub oversized: bool,
@@ -111,8 +112,8 @@ impl Shard {
     }
 }
 
-/// A complete partitioning of an automaton into executable shards.
-#[derive(Debug, Clone)]
+/// A complete partitioning of an automaton into shards.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// The shards, in packing order. Every original state appears in
     /// exactly one shard.
@@ -135,8 +136,7 @@ impl ShardPlan {
     }
 
     /// Verifies the exact-cover invariant: every state of `nfa` appears
-    /// in exactly one shard, and shard members match their extracted
-    /// automata. Used by tests and debug assertions.
+    /// in exactly one shard. Used by tests and debug assertions.
     ///
     /// # Errors
     ///
@@ -146,7 +146,6 @@ impl ShardPlan {
         let n = nfa.num_states();
         let mut seen = vec![0usize; n];
         for shard in &self.shards {
-            debug_assert_eq!(shard.members.len(), shard.nfa.num_states());
             for &m in &shard.members {
                 if m.index() >= n {
                     return Err(AutomataError::InvalidState {
@@ -178,14 +177,9 @@ fn ordered_components(nfa: &Nfa) -> Vec<Vec<StateId>> {
     comps
 }
 
-fn build_shard(nfa: &Nfa, mut members: Vec<StateId>, oversized: bool) -> Shard {
+fn build_shard(mut members: Vec<StateId>, oversized: bool) -> Shard {
     members.sort_unstable();
-    let sub = extract_subautomaton(nfa, &members);
-    Shard {
-        members,
-        nfa: sub,
-        oversized,
-    }
+    Shard { members, oversized }
 }
 
 /// Partitions `nfa` into shards of at most `opts.ste_budget` STEs using
@@ -227,11 +221,11 @@ pub fn partition(nfa: &Nfa, opts: &PartitionOptions) -> Result<ShardPlan, Automa
     }
     let shards = bins
         .into_iter()
-        .map(|members| build_shard(nfa, members, false))
+        .map(|members| build_shard(members, false))
         .chain(
             oversized_bins
                 .into_iter()
-                .map(|members| build_shard(nfa, members, true)),
+                .map(|members| build_shard(members, true)),
         )
         .collect();
     let plan = ShardPlan {
@@ -279,7 +273,7 @@ pub fn partition_into(nfa: &Nfa, max_shards: usize) -> Result<ShardPlan, Automat
     let ste_budget = bins.iter().map(Vec::len).max().unwrap_or(0).max(1);
     let shards = bins
         .into_iter()
-        .map(|members| build_shard(nfa, members, false))
+        .map(|members| build_shard(members, false))
         .collect();
     let plan = ShardPlan {
         shards,
@@ -373,6 +367,7 @@ impl std::fmt::Display for ShardSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::extract_subautomaton;
     use crate::nfa::{StartKind, Ste};
     use crate::symbol::SymbolSet;
 
@@ -454,8 +449,9 @@ mod tests {
         plan.validate_cover(&nfa).unwrap();
         assert_eq!(plan.num_shards(), 2);
         for shard in &plan.shards {
-            assert_eq!(shard.nfa.num_states(), 1);
-            assert!(shard.nfa.state(StateId(0)).is_reporting());
+            let sub = extract_subautomaton(&nfa, &shard.members);
+            assert_eq!(sub.num_states(), 1);
+            assert!(sub.state(StateId(0)).is_reporting());
         }
         let covered: Vec<_> = plan
             .shards
@@ -483,8 +479,9 @@ mod tests {
             .find(|sh| sh.members.contains(&s))
             .expect("self-loop state must be covered");
         let local = StateId(shard.members.iter().position(|&m| m == s).unwrap() as u32);
-        assert_eq!(shard.nfa.successors(local), &[local], "self-loop kept");
-        assert_eq!(shard.nfa.state(local).start_kind(), StartKind::StartOfData);
+        let sub = extract_subautomaton(&nfa, &shard.members);
+        assert_eq!(sub.successors(local), &[local], "self-loop kept");
+        assert_eq!(sub.state(local).start_kind(), StartKind::StartOfData);
     }
 
     #[test]

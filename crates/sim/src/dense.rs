@@ -47,9 +47,8 @@ use crate::storage::TableBuf;
 /// across engine instances of the same automaton.
 ///
 /// Like [`crate::fastpath::SparseTables`], every flat table is a
-/// [`TableBuf`] and every field is public so the `sunder-artifact`
-/// loader can assemble the struct from slices borrowed out of a mapped
-/// `.sdb` database.
+/// [`TableBuf`]; these are always built in memory, on first demand (a
+/// `.sdb` database stores no dense tables).
 #[derive(Debug)]
 pub struct DenseTables {
     /// Words per state bit vector: `ceil(num_states / 64)`.

@@ -19,6 +19,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use sunder_automata::graph::extract_subautomaton;
 use sunder_automata::input::InputView;
 use sunder_automata::partition::{ShardPlan, ShardSpec};
 use sunder_automata::{AutomataError, Nfa};
@@ -65,33 +66,28 @@ impl ShardedEngine {
     /// from this automaton).
     pub fn from_plan(nfa: &Nfa, plan: ShardPlan, kind: EngineKind) -> ShardedEngine {
         let sparse = Arc::new(SparseTables::build(nfa));
-        ShardedEngine::from_prebuilt(Arc::new(nfa.clone()), plan, kind, sparse, None)
+        ShardedEngine::from_prebuilt(Arc::new(nfa.clone()), plan, kind, sparse)
     }
 
-    /// Assembles an engine around *already compiled* whole-automaton
-    /// tables: the compile path shares its automaton, the mapped-database
-    /// load path (`sunder-artifact`) hands in tables that borrow straight
-    /// from an `.sdb` mapping. The tables must have been built from (or
-    /// validated against) `nfa`; a `None` dense half is built lazily on
-    /// first demand, exactly like [`ShardedEngine::from_plan`].
+    /// Assembles an engine around *already compiled* sparse tables: the
+    /// compile path shares its automaton, the mapped-database load path
+    /// (`sunder-artifact`) hands in tables that borrow straight from an
+    /// `.sdb` mapping. The tables must have been built from (or validated
+    /// against) `nfa`; the dense tables are built lazily on first demand,
+    /// exactly like [`ShardedEngine::from_plan`].
     #[doc(hidden)]
     pub fn from_prebuilt(
         nfa: Arc<Nfa>,
         plan: ShardPlan,
         kind: EngineKind,
         sparse: Arc<SparseTables>,
-        dense: Option<Arc<DenseTables>>,
     ) -> ShardedEngine {
-        let cell = OnceLock::new();
-        if let Some(d) = dense {
-            let _ = cell.set(d);
-        }
         ShardedEngine {
             nfa,
             plan,
             kind,
             sparse,
-            dense: Arc::new(cell),
+            dense: Arc::new(OnceLock::new()),
         }
     }
 
@@ -107,9 +103,7 @@ impl ShardedEngine {
         self.dense.get().cloned()
     }
 
-    /// Builds (at most once) and returns the dense tables — lets the
-    /// artifact writer persist them for pipelines whose engine kind wants
-    /// them, without waiting for first execution.
+    /// Builds (at most once) and returns the dense tables.
     #[doc(hidden)]
     pub fn ensure_dense(&self) -> Arc<DenseTables> {
         Arc::clone(
@@ -164,9 +158,8 @@ impl ShardedEngine {
         }
     }
 
-    /// Diagnostic: runs one shard's sub-automaton alone over the whole
-    /// input under `budget`, on an engine built for it on demand,
-    /// returning its report events **remapped to original state ids**
+    /// Diagnostic: runs one shard's sub-automaton, extracted on demand,
+    /// alone over the whole input under `budget`, returning its report events **remapped to original state ids**
     /// plus the run outcome. [`ShardedEngine::merge`] of every shard's
     /// trace equals the one-engine trace.
     ///
@@ -183,7 +176,7 @@ impl ShardedEngine {
         let mut trace = TraceSink::new();
         let outcome = self
             .kind
-            .build(&s.nfa)
+            .build(&extract_subautomaton(&self.nfa, &s.members))
             .run_budgeted(input, &mut trace, budget);
         let mut events = trace.events;
         for e in &mut events {

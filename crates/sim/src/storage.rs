@@ -1,9 +1,9 @@
 //! Owned-or-borrowed backing storage for compiled engine tables.
 //!
 //! The engines precompute flat tables ([`crate::fastpath::SparseTables`],
-//! the dense accept/successor matrices) that are either built in memory
-//! (`Vec<T>`) or borrowed straight out of a memory-mapped pattern
-//! database (`sunder-artifact`'s `.sdb` format). [`TableBuf`] abstracts
+//! the dense accept/successor matrices) that are built in memory
+//! (`Vec<T>`) or, for the sparse set, borrowed straight out of a
+//! memory-mapped pattern database (`sunder-artifact`'s `.sdb` format). [`TableBuf`] abstracts
 //! over the two without a pointer indirection on the hot path: it derefs
 //! to `[T]`, so every existing slice-indexing site keeps working, and the
 //! borrowed variant pins the mapping alive through a type-erased owner.

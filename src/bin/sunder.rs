@@ -960,11 +960,11 @@ fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
     );
     println!("  borrowed tables  {}", mapped.borrowed_tables());
     println!(
-        "  sections         {} (offset, bytes, shard, kind)",
+        "  sections         {} (offset, bytes, kind)",
         mapped.sections().len()
     );
-    for (kind, shard, offset, len) in mapped.sections() {
-        println!("    {offset:>10}  {len:>10}  shard {shard:>3}  {kind:?}");
+    for (kind, offset, len) in mapped.sections() {
+        println!("    {offset:>10}  {len:>10}  {kind:?}");
     }
     Ok(())
 }

@@ -165,6 +165,45 @@ fn inspect_db_shows_the_compiled_automaton() {
         stdout.contains("shards           1 (placement only)"),
         "{stdout}"
     );
+
+    // Two components over two shards, dense engine: the plan is derived
+    // at load and the file holds no dense or per-shard section.
+    let rules = write_temp("db-rules-two.txt", b"ab\nxy\n");
+    let db = write_temp("rules-dense.sdb", b"");
+    let out = bin()
+        .args(["compile-db", "--rules"])
+        .arg(&rules)
+        .args(["--engine", "dense", "--shards", "2", "-o"])
+        .arg(&db)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = bin().arg("inspect-db").arg(&db).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("shards           2 (placement only)"),
+        "{stdout}"
+    );
+    let listing = stdout
+        .split_once("(offset, bytes, kind)")
+        .unwrap_or_else(|| panic!("no section listing: {stdout}"))
+        .1;
+    for line in listing.lines().filter(|l| !l.trim().is_empty()) {
+        let kind = line.split_whitespace().last().unwrap();
+        assert!(
+            !kind.starts_with("Dn") && !kind.starts_with("Shard"),
+            "derived section {kind} stored: {stdout}"
+        );
+    }
 }
 
 #[test]
