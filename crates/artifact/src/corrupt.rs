@@ -58,22 +58,26 @@ fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// Guaranteed rejections (given the section's payload was nonzero, which
 /// the caller checks): identity text diverges from the header key
-/// (`SourceAnml`), zeroed metadata contradicts the automaton (`Meta`),
-/// key text mismatches (`SpecKey`), NUL text fails the ANML parser
-/// (`NfaAnml`), histograms and report bitsets are cross-checked against
-/// the automaton (`SpCodes`, `SpReportBits`), and offset tables must end
-/// at their flat table's length (`SpSuccOff`, `SpStartOff`).
+/// (`SourceAnml`), zeroed metadata contradicts the tables (`Meta`), key
+/// text mismatches (`SpecKey`), the encoding histogram no longer counts
+/// the codes (`SpCodes`), every sparse run holds at least two symbols and
+/// must ascend (`SpSparseArena`), the start offsets and LUT must be the
+/// ones the rebuilt automaton gives (`SpStartOff`, `SpStartLut`), and
+/// offset tables must end at their flat table's length (`SpSuccOff`,
+/// `SpReportOff`). Zeroed state ids, reports or dense words can describe
+/// a different, self-consistent automaton.
 fn zeroed_must_error(sections: &[(SectionKind, usize, usize)], kind: SectionKind) -> bool {
     let len_of = |k: SectionKind| sections.iter().find(|s| s.0 == k).map_or(0, |s| s.2);
     match kind {
         SectionKind::SourceAnml
         | SectionKind::Meta
         | SectionKind::SpecKey
-        | SectionKind::NfaAnml
         | SectionKind::SpCodes
-        | SectionKind::SpReportBits => true,
+        | SectionKind::SpSparseArena
+        | SectionKind::SpStartOff
+        | SectionKind::SpStartLut => true,
         SectionKind::SpSuccOff => len_of(SectionKind::SpSuccFlat) > 0,
-        SectionKind::SpStartOff => len_of(SectionKind::SpStartFlat) > 0,
+        SectionKind::SpReportOff => len_of(SectionKind::SpReportFlat) > 0,
         _ => false,
     }
 }
@@ -281,9 +285,9 @@ pub fn corpus(base: &[u8], seed: u64) -> Vec<Mutant> {
         }
 
         // The same class of damage with the checksum repaired: defense in
-        // depth. The structural validators may accept some of these (a
-        // flipped bit inside ANML text can still parse), so the only
-        // assertion is no-panic.
+        // depth. The validators may accept some of these (a flipped bit in
+        // a report id or a successor id can leave consistent tables), so
+        // the only assertion is no-panic.
         for i in 0..64u32 {
             let r = splitmix64(&mut state);
             let byte = HEADER_LEN + (r as usize) % (base.len() - HEADER_LEN);

@@ -22,12 +22,21 @@
 //! len  └──────────────────────────────────────────────┘
 //! ```
 //!
-//! The file holds only what the loader cannot derive: the source and
-//! transformed ANML, the [`GlobalMeta`] record, the sharding-spec key
-//! text, and the one sparse table set the engine runs from. The shard
-//! placement plan is re-derived at load from the stored spec
-//! (`ShardSpec::plan` over the transformed automaton, exactly as the
+//! The file holds only what the loader cannot derive: the source ANML
+//! (hashed for the key), the [`GlobalMeta`] record, the sharding-spec key
+//! text, and the one sparse table set the engine runs from. Those tables
+//! are the executable automaton, stored once: the loader rebuilds the
+//! transformed `Nfa` from them (`SparseTables::to_nfa`) and parses no
+//! text. The shard placement plan is re-derived at load from the stored
+//! spec (`ShardSpec::plan` over the rebuilt automaton, exactly as the
 //! compile path does); dense tables are built on first use.
+//!
+//! The sparse sections, in write order: CSR successors (`SpSuccOff`,
+//! `SpSuccFlat`), one [`CodeRec`] per state × stride position
+//! (`SpCodes`) over the `SpSparseArena` / `SpDenseArena` charset arenas,
+//! the start-of-data starts (`SpSodStarts`), the all-input start index
+//! (`SpStartOff` when bucketed, `SpStartFlat`), the start LUT
+//! (`SpStartLut`), and CSR reports (`SpReportOff`, `SpReportFlat`).
 //!
 //! Invariants the validator enforces *before any table slice is formed*:
 //!
@@ -44,6 +53,13 @@
 //! * All `count × stride`-style size computations downstream use checked
 //!   multiplication and fail with a typed error, never wrap.
 //!
+//! Before the rebuild the loader also rejects, as `BadValue`, what the
+//! automaton could not hold: a code symbol outside the alphabet, a report
+//! offset at or past the stride, a state listing one successor twice.
+//! After it, the tables must be what the rebuilt automaton gives: only a
+//! full charset has the full code, and the start tables are exactly the
+//! ones its start kinds and first charsets lay out.
+//!
 //! # Versioning policy
 //!
 //! `VERSION` is bumped on **any** layout change — there are no in-place
@@ -52,7 +68,12 @@
 //! be zero, so they cannot be reused later without a version bump being
 //! detected by old readers.
 //!
-//! Version 3 stores no derived data. Version 2 also stored the placement
+//! Version 4 stores the executable automaton once, as the sparse tables,
+//! with each state's reports in a CSR pair (tags 23, 24). Version 3 also
+//! held it as ANML text (tag 4), parsed at every open, kept only a
+//! reporting-state bitset (tag 22), reading the reports from the parsed
+//! automaton, and stored the start-index layout as a 17th metadata field;
+//! retired tags are never reused. Version 2 also stored the placement
 //! plan (one `u32` member table per shard, tagged with a shard index in
 //! the section table, plus an oversized-flag array, cover-checked at
 //! load) and, once built, nine dense-engine tables. Version 1 stored a
@@ -63,7 +84,7 @@ use crate::error::ArtifactError;
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"SUNDERDB";
 /// Current (and only) format version.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// Endianness tag as written by the producing host. A reader on a host
 /// with different byte order sees these bytes permuted and rejects.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
@@ -73,8 +94,8 @@ pub const HEADER_LEN: usize = 64;
 pub const SECTION_ENTRY_LEN: usize = 24;
 /// Required alignment of every payload section.
 pub const SECTION_ALIGN: usize = 8;
-/// Serialized size of [`GlobalMeta`] (17 × u64).
-pub const GLOBAL_META_LEN: usize = 136;
+/// Serialized size of [`GlobalMeta`] (16 × u64).
+pub const GLOBAL_META_LEN: usize = 128;
 
 /// Byte offsets of the fixed header fields.
 pub mod header_offset {
@@ -99,7 +120,8 @@ pub mod header_offset {
 }
 
 /// Every section kind, with its stable on-disk tag. Each kind appears
-/// at most once; sparse-engine tables use the 1x range.
+/// at most once; sparse-engine tables are tagged 13 and up. Retired tags
+/// (4, 22) are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u32)]
 pub enum SectionKind {
@@ -110,8 +132,6 @@ pub enum SectionKind {
     /// The sharding-spec key text (cross-checked against the tags in
     /// [`GlobalMeta`]).
     SpecKey = 3,
-    /// Canonical ANML text of the transformed (executable) automaton.
-    NfaAnml = 4,
     /// Sparse CSR successor offsets (`u32`, `num_states + 1`).
     SpSuccOff = 13,
     /// Sparse CSR successor arena (`u32` state ids).
@@ -132,8 +152,11 @@ pub enum SectionKind {
     SpStartFlat = 20,
     /// Start prefilter LUT (`u64`, one bit per symbol).
     SpStartLut = 21,
-    /// Reporting-state bitset (`u64`, one bit per state).
-    SpReportBits = 22,
+    /// Sparse CSR report offsets (`u32`, `num_states + 1`).
+    SpReportOff = 23,
+    /// Sparse CSR report arena: one `(id: u32, offset: u32)` record per
+    /// report.
+    SpReportFlat = 24,
 }
 
 impl SectionKind {
@@ -142,7 +165,6 @@ impl SectionKind {
         SectionKind::SourceAnml,
         SectionKind::Meta,
         SectionKind::SpecKey,
-        SectionKind::NfaAnml,
         SectionKind::SpSuccOff,
         SectionKind::SpSuccFlat,
         SectionKind::SpCodes,
@@ -152,7 +174,8 @@ impl SectionKind {
         SectionKind::SpStartOff,
         SectionKind::SpStartFlat,
         SectionKind::SpStartLut,
-        SectionKind::SpReportBits,
+        SectionKind::SpReportOff,
+        SectionKind::SpReportFlat,
     ];
 
     /// The on-disk tag.
@@ -168,20 +191,18 @@ impl SectionKind {
     /// Element size in bytes; byte lengths must be a multiple of this.
     pub fn elem_size(self) -> usize {
         match self {
-            SectionKind::SourceAnml
-            | SectionKind::Meta
-            | SectionKind::SpecKey
-            | SectionKind::NfaAnml => 1,
+            SectionKind::SourceAnml | SectionKind::Meta | SectionKind::SpecKey => 1,
             SectionKind::SpSparseArena => 2,
             SectionKind::SpSuccOff
             | SectionKind::SpSuccFlat
             | SectionKind::SpSodStarts
             | SectionKind::SpStartOff
-            | SectionKind::SpStartFlat => 4,
+            | SectionKind::SpStartFlat
+            | SectionKind::SpReportOff => 4,
             SectionKind::SpCodes
             | SectionKind::SpDenseArena
             | SectionKind::SpStartLut
-            | SectionKind::SpReportBits => 8,
+            | SectionKind::SpReportFlat => 8,
         }
     }
 }
@@ -202,16 +223,17 @@ pub fn read_u64(bytes: &[u8], offset: usize) -> u64 {
 }
 
 /// Global pipeline and table metadata — the [`SectionKind::Meta`]
-/// payload, stored as 17 native-endian `u64`s in field order.
+/// payload, stored as 16 native-endian `u64`s in field order.
 ///
 /// Invariants: the three `*_tag` fields index the corresponding `ALL`
 /// arrays ([`sunder_transform::PipelineConfig::ALL`],
 /// `sunder_sim::EngineKind::ALL`, and the
 /// [`sunder_automata::partition::ShardSpec::tags`] space);
 /// `per_original ≥ 1`; `num_states`, `stride`, `symbol_bits` and
-/// `start_period` match the transformed automaton; `start_index_tag` is
-/// 0 (bucketed — requires a [`SectionKind::SpStartOff`] section) exactly
-/// when the alphabet fits the bucketed bound, 1 (flat) otherwise.
+/// `start_period` describe the transformed automaton the tables hold
+/// (stride and start period at least 1). The start index is bucketed,
+/// with a [`SectionKind::SpStartOff`] section, exactly when the alphabet
+/// fits the bucketed bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalMeta {
     /// Index into `PipelineConfig::ALL`.
@@ -235,8 +257,6 @@ pub struct GlobalMeta {
     pub num_states: u64,
     /// The transformed automaton's start period.
     pub start_period: u64,
-    /// Start-index layout (0 = bucketed, 1 = flat).
-    pub start_index_tag: u64,
     /// Charset-encoding histogram, index-aligned with
     /// `sunder_sim::fastpath::ENCODING_KINDS`.
     pub encoding_counts: [u64; 6],
@@ -276,14 +296,13 @@ impl GlobalMeta {
             per_original: f(7),
             num_states: f(8),
             start_period: f(9),
-            start_index_tag: f(10),
-            encoding_counts: std::array::from_fn(|i| f(11 + i)),
+            encoding_counts: std::array::from_fn(|i| f(10 + i)),
         })
     }
 
     fn fields(&self) -> [u64; GLOBAL_META_LEN / 8] {
         let mut out = [0u64; GLOBAL_META_LEN / 8];
-        out[..11].copy_from_slice(&[
+        out[..10].copy_from_slice(&[
             self.config_tag,
             self.engine_tag,
             self.spec_tag,
@@ -294,9 +313,8 @@ impl GlobalMeta {
             self.per_original,
             self.num_states,
             self.start_period,
-            self.start_index_tag,
         ]);
-        out[11..].copy_from_slice(&self.encoding_counts);
+        out[10..].copy_from_slice(&self.encoding_counts);
         out
     }
 }
@@ -366,7 +384,6 @@ mod tests {
             per_original: 2,
             num_states: 77,
             start_period: 2,
-            start_index_tag: 0,
             encoding_counts: [1, 2, 3, 4, 5, 6],
         };
         assert_eq!(GlobalMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);

@@ -6,14 +6,18 @@
 //! *compiled* form into a versioned, offset-based, checksummed on-disk
 //! format so a process can [`MappedDb::open`] a database and start
 //! matching without re-running any of the compilation: the one sparse
-//! table set (CSR successors, charset arenas, prefilter LUT, report
-//! bits), built over the whole transformed automaton, is borrowed
-//! straight out of the mapping via `sunder_sim::TableBuf`, not
+//! table set (CSR successors and reports, charset arenas, start index,
+//! prefilter LUT), built over the whole transformed automaton, is
+//! borrowed straight out of the mapping via `sunder_sim::TableBuf`, not
 //! deserialized.
 //!
-//! The file stores only what cannot be derived. The shard placement plan
-//! is a pure function of the transformed automaton and the stored spec,
-//! so the loader re-derives it with `ShardSpec::plan`, exactly as
+//! The file stores only what cannot be derived, and the executable
+//! automaton once: the tables. The loader rebuilds the transformed
+//! automaton from them (`SparseTables::to_nfa`), so everything that reads
+//! it (placement plan, dense tables, streaming sessions) sees exactly the
+//! automaton the sparse engine runs. The shard placement plan is a pure
+//! function of that automaton and the stored spec, so the loader
+//! re-derives it with `ShardSpec::plan`, exactly as
 //! [`CompiledPipeline::compile`] does; dense tables are built on first
 //! use. The bytes written for one pipeline therefore never depend on
 //! what has run since it was compiled.
@@ -24,7 +28,8 @@
 //! magic, version, endianness, checksum, section bounds/alignment/
 //! overlap) before any typed slice exists, then typed semantic checks
 //! (tag ranges, monotone offset tables, state-id bounds, checked size
-//! arithmetic) before any table reaches an engine. Every rejection is a
+//! arithmetic, agreement with the rebuilt automaton) before any table
+//! reaches an engine. Every rejection is a
 //! typed [`ArtifactError`]; the corruption conformance suite locks down
 //! that no mutation panics or escapes validation.
 //!

@@ -12,8 +12,8 @@
 //!   8-byte aligned before any cast (and 8 covers the alignment of
 //!   every element type used);
 //! * every element type is plain old data with no invalid bit patterns
-//!   (`u16`/`u32`/`u64`, and `StateId`, which is `#[repr(transparent)]`
-//!   over `u32`);
+//!   (`u16`/`u32`/`u64`, `StateId`, which is `#[repr(transparent)]` over
+//!   `u32`, and `ReportRec`, two `u32`s under `#[repr(C)]`);
 //! * the fabricated `'static` lifetime is upheld by construction: each
 //!   borrowed `TableBuf` pins the `Arc<Mapping>` as its owner, so the
 //!   mapping outlives every table sliced from it.
@@ -28,9 +28,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sunder_automata::partition::ShardSpec;
-use sunder_automata::{anml, Nfa, StateId};
+use sunder_automata::{Nfa, StateId};
 use sunder_sim::fastpath::{
-    SparseTables, StartIndex, SymCode, ENCODING_KINDS, MAX_BUCKETED_ALPHABET,
+    emit_encoding_counts, start_tables, ReportRec, SparseTables, StartIndex, SymCode,
 };
 use sunder_sim::{EngineKind, ShardedEngine, TableBuf};
 use sunder_transform::{PipelineConfig, PositionMap};
@@ -212,6 +212,18 @@ unsafe impl Pod for u64 {}
 // StateId is #[repr(transparent)] over u32, which nfa.rs documents as a
 // guarantee for exactly this cast.
 unsafe impl Pod for StateId {}
+// SAFETY: ReportRec is #[repr(C)] over two u32s: no padding, and any
+// bits are a valid value.
+unsafe impl Pod for ReportRec {}
+
+/// Borrows the section of `kind`, which the format requires.
+fn borrow_required<T: Pod>(
+    raw: &RawDb<'_>,
+    mapping: &Arc<Mapping>,
+    kind: SectionKind,
+) -> Result<TableBuf<T>, ArtifactError> {
+    Ok(borrow_table(mapping, raw.require(kind)?))
+}
 
 /// Borrows a validated section as a typed table pinned to the mapping.
 fn borrow_table<T: Pod>(mapping: &Arc<Mapping>, section: &RawSection) -> TableBuf<T> {
@@ -245,33 +257,12 @@ fn checked_mul(a: usize, b: usize, context: &'static str) -> Result<usize, Artif
         .ok_or(ArtifactError::CountOverflow { context })
 }
 
-/// Element count of a section (its byte length over the element size —
-/// always exact, the byte validator enforced divisibility).
-fn elem_count(section: &RawSection) -> usize {
-    section.len / section.kind.elem_size()
-}
-
-fn require_count(
-    section: &RawSection,
-    expected: usize,
-    context: &'static str,
-) -> Result<(), ArtifactError> {
-    if elem_count(section) != expected {
+/// Requires `len` elements where the format fixes the count.
+fn require_count(len: usize, expected: usize, context: &'static str) -> Result<(), ArtifactError> {
+    if len != expected {
         return Err(ArtifactError::CountMismatch { context });
     }
     Ok(())
-}
-
-/// Checks that bits at positions `bits..` of the final word are zero
-/// (`words` has exactly `ceil(bits / 64)` entries).
-fn tail_bits_zero(words: &[u64], bits: usize) -> bool {
-    if bits.is_multiple_of(64) {
-        return true;
-    }
-    match words.last() {
-        Some(&w) => w >> (bits % 64) == 0,
-        None => true,
-    }
 }
 
 /// A validated, executable pattern database.
@@ -362,13 +353,18 @@ struct TableSizes {
     alphabet: usize,
     dense_words: usize,
     codes: usize,
-    state_words: usize,
 }
 
 impl TableSizes {
     fn derive(meta: &GlobalMeta) -> Result<TableSizes, ArtifactError> {
         if meta.symbol_bits == 0 || meta.symbol_bits > 16 {
             return Err(bad("symbol width"));
+        }
+        if meta.stride == 0 {
+            return Err(bad("stride"));
+        }
+        if meta.start_period == 0 || meta.start_period > u64::from(u32::MAX) {
+            return Err(bad("start period"));
         }
         let n = to_usize(meta.num_states, "state count")?;
         let stride = to_usize(meta.stride, "stride")?;
@@ -385,7 +381,6 @@ impl TableSizes {
             alphabet,
             dense_words: alphabet.div_ceil(64),
             codes,
-            state_words: n.div_ceil(64),
         })
     }
 }
@@ -397,22 +392,27 @@ fn bad(context: &'static str) -> ArtifactError {
 /// Decodes and bounds-checks the code table against its arenas.
 fn decode_codes(
     raw: &RawDb<'_>,
-    codes_sec: &RawSection,
     sizes: &TableSizes,
     sparse_arena: &[u16],
-    dense_arena_len: usize,
+    dense_arena: &[u64],
     expected_counts: &[u64; 6],
 ) -> Result<Vec<SymCode>, ArtifactError> {
+    let codes_sec = raw.require(SectionKind::SpCodes)?;
+    require_count(codes_sec.len / 8, sizes.codes, "code table")?;
     let bytes = raw.payload(codes_sec);
     let mut codes = Vec::with_capacity(sizes.codes);
     let mut counts = [0u64; 6];
     for i in 0..sizes.codes {
         let rec = CodeRec::from_bytes(bytes, i);
+        let in_alphabet = |sym: u16| usize::from(sym) < sizes.alphabet;
         let code = match rec.tag {
             0 if rec.a == 0 && rec.b == 0 => SymCode::Empty,
-            1 if rec.b == 0 => SymCode::One(rec.a),
+            1 if rec.b == 0 && in_alphabet(rec.a) => SymCode::One(rec.a),
             2 => {
-                let hi = u16::try_from(rec.b).map_err(|_| bad("range code bound"))?;
+                let hi = u16::try_from(rec.b)
+                    .ok()
+                    .filter(|&hi| in_alphabet(hi))
+                    .ok_or(bad("range code bound"))?;
                 if rec.a > hi {
                     return Err(bad("inverted range code"));
                 }
@@ -425,8 +425,10 @@ fn decode_codes(
                     .checked_add(len)
                     .filter(|&e| e <= sparse_arena.len())
                     .ok_or(bad("sparse code range"))?;
-                if !sparse_arena[off..end].windows(2).all(|w| w[0] < w[1]) {
-                    return Err(bad("unsorted sparse arena run"));
+                let run = &sparse_arena[off..end];
+                let ascending = run.windows(2).all(|w| w[0] < w[1]);
+                if !ascending || !run.last().is_none_or(|&sym| in_alphabet(sym)) {
+                    return Err(bad("sparse arena run"));
                 }
                 SymCode::Sparse {
                     off: rec.b,
@@ -434,14 +436,18 @@ fn decode_codes(
                 }
             }
             4 if rec.a == 0 => {
-                (rec.b as usize)
-                    .checked_add(sizes.dense_words)
-                    .filter(|&e| e <= dense_arena_len)
+                let off = rec.b as usize;
+                off.checked_add(sizes.dense_words)
+                    .filter(|&e| e <= dense_arena.len())
                     .ok_or(bad("dense code range"))?;
+                // Only a one-word alphabet leaves bits past its end.
+                if sizes.alphabet < 64 && dense_arena[off] >> sizes.alphabet != 0 {
+                    return Err(bad("dense code symbol"));
+                }
                 SymCode::Dense { off: rec.b }
             }
             5 if rec.a == 0 && rec.b == 0 => SymCode::Full,
-            0 | 1 | 4 => return Err(bad("nonzero code operand padding")),
+            0 | 1 | 4 => return Err(bad("code operand")),
             _ => return Err(bad("code tag")),
         };
         counts[code.kind_index()] += 1;
@@ -466,118 +472,93 @@ fn check_ids(ids: &[StateId], n: usize, context: &'static str) -> Result<(), Art
 /// Validates a CSR offset table: starts at zero, nondecreasing, ends at
 /// `total`.
 fn check_offsets(off: &[u32], total: usize, context: &'static str) -> Result<(), ArtifactError> {
-    if off.first() != Some(&0) {
-        return Err(bad(context));
-    }
-    if !off.windows(2).all(|w| w[0] <= w[1]) {
-        return Err(bad(context));
-    }
-    if off.last().map(|&l| l as usize) != Some(total) {
+    let monotone = off.windows(2).all(|w| w[0] <= w[1]);
+    if off.first() != Some(&0) || !monotone || off.last().map(|&l| l as usize) != Some(total) {
         return Err(bad(context));
     }
     Ok(())
 }
 
-/// Validates a reporting bitset against the automaton: exact per-
-/// state agreement plus a zero tail.
-fn check_report_bits(words: &[u64], nfa: &Nfa) -> Result<(), ArtifactError> {
-    if !tail_bits_zero(words, nfa.num_states()) {
-        return Err(bad("report bitset"));
-    }
-    for (id, ste) in nfa.states() {
-        let i = id.index();
-        let bit = (words[i >> 6] >> (i & 63)) & 1 != 0;
-        if bit == ste.reports().is_empty() {
-            return Err(bad("report bitset"));
+/// Validates a CSR successor table: no state lists a successor twice.
+/// `Nfa::add_edge` drops a repeat, so the rebuilt automaton would no
+/// longer be the tables.
+fn check_distinct_successors(off: &[u32], flat: &[StateId]) -> Result<(), ArtifactError> {
+    let mut listed_by = vec![usize::MAX; off.len() - 1];
+    for (from, w) in off.windows(2).enumerate() {
+        for to in &flat[w[0] as usize..w[1] as usize] {
+            if std::mem::replace(&mut listed_by[to.index()], from) == from {
+                return Err(bad("duplicate successor"));
+            }
         }
     }
     Ok(())
 }
 
-/// Loads the sparse tables, fully validated.
+/// Checks the tables against the automaton rebuilt from them, where only
+/// the rebuild shows a difference: a padding position matches only the
+/// full code as it matches only a full charset, and the start tables are
+/// the ones the start kinds and first charsets give.
+fn check_rebuilt(tables: &SparseTables, nfa: &Nfa) -> Result<(), ArtifactError> {
+    let charsets = nfa.states().flat_map(|(_, ste)| ste.charsets());
+    if charsets
+        .zip(&tables.codes)
+        .any(|(cs, &code)| cs.is_full() != (code == SymCode::Full))
+    {
+        return Err(bad("full charset under a partial code"));
+    }
+    let (sod, index, lut) = start_tables(nfa);
+    if sod != tables.sod_starts || index != tables.start_index || lut != tables.start_lut {
+        return Err(bad("start tables"));
+    }
+    Ok(())
+}
+
+/// Loads the sparse tables, validated as far as they go on their own:
+/// what the automaton rebuilt from them could not hold is rejected here,
+/// the rest by [`check_rebuilt`].
 fn load_sparse(
     raw: &RawDb<'_>,
     mapping: &Arc<Mapping>,
     meta: &GlobalMeta,
     sizes: &TableSizes,
-    nfa: &Nfa,
-    borrowed: &mut usize,
 ) -> Result<SparseTables, ArtifactError> {
     let n = sizes.n;
-
-    let succ_off_sec = raw.require(SectionKind::SpSuccOff)?;
-    require_count(succ_off_sec, n + 1, "successor offset table")?;
-    let succ_flat_sec = raw.require(SectionKind::SpSuccFlat)?;
-    let succ_off: TableBuf<u32> = borrow_table(mapping, succ_off_sec);
-    let succ_flat: TableBuf<StateId> = borrow_table(mapping, succ_flat_sec);
+    let succ_off: TableBuf<u32> = borrow_required(raw, mapping, SectionKind::SpSuccOff)?;
+    let succ_flat: TableBuf<StateId> = borrow_required(raw, mapping, SectionKind::SpSuccFlat)?;
+    require_count(succ_off.len(), n + 1, "successor offset table")?;
     check_offsets(&succ_off, succ_flat.len(), "successor offsets")?;
     check_ids(&succ_flat, n, "successor state id")?;
+    check_distinct_successors(&succ_off, &succ_flat)?;
 
-    let sparse_arena_sec = raw.require(SectionKind::SpSparseArena)?;
-    let dense_arena_sec = raw.require(SectionKind::SpDenseArena)?;
-    let sparse_arena: TableBuf<u16> = borrow_table(mapping, sparse_arena_sec);
-    let dense_arena: TableBuf<u64> = borrow_table(mapping, dense_arena_sec);
+    let sparse_arena: TableBuf<u16> = borrow_required(raw, mapping, SectionKind::SpSparseArena)?;
+    let dense_arena: TableBuf<u64> = borrow_required(raw, mapping, SectionKind::SpDenseArena)?;
+    let counts = &meta.encoding_counts;
+    let codes = decode_codes(raw, sizes, &sparse_arena, &dense_arena, counts)?;
 
-    let codes_sec = raw.require(SectionKind::SpCodes)?;
-    require_count(codes_sec, sizes.codes, "code table")?;
-    let codes = decode_codes(
-        raw,
-        codes_sec,
-        sizes,
-        &sparse_arena,
-        dense_arena.len(),
-        &meta.encoding_counts,
-    )?;
-
-    let sod_sec = raw.require(SectionKind::SpSodStarts)?;
-    let sod_starts: TableBuf<StateId> = borrow_table(mapping, sod_sec);
+    // The start tables are checked whole against the rebuilt automaton.
+    let sod_starts: TableBuf<StateId> = borrow_required(raw, mapping, SectionKind::SpSodStarts)?;
+    let start_flat: TableBuf<StateId> = borrow_required(raw, mapping, SectionKind::SpStartFlat)?;
     check_ids(&sod_starts, n, "start-of-data state id")?;
-
-    let start_flat_sec = raw.require(SectionKind::SpStartFlat)?;
-    let start_flat: TableBuf<StateId> = borrow_table(mapping, start_flat_sec);
     check_ids(&start_flat, n, "start state id")?;
-    let start_index = match meta.start_index_tag {
-        0 => {
-            if sizes.alphabet > MAX_BUCKETED_ALPHABET {
-                return Err(bad("bucketed start index over wide alphabet"));
-            }
-            let off_sec = raw.require(SectionKind::SpStartOff)?;
-            require_count(off_sec, sizes.alphabet + 1, "start offset table")?;
-            let off: TableBuf<u32> = borrow_table(mapping, off_sec);
-            check_offsets(&off, start_flat.len(), "start offsets")?;
-            *borrowed += 1;
-            StartIndex::Bucketed {
-                off,
-                flat: start_flat,
-            }
-        }
-        1 => {
-            if sizes.alphabet <= MAX_BUCKETED_ALPHABET {
-                return Err(bad("flat start index over narrow alphabet"));
-            }
-            if raw.find(SectionKind::SpStartOff).is_some() {
-                return Err(bad("unexpected start offset table"));
-            }
-            StartIndex::Flat(start_flat)
-        }
-        _ => return Err(bad("start index tag")),
+    let start_index = match raw.find(SectionKind::SpStartOff) {
+        Some(off) => StartIndex::Bucketed {
+            off: borrow_table(mapping, off),
+            flat: start_flat,
+        },
+        None => StartIndex::Flat(start_flat),
     };
 
-    let lut_sec = raw.require(SectionKind::SpStartLut)?;
-    require_count(lut_sec, sizes.dense_words, "start LUT")?;
-    let start_lut: TableBuf<u64> = borrow_table(mapping, lut_sec);
-    if !tail_bits_zero(&start_lut, sizes.alphabet) {
-        return Err(bad("start LUT tail"));
+    let report_off: TableBuf<u32> = borrow_required(raw, mapping, SectionKind::SpReportOff)?;
+    let report_flat: TableBuf<ReportRec> =
+        borrow_required(raw, mapping, SectionKind::SpReportFlat)?;
+    require_count(report_off.len(), n + 1, "report offset table")?;
+    check_offsets(&report_off, report_flat.len(), "report offsets")?;
+    // `ReportInfo` holds the offset in a byte; `Nfa::add_state` panics on
+    // one at or past the stride.
+    let offsets = sizes.stride.min(1 << u8::BITS);
+    if report_flat.iter().any(|r| r.offset as usize >= offsets) {
+        return Err(bad("report offset"));
     }
-
-    let report_sec = raw.require(SectionKind::SpReportBits)?;
-    require_count(report_sec, sizes.state_words, "report bitset")?;
-    let report_bits: TableBuf<u64> = borrow_table(mapping, report_sec);
-    check_report_bits(&report_bits, nfa)?;
-
-    // succ_off, succ_flat, sparse_arena, dense_arena, sod_starts,
-    // start_flat, start_lut, report_bits (SpStartOff counted above).
-    *borrowed += 8;
 
     Ok(SparseTables {
         stride: sizes.stride,
@@ -591,8 +572,9 @@ fn load_sparse(
         dense_words: sizes.dense_words,
         sod_starts,
         start_index,
-        start_lut,
-        report_bits,
+        start_lut: borrow_required(raw, mapping, SectionKind::SpStartLut)?,
+        report_off,
+        report_flat,
         encoding_counts: meta.encoding_counts,
     })
 }
@@ -639,34 +621,20 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
         });
     }
 
-    // The transformed automaton.
-    let nfa_sec = *raw.require(SectionKind::NfaAnml)?;
-    let nfa = anml::parse(utf8_section(&raw, &nfa_sec)?)?;
-    if nfa.num_states() != sizes.n
-        || nfa.stride() != sizes.stride
-        || u64::from(nfa.symbol_bits()) != meta.symbol_bits
-        || u64::from(nfa.start_period()) != meta.start_period
-    {
-        return Err(bad("transformed automaton metadata"));
-    }
-
-    // The one table set the engine runs from.
-    let mut borrowed = 0usize;
-    let sparse = load_sparse(&raw, &mapping, &meta, &sizes, &nfa, &mut borrowed)?;
+    // The one table set the engine runs from, and the transformed
+    // automaton rebuilt from it.
+    let sparse = load_sparse(&raw, &mapping, &meta, &sizes)?;
+    let nfa = sparse.to_nfa();
+    check_rebuilt(&sparse, &nfa)?;
+    // Every table but the decoded codes borrows from the mapping.
+    let borrowed = 9 + usize::from(matches!(sparse.start_index, StartIndex::Bucketed { .. }));
 
     // The placement plan, derived from the stored spec exactly as
     // `CompiledPipeline::compile` derives it.
     let plan = spec.plan(&nfa)?;
 
-    // Telemetry parity with the in-memory build path, which emits the
-    // encoding histogram from SparseTables::build.
-    if sunder_telemetry::enabled() {
-        for (kind, &count) in ENCODING_KINDS.iter().zip(&meta.encoding_counts) {
-            if count > 0 {
-                sunder_telemetry::counter_add("state_encodings_total", &[("kind", kind)], count);
-            }
-        }
-    }
+    // Telemetry parity with the in-memory build path.
+    emit_encoding_counts(&meta.encoding_counts);
 
     let sections = raw
         .sections

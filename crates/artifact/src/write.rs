@@ -11,7 +11,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sunder_automata::{anml, StateId};
+use sunder_automata::StateId;
 use sunder_sim::fastpath::{SparseTables, StartIndex, SymCode};
 
 use crate::error::ArtifactError;
@@ -21,36 +21,13 @@ use crate::format::{
 };
 use crate::{config_tag, engine_tag, fnv1a_bytes, CompiledPipeline};
 
-fn bytes_of_u16(values: &[u16]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 2);
-    for v in values {
-        out.extend_from_slice(&v.to_ne_bytes());
-    }
-    out
+/// The bytes of `values`, each rendered by `bytes`.
+fn bytes_of<T: Copy, B: IntoIterator<Item = u8>>(values: &[T], bytes: impl Fn(T) -> B) -> Vec<u8> {
+    values.iter().flat_map(|&v| bytes(v)).collect()
 }
 
-fn bytes_of_u32(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_ne_bytes());
-    }
-    out
-}
-
-fn bytes_of_u64(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_ne_bytes());
-    }
-    out
-}
-
-fn bytes_of_ids(values: &[StateId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.0.to_ne_bytes());
-    }
-    out
+fn ids(values: &[StateId]) -> Vec<u8> {
+    bytes_of(values, |id| id.0.to_ne_bytes())
 }
 
 fn code_rec(code: SymCode) -> CodeRec {
@@ -77,36 +54,36 @@ fn code_rec(code: SymCode) -> CodeRec {
 }
 
 fn sparse_sections(tables: &SparseTables, out: &mut Vec<(SectionKind, Vec<u8>)>) {
-    out.push((SectionKind::SpSuccOff, bytes_of_u32(&tables.succ_off)));
-    out.push((SectionKind::SpSuccFlat, bytes_of_ids(&tables.succ_flat)));
-    let mut codes = Vec::with_capacity(tables.codes.len() * 8);
-    for &code in &tables.codes {
-        codes.extend_from_slice(&code_rec(code).to_bytes());
-    }
+    let succ_off = bytes_of(&tables.succ_off, u32::to_ne_bytes);
+    out.push((SectionKind::SpSuccOff, succ_off));
+    out.push((SectionKind::SpSuccFlat, ids(&tables.succ_flat)));
+    let codes = bytes_of(&tables.codes, |code| code_rec(code).to_bytes());
     out.push((SectionKind::SpCodes, codes));
-    out.push((
-        SectionKind::SpSparseArena,
-        bytes_of_u16(&tables.sparse_arena),
-    ));
-    out.push((SectionKind::SpDenseArena, bytes_of_u64(&tables.dense_arena)));
-    out.push((SectionKind::SpSodStarts, bytes_of_ids(&tables.sod_starts)));
-    match &tables.start_index {
-        StartIndex::Bucketed { off, flat } => {
-            out.push((SectionKind::SpStartOff, bytes_of_u32(off)));
-            out.push((SectionKind::SpStartFlat, bytes_of_ids(flat)));
-        }
-        StartIndex::Flat(flat) => {
-            out.push((SectionKind::SpStartFlat, bytes_of_ids(flat)));
-        }
+    let sparse = bytes_of(&tables.sparse_arena, u16::to_ne_bytes);
+    out.push((SectionKind::SpSparseArena, sparse));
+    let dense = bytes_of(&tables.dense_arena, u64::to_ne_bytes);
+    out.push((SectionKind::SpDenseArena, dense));
+    out.push((SectionKind::SpSodStarts, ids(&tables.sod_starts)));
+    if let StartIndex::Bucketed { off, .. } = &tables.start_index {
+        out.push((SectionKind::SpStartOff, bytes_of(off, u32::to_ne_bytes)));
     }
-    out.push((SectionKind::SpStartLut, bytes_of_u64(&tables.start_lut)));
-    out.push((SectionKind::SpReportBits, bytes_of_u64(&tables.report_bits)));
+    let (StartIndex::Bucketed { flat, .. } | StartIndex::Flat(flat)) = &tables.start_index;
+    out.push((SectionKind::SpStartFlat, ids(flat)));
+    let lut = bytes_of(&tables.start_lut, u64::to_ne_bytes);
+    out.push((SectionKind::SpStartLut, lut));
+    let report_off = bytes_of(&tables.report_off, u32::to_ne_bytes);
+    out.push((SectionKind::SpReportOff, report_off));
+    let reports = bytes_of(&tables.report_flat, |r| {
+        r.id.to_ne_bytes().into_iter().chain(r.offset.to_ne_bytes())
+    });
+    out.push((SectionKind::SpReportFlat, reports));
 }
 
 impl CompiledPipeline {
-    /// Serializes the pipeline into `.sdb` bytes: its identity, both
-    /// automata and the sparse tables — nothing the loader can derive,
-    /// so the bytes depend only on the pipeline's content.
+    /// Serializes the pipeline into `.sdb` bytes: its identity, the
+    /// source ANML and the sparse tables, which are the executable
+    /// automaton — nothing the loader can derive, so the bytes depend
+    /// only on the pipeline's content.
     pub fn to_bytes(&self) -> Vec<u8> {
         let sparse = self.sharded.sparse();
         let (spec_tag, spec_value, oversize_tag) = self.spec.tags();
@@ -121,10 +98,6 @@ impl CompiledPipeline {
             per_original: self.map.per_original(),
             num_states: self.nfa.num_states() as u64,
             start_period: sparse.start_period,
-            start_index_tag: match sparse.start_index {
-                StartIndex::Bucketed { .. } => 0,
-                StartIndex::Flat(_) => 1,
-            },
             encoding_counts: sparse.encoding_counts,
         };
 
@@ -135,10 +108,6 @@ impl CompiledPipeline {
             ),
             (SectionKind::Meta, meta.to_bytes().to_vec()),
             (SectionKind::SpecKey, self.spec.key_text().into_bytes()),
-            (
-                SectionKind::NfaAnml,
-                anml::serialize(&self.nfa).into_bytes(),
-            ),
         ];
         sparse_sections(sparse, &mut sections);
 

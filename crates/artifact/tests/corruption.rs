@@ -5,13 +5,14 @@
 //! with the mutant's description rather than aborting it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use sunder_artifact::corrupt::{corpus, fix_checksum};
 use sunder_artifact::{CompiledPipeline, MappedDb};
 use sunder_automata::partition::ShardSpec;
 use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
-use sunder_sim::EngineKind;
+use sunder_sim::{EngineKind, ShardedEngine};
 
 /// The corpus base: small but structurally complete — every section
 /// kind a narrow-alphabet pipeline writes, edges, charset variety, and
@@ -58,7 +59,12 @@ fn every_mutant_is_rejected_or_harmless_and_never_panics() {
     }
     // Every must-error mutant was rejected (the assert above), and the
     // corpus is not trivially all-accepting.
-    assert!(rejected >= mutants.iter().filter(|m| m.must_error).count());
+    let must_error = mutants.iter().filter(|m| m.must_error).count();
+    assert!(rejected >= must_error);
+    eprintln!(
+        "{} mutants: {must_error} must error, {rejected} rejected, no panic",
+        mutants.len()
+    );
 }
 
 #[test]
@@ -75,11 +81,11 @@ fn corpus_is_deterministic() {
 }
 
 #[test]
-fn repaired_mutants_that_load_still_execute_without_panicking() {
+fn repaired_mutants_that_load_are_harmless() {
     // Defense in depth: a checksum-repaired mutant that slips through
-    // validation must still be safe to *run* — the semantic validators
-    // are supposed to guarantee that every table an engine touches is
-    // in-bounds and self-consistent.
+    // validation must still be safe to *run*, and be one automaton: the
+    // tables every engine touches are in-bounds, and the automaton
+    // rebuilt from them is what they execute, so every engine agrees.
     let base = base_image();
     let input = b"xxabbbcyy internet zz".to_vec();
     for mutant in corpus(&base, 0xDEAD_BEEF) {
@@ -87,15 +93,29 @@ fn repaired_mutants_that_load_still_execute_without_panicking() {
             continue;
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Ok(db) = MappedDb::load_bytes(&mutant.bytes) {
-                let _ = db.pipeline().sharded.run_trace(&input);
-            }
+            let Ok(db) = MappedDb::load_bytes(&mutant.bytes) else {
+                return true;
+            };
+            let p = db.pipeline();
+            let traces: Vec<_> = EngineKind::ALL
+                .iter()
+                .map(|&kind| {
+                    let plan = p.sharded.plan().clone();
+                    let sparse = Arc::clone(p.sharded.sparse());
+                    ShardedEngine::from_prebuilt(Arc::clone(&p.nfa), plan, kind, sparse)
+                        .run_trace(&input)
+                        .ok()
+                })
+                .collect();
+            traces.iter().all(|t| *t == traces[0])
         }));
-        assert!(
-            outcome.is_ok(),
-            "execution panicked on repaired mutant: {}",
-            mutant.description
-        );
+        match outcome {
+            Err(_) => panic!(
+                "execution panicked on repaired mutant: {}",
+                mutant.description
+            ),
+            Ok(agree) => assert!(agree, "engines disagree on mutant: {}", mutant.description),
+        }
     }
 }
 

@@ -4,6 +4,8 @@
 //! format's compatibility lock — if a refactor reorders or merges
 //! checks, this file is where it shows up.
 
+use std::sync::Arc;
+
 use sunder_artifact::corrupt::fix_checksum;
 use sunder_artifact::format::{header_offset, SectionKind, HEADER_LEN, SECTION_ENTRY_LEN};
 use sunder_artifact::validate::validate_bytes;
@@ -12,7 +14,7 @@ use sunder_automata::partition::ShardSpec;
 use sunder_automata::regex::compile_rule_set;
 use sunder_automata::{AutomataError, Nfa};
 use sunder_oracle::PipelineConfig;
-use sunder_sim::EngineKind;
+use sunder_sim::{EngineKind, ShardedEngine};
 
 fn source() -> Nfa {
     compile_rule_set(&["ab+c", ".*net"]).expect("rules compile")
@@ -209,9 +211,9 @@ fn misaligned_overlapping_duplicate_unknown_sections() {
         ArtifactError::MisalignedSection { .. }
     ));
 
-    // Overlap: point NfaAnml at SourceAnml's payload.
+    // Overlap: point SpCodes at SourceAnml's payload.
     let src = entry_offset(&base, SectionKind::SourceAnml);
-    let dst = entry_offset(&base, SectionKind::NfaAnml);
+    let dst = entry_offset(&base, SectionKind::SpCodes);
     let mut bytes = base.clone();
     let off = u64::from_ne_bytes(bytes[src + 8..src + 16].try_into().unwrap());
     bytes[dst + 8..dst + 16].copy_from_slice(&off.to_ne_bytes());
@@ -221,7 +223,7 @@ fn misaligned_overlapping_duplicate_unknown_sections() {
         ArtifactError::OverlappingSections { .. }
     ));
 
-    // Duplicate: rewrite NfaAnml's whole entry as a copy of SourceAnml's.
+    // Duplicate: rewrite SpCodes' whole entry as a copy of SourceAnml's.
     let mut bytes = base.clone();
     let copy: Vec<u8> = bytes[src..src + SECTION_ENTRY_LEN].to_vec();
     bytes[dst..dst + SECTION_ENTRY_LEN].copy_from_slice(&copy);
@@ -244,7 +246,7 @@ fn misaligned_overlapping_duplicate_unknown_sections() {
 #[test]
 fn out_of_bounds_and_bad_element_size() {
     let base = base_image();
-    let entry = entry_offset(&base, SectionKind::SpReportBits);
+    let entry = entry_offset(&base, SectionKind::SpReportFlat);
 
     let mut bytes = base.clone();
     bytes[entry + 16..entry + 24].copy_from_slice(&u64::MAX.to_ne_bytes());
@@ -256,7 +258,7 @@ fn out_of_bounds_and_bad_element_size() {
 
     // Shrink a u64-element section by one byte: still in bounds, no
     // longer a whole number of elements.
-    let (_, len) = payload_span(&base, SectionKind::SpReportBits);
+    let (_, len) = payload_span(&base, SectionKind::SpReportFlat);
     assert!(len >= 8);
     let mut bytes = base.clone();
     bytes[entry + 16..entry + 24].copy_from_slice(&((len - 1) as u64).to_ne_bytes());
@@ -286,24 +288,171 @@ fn forged_state_counts_overflow_checked_multiplication() {
 }
 
 #[test]
-fn invalid_utf8_and_unparsable_automaton() {
+fn invalid_utf8_source_is_typed() {
     let base = base_image();
-
     let (off, len) = payload_span(&base, SectionKind::SourceAnml);
     assert!(len > 0);
     let mut bytes = base.clone();
     bytes[off] = 0xFF;
     fix_checksum(&mut bytes);
     assert!(matches!(load_err(&bytes), ArtifactError::Utf8 { .. }));
+}
 
-    // Garbage-but-UTF-8 automaton text: dies in the ANML parser, typed
-    // as a propagated automata error (NfaAnml is not part of the key, so
-    // this gets past the stale-hash check).
-    let (off, len) = payload_span(&base, SectionKind::NfaAnml);
-    let mut bytes = base.clone();
-    bytes[off..off + len].fill(b'z');
+/// The `u32` at element `idx` of section `kind`.
+fn table_u32(bytes: &[u8], kind: SectionKind, idx: usize) -> u32 {
+    let (off, _) = payload_span(bytes, kind);
+    u32::from_ne_bytes(bytes[off + 4 * idx..off + 4 * idx + 4].try_into().unwrap())
+}
+
+/// Overwrites the `u32` at element `idx` of section `kind`.
+fn set_u32(bytes: &mut [u8], kind: SectionKind, idx: usize, value: u32) {
+    let (off, _) = payload_span(bytes, kind);
+    bytes[off + 4 * idx..off + 4 * idx + 4].copy_from_slice(&value.to_ne_bytes());
+}
+
+/// Loads `bytes` with a checksum made consistent, expecting a typed
+/// `BadValue` rejection (a panic fails the test as well).
+fn assert_bad_value(mut bytes: Vec<u8>, what: &str) {
     fix_checksum(&mut bytes);
-    assert!(matches!(load_err(&bytes), ArtifactError::Automata(_)));
+    match load_err(&bytes) {
+        ArtifactError::BadValue { .. } => {}
+        other => panic!("{what}: expected BadValue, got {other}"),
+    }
+}
+
+#[test]
+fn forged_report_and_successor_tables_fail_typed() {
+    // The base pipeline has stride 1, reports and a state with two
+    // successors (`b+` loops on `b` and moves on to `c`).
+    let base = base_image();
+    let n = payload_span(&base, SectionKind::SpReportOff).1 / 4 - 1;
+    let reports = table_u32(&base, SectionKind::SpReportOff, n) as usize;
+    assert!(reports >= 2, "base needs two reports");
+
+    // A report offset at the stride (`Nfa::add_state` would panic).
+    let mut bytes = base.clone();
+    set_u32(&mut bytes, SectionKind::SpReportFlat, 1, 1);
+    assert_bad_value(bytes, "report offset at the stride");
+
+    // A report offset table that steps backwards.
+    let first = (1..n)
+        .find(|&i| table_u32(&base, SectionKind::SpReportOff, i) > 0)
+        .expect("a reporting state");
+    let mut bytes = base.clone();
+    set_u32(&mut bytes, SectionKind::SpReportOff, first + 1, 0);
+    assert_bad_value(bytes, "non-monotone report offsets");
+
+    // A report offset table that ends short of the report arena.
+    let mut bytes = base.clone();
+    set_u32(&mut bytes, SectionKind::SpReportOff, n, reports as u32 - 1);
+    assert_bad_value(bytes, "report offsets end short of the arena");
+
+    // A state listing one successor twice (`Nfa::add_edge` would drop
+    // the repeat).
+    let state = (0..n)
+        .find(|&i| {
+            let lo = table_u32(&base, SectionKind::SpSuccOff, i);
+            table_u32(&base, SectionKind::SpSuccOff, i + 1) - lo >= 2
+        })
+        .expect("a state with two successors");
+    let at = table_u32(&base, SectionKind::SpSuccOff, state) as usize;
+    let mut bytes = base.clone();
+    let target = table_u32(&base, SectionKind::SpSuccFlat, at);
+    set_u32(&mut bytes, SectionKind::SpSuccFlat, at + 1, target);
+    assert_bad_value(bytes, "duplicate successor");
+}
+
+#[test]
+fn forged_codes_and_start_tables_fail_typed() {
+    let base = base_image();
+    let (codes, len) = payload_span(&base, SectionKind::SpCodes);
+    let one = (0..len / 8)
+        .map(|i| codes + 8 * i)
+        .find(|&at| base[at..at + 2] == 1u16.to_ne_bytes())
+        .expect("a single-symbol code");
+    let set_code = |bytes: &mut Vec<u8>, tag: u16, a: u16, b: u32| {
+        bytes[one..one + 2].copy_from_slice(&tag.to_ne_bytes());
+        bytes[one + 2..one + 4].copy_from_slice(&a.to_ne_bytes());
+        bytes[one + 4..one + 8].copy_from_slice(&b.to_ne_bytes());
+    };
+
+    // A symbol outside the 8-bit alphabet (`SymbolSet` would panic).
+    let mut bytes = base.clone();
+    set_code(&mut bytes, 1, 300, 0);
+    assert_bad_value(bytes, "code symbol outside the alphabet");
+
+    // The whole alphabet as a range, histogram kept consistent: the
+    // rebuilt charset is full, so padding would match it but not the code.
+    let (meta, _) = payload_span(&base, SectionKind::Meta);
+    let count_at = |kind: usize| meta + (10 + kind) * 8;
+    let mut bytes = base.clone();
+    set_code(&mut bytes, 2, 0, 255);
+    for (kind, delta) in [(1usize, -1i64), (2, 1)] {
+        let at = count_at(kind);
+        let count = u64::from_ne_bytes(bytes[at..at + 8].try_into().unwrap());
+        let count = count.checked_add_signed(delta).unwrap();
+        bytes[at..at + 8].copy_from_slice(&count.to_ne_bytes());
+    }
+    assert_bad_value(bytes, "full charset under a partial code");
+
+    // A start LUT that wakes on a symbol no start accepts.
+    let (lut, _) = payload_span(&base, SectionKind::SpStartLut);
+    assert_eq!(base[lut] & 1, 0, "NUL wakes no start of the base");
+    let mut bytes = base.clone();
+    bytes[lut] |= 1;
+    assert_bad_value(bytes, "start LUT");
+}
+
+#[test]
+fn consistently_forged_successor_loads_and_every_engine_agrees() {
+    // Retarget `a → b` of rule 0 to `a → y` of rule 1: a consistent
+    // forgery (ids in range, no repeat, checksum fixed) of a different
+    // automaton, in which `abc` can no longer match.
+    let nfa = compile_rule_set(&["abc", "xyz"]).expect("rules compile");
+    let compiled = CompiledPipeline::compile(
+        &nfa,
+        PipelineConfig::Identity,
+        ShardSpec::MaxShards(1),
+        EngineKind::Sparse,
+    )
+    .expect("compile");
+    let state_of = |sym: u8| {
+        compiled
+            .nfa
+            .states()
+            .find(|(_, ste)| ste.charset().contains(u16::from(sym)))
+            .expect("a state per symbol")
+            .0
+    };
+    let (a, y) = (state_of(b'a'), state_of(b'y'));
+    let mut bytes = compiled.to_bytes();
+    let at = table_u32(&bytes, SectionKind::SpSuccOff, a.index()) as usize;
+    set_u32(&mut bytes, SectionKind::SpSuccFlat, at, y.0);
+    fix_checksum(&mut bytes);
+    let loaded = MappedDb::load_bytes(&bytes)
+        .expect("a consistent forgery loads")
+        .into_pipeline();
+
+    // The rebuilt automaton is the one the tables describe.
+    assert_eq!(loaded.nfa.successors(a), [y]);
+    assert_ne!(*loaded.nfa, *compiled.nfa);
+
+    let input = b"abc xyz aab abc";
+    let traces: Vec<Vec<(u64, u32)>> = EngineKind::ALL
+        .iter()
+        .map(|&kind| {
+            let engine = ShardedEngine::from_prebuilt(
+                Arc::clone(&loaded.nfa),
+                loaded.sharded.plan().clone(),
+                kind,
+                Arc::clone(loaded.sharded.sparse()),
+            );
+            let trace = engine.run_trace(input).expect("trace");
+            trace.iter().map(|e| (e.cycle, e.info.id)).collect()
+        })
+        .collect();
+    assert_eq!(traces[0], [(6, 1)], "only `xyz` matches");
+    assert!(traces.iter().all(|t| *t == traces[0]), "{traces:?}");
 }
 
 #[test]

@@ -112,6 +112,11 @@ fn mapped_execution_is_byte_identical_to_in_memory() {
                 assert_eq!(loaded.spec, spec);
                 assert_eq!(loaded.engine, engine);
                 assert_eq!(loaded.num_shards(), reference.num_shards());
+                // The automaton rebuilt from the tables is the compiled one.
+                assert!(
+                    *loaded.nfa == *reference.nfa,
+                    "rebuilt automaton differs (case {case}, {config}/{engine})"
+                );
 
                 let expected: Vec<ReportEvent> = reference
                     .sharded

@@ -16,18 +16,6 @@ pub fn byte_to_nibbles(byte: u8) -> (u8, u8) {
     (byte >> 4, byte & 0x0F)
 }
 
-/// Expands a byte stream into a nibble stream (two nibbles per byte,
-/// most-significant first).
-pub fn nibbles_of_bytes(bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        let (hi, lo) = byte_to_nibbles(b);
-        out.push(hi);
-        out.push(lo);
-    }
-    out
-}
-
 /// One per-cycle symbol vector: `stride` symbols, of which the first
 /// `valid` carry real input (the rest are end-of-stream padding).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -292,7 +280,8 @@ mod tests {
     #[test]
     fn nibble_order_is_high_first() {
         assert_eq!(byte_to_nibbles(0x3A), (0x3, 0xA));
-        assert_eq!(nibbles_of_bytes(&[0x12, 0xF0]), vec![1, 2, 0xF, 0]);
+        let view = InputView::new(&[0x12, 0xF0], 4, 1).unwrap();
+        assert_eq!(view.symbols(), [1, 2, 0xF, 0]);
     }
 
     #[test]

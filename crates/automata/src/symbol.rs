@@ -95,6 +95,20 @@ impl SymbolSet {
         s
     }
 
+    /// Creates a set from its membership words, the inverse of
+    /// [`SymbolSet::words`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` has the wrong length or a bit past the alphabet.
+    pub fn from_words(bits: u8, words: &[u64]) -> Self {
+        let mut s = SymbolSet::empty(bits);
+        s.words.copy_from_slice(words);
+        let n = s.alphabet_size();
+        assert!(n >= 64 || words[0] >> n == 0, "symbol out of range");
+        s
+    }
+
     /// Builds a 4-bit set directly from a 16-entry bitmask (one bit per nibble).
     pub fn from_nibble_mask(mask: u16) -> Self {
         let mut s = SymbolSet::empty(4);

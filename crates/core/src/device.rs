@@ -82,14 +82,6 @@ pub struct RoundsOutcome {
     pub reconfig_cycles: u64,
 }
 
-impl RoundsOutcome {
-    /// Effective slowdown versus a device large enough for one round
-    /// (single-pass kernel cycles over total cycles).
-    pub fn capacity_slowdown(&self, single_round_cycles: u64) -> f64 {
-        self.total_cycles as f64 / single_round_cycles as f64
-    }
-}
-
 impl Engine {
     /// Splits a compiled program into rounds that each fit the device.
     ///

@@ -128,18 +128,6 @@ impl FaultKind {
             FaultKind::ReloadDuringBurst { .. } => "reload-burst",
         }
     }
-
-    /// `true` for faults acted out by the streaming client/connection
-    /// layer (as opposed to the worker or cycle-model layers).
-    pub fn is_connection_fault(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::Disconnect { .. }
-                | FaultKind::SlowDrip { .. }
-                | FaultKind::MalformedFrame { .. }
-                | FaultKind::ReloadDuringBurst { .. }
-        )
-    }
 }
 
 /// A deterministic, serializable set of faults.

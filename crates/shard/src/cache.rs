@@ -363,16 +363,17 @@ mod tests {
     fn corrupt_disk_artifact_falls_back_to_compilation() {
         use sunder_artifact::corrupt::fix_checksum;
         use sunder_artifact::format::{header_offset, VERSION};
+        assert_eq!(VERSION, 4);
         use sunder_artifact::ArtifactError;
 
         let version_of = |bytes: &[u8]| {
             let at = header_offset::VERSION;
             u32::from_ne_bytes(bytes[at..at + 4].try_into().unwrap())
         };
-        // A flipped payload byte, and a previous-version image (version
-        // forged back, checksum fixed): each must be rejected by the
-        // mapped load, and the lookup must silently recompile and rewrite
-        // the artifact at the current version.
+        // A flipped payload byte, and a version-3 image (version forged
+        // back, checksum fixed): each must be rejected by the mapped load,
+        // and the lookup must silently recompile and rewrite the artifact
+        // at version 4.
         for previous_version in [false, true] {
             let dir = temp_dir("corrupt");
             let nfa = compile_rule_set(&["xy+z"]).unwrap();
@@ -383,11 +384,11 @@ mod tests {
             let mut bytes = std::fs::read(&path).unwrap();
             if previous_version {
                 let at = header_offset::VERSION;
-                bytes[at..at + 4].copy_from_slice(&(VERSION - 1).to_ne_bytes());
+                bytes[at..at + 4].copy_from_slice(&3u32.to_ne_bytes());
                 fix_checksum(&mut bytes);
                 assert!(matches!(
                     MappedDb::load_bytes(&bytes),
-                    Err(ArtifactError::UnsupportedVersion { found }) if found == VERSION - 1
+                    Err(ArtifactError::UnsupportedVersion { found: 3 })
                 ));
             } else {
                 let last = bytes.len() - 1;
@@ -404,7 +405,7 @@ mod tests {
             );
             assert_eq!(a.key, b.key);
             // The write-through replaced the damaged file with a good one.
-            assert_eq!(version_of(&std::fs::read(&path).unwrap()), VERSION);
+            assert_eq!(version_of(&std::fs::read(&path).unwrap()), 4);
             let c3 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineKind::Sparse, &dir);
             c3.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
             assert_eq!(c3.disk_hits(), 1);

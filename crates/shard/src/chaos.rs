@@ -62,11 +62,6 @@ pub enum SessionOutcome {
 }
 
 impl SessionOutcome {
-    /// `true` for sessions that completed cleanly.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, SessionOutcome::Completed { .. })
-    }
-
     /// Short label for attribution artifacts.
     pub fn label(&self) -> &'static str {
         match self {

@@ -466,12 +466,18 @@ fn reload<E>(
 
 /// Accepts until drain; returns the connection thread handles so drain
 /// can join them. `accept()` blocks: [`wake_acceptor`] ends the wait.
+/// Each accept first joins the sessions that have ended: an exited but
+/// unjoined thread keeps its stack mapped, and a long-lived daemon would
+/// pile them up until `spawn` fails.
 fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let Some(sock) = accept(listener) else {
             continue;
         };
+        for ended in conns.extract_if(.., |c| c.is_finished()) {
+            let _ = ended.join();
+        }
         // Replies are whole frames in one write: never hold one back.
         let _ = sock.set_nodelay(true);
         let conn = ConnHandle {

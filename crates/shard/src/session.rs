@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use sunder_artifact::CompiledPipeline;
-use sunder_automata::input::{nibbles_of_bytes, InputView};
+use sunder_automata::input::{byte_to_nibbles, InputView};
 use sunder_automata::AutomataError;
 use sunder_resilience::{Budget, RunOutcome, StopReason};
 use sunder_sim::{ShardedState, TraceSink};
@@ -77,23 +77,19 @@ impl SymbolFramer {
         })
     }
 
-    /// Symbols buffered waiting for a complete cycle.
-    pub fn buffered_symbols(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// `true` when no partial symbol or partial cycle is buffered.
-    pub fn is_drained(&self) -> bool {
-        self.carry.is_none() && self.pending.is_empty()
-    }
-
     /// Absorbs `chunk` and returns a view over every *complete* cycle now
     /// available (buffered remainder + chunk), or `None` if the chunk did
     /// not complete any cycle. The returned view never contains padding.
     pub fn push(&mut self, chunk: &[u8]) -> Option<InputView> {
         let mut symbols = std::mem::take(&mut self.pending);
         match self.symbol_bits {
-            4 => symbols.extend(nibbles_of_bytes(chunk).into_iter().map(u16::from)),
+            4 => {
+                symbols.reserve(chunk.len() * 2);
+                for &b in chunk {
+                    let (hi, lo) = byte_to_nibbles(b);
+                    symbols.extend([u16::from(hi), u16::from(lo)]);
+                }
+            }
             8 => symbols.extend(chunk.iter().map(|&b| u16::from(b))),
             16 => {
                 let mut bytes = chunk;

@@ -221,11 +221,6 @@ impl<'a> AdaptiveEngine<'a> {
         }
     }
 
-    /// The automaton being executed.
-    pub fn nfa(&self) -> &Nfa {
-        self.nfa
-    }
-
     /// Cycles executed so far.
     pub fn cycle(&self) -> u64 {
         if self.in_dense {
@@ -466,8 +461,8 @@ impl<'a> AdaptiveEngine<'a> {
 }
 
 impl Kernel for AdaptiveEngine<'_> {
-    fn nfa(&self) -> &Nfa {
-        self.nfa
+    fn stride(&self) -> usize {
+        self.nfa.stride()
     }
 
     fn cycle(&self) -> u64 {

@@ -309,11 +309,6 @@ impl<'a> DenseEngine<'a> {
         (classes.total() * words + nfa.num_states() * words) * 8
     }
 
-    /// The automaton being executed.
-    pub fn nfa(&self) -> &Nfa {
-        self.nfa
-    }
-
     /// Cycles executed so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -623,8 +618,8 @@ impl<'a> DenseEngine<'a> {
 }
 
 impl Kernel for DenseEngine<'_> {
-    fn nfa(&self) -> &Nfa {
-        self.nfa
+    fn stride(&self) -> usize {
+        self.nfa.stride()
     }
 
     fn cycle(&self) -> u64 {

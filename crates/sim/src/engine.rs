@@ -19,10 +19,11 @@
 //! runs of cycles whose leading symbol cannot enable any start state are
 //! skipped without stepping.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use sunder_automata::input::InputView;
-use sunder_automata::{Nfa, StateId};
+use sunder_automata::{Nfa, ReportInfo, StateId};
 use sunder_resilience::Budget;
 
 use crate::exec::{drive, EngineState, Kernel};
@@ -48,7 +49,9 @@ use crate::sink::{ReportEvent, ReportSink};
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'a> {
-    nfa: &'a Nfa,
+    /// The automaton the tables were built from; the step reads only the
+    /// tables.
+    nfa: PhantomData<&'a Nfa>,
     /// Compiled symbol codes, CSR successors, start index and prefilter
     /// LUT — shareable across simulators of the same automaton.
     tables: Arc<SparseTables>,
@@ -97,7 +100,7 @@ impl<'a> Simulator<'a> {
             .map(|i| (lut[i >> 6] >> (i & 63)) & 1 != 0)
             .collect();
         Simulator {
-            nfa,
+            nfa: PhantomData,
             tables,
             active: Vec::new(),
             stamp: vec![0; nfa.num_states()],
@@ -108,11 +111,6 @@ impl<'a> Simulator<'a> {
             prefilter_skipped: 0,
             wakes,
         }
-    }
-
-    /// The automaton being executed.
-    pub fn nfa(&self) -> &Nfa {
-        self.nfa
     }
 
     /// Cycles executed so far.
@@ -241,16 +239,14 @@ impl<'a> Simulator<'a> {
 
         self.reports.clear();
         for &id in &self.active {
-            if self.tables.has_reports(id) {
-                for r in self.nfa.state(id).reports() {
-                    // offset 0 is the only live position at stride 1.
-                    if r.offset == 0 {
-                        self.reports.push(ReportEvent {
-                            cycle: self.cycle,
-                            state: id,
-                            info: *r,
-                        });
-                    }
+            for r in self.tables.reports(id) {
+                // offset 0 is the only live position at stride 1.
+                if r.offset == 0 {
+                    self.reports.push(ReportEvent {
+                        cycle: self.cycle,
+                        state: id,
+                        info: ReportInfo::at_offset(r.id, r.offset as u8),
+                    });
                 }
             }
         }
@@ -302,8 +298,8 @@ impl<'a> Simulator<'a> {
 }
 
 impl Kernel for Simulator<'_> {
-    fn nfa(&self) -> &Nfa {
-        self.nfa
+    fn stride(&self) -> usize {
+        self.tables.stride
     }
 
     fn cycle(&self) -> u64 {
@@ -401,19 +397,18 @@ impl Kernel for Simulator<'_> {
         // Match phase, through the specialized per-state symbol codes.
         self.active.clear();
         self.reports.clear();
-        let nfa = self.nfa;
         let candidates = std::mem::take(&mut self.candidates);
         for &id in &candidates {
             if self.tables.state_matches(id, vector, valid) {
                 self.active.push(id);
-                for r in nfa.state(id).reports() {
+                for r in self.tables.reports(id) {
                     // Reports landing in the end-of-stream padding region
                     // never fired in the unstrided automaton; drop them.
                     if (r.offset as usize) < valid {
                         self.reports.push(ReportEvent {
                             cycle: self.cycle,
                             state: id,
-                            info: *r,
+                            info: ReportInfo::at_offset(r.id, r.offset as u8),
                         });
                     }
                 }

@@ -66,9 +66,6 @@ impl EngineState {
 /// per-cycle reports in ascending state order so traces are
 /// engine-independent.
 pub trait Engine {
-    /// The automaton being executed.
-    fn nfa(&self) -> &Nfa;
-
     /// Cycles executed so far.
     fn cycle(&self) -> u64;
 
@@ -133,7 +130,7 @@ pub trait Engine {
 /// prefilter hooks. The blanket impl below makes every `Kernel` an
 /// [`Engine`].
 pub(crate) trait Kernel {
-    fn nfa(&self) -> &Nfa;
+    fn stride(&self) -> usize;
     fn cycle(&self) -> u64;
     fn active_count(&self) -> usize;
     fn reset(&mut self);
@@ -164,10 +161,6 @@ pub(crate) trait Kernel {
 }
 
 impl<K: Kernel> Engine for K {
-    fn nfa(&self) -> &Nfa {
-        Kernel::nfa(self)
-    }
-
     fn cycle(&self) -> u64 {
         Kernel::cycle(self)
     }
@@ -274,7 +267,7 @@ pub(crate) fn drive<K: Kernel, S: ReportSink + ?Sized>(
 
     assert_eq!(
         input.stride(),
-        kernel.nfa().stride(),
+        kernel.stride(),
         "input view stride must match the automaton stride"
     );
     if sink.wants_cycle_activity() || sink.wants_active_states() {

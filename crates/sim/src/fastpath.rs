@@ -20,9 +20,11 @@
 //!   marking whether *any* all-input start can fire on it. The LUT is the
 //!   rare-byte prefilter: when the frontier is empty, every upcoming cycle
 //!   whose leading symbol misses the LUT provably yields an empty frontier
-//!   and can be skipped without stepping.
+//!   and can be skipped without stepping;
+//! * **CSR report lists**, completing the automaton ([`SparseTables::to_nfa`]).
 
-use sunder_automata::{Nfa, StartKind, StateId, SymbolSet};
+use sunder_automata::nfa::Ste;
+use sunder_automata::{Nfa, ReportInfo, StartKind, StateId, SymbolSet};
 
 use crate::storage::TableBuf;
 
@@ -81,11 +83,21 @@ impl SymCode {
     }
 }
 
+/// A [`ReportInfo`] as two padding-free `u32`s, lendable by a mapped `.sdb`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct ReportRec {
+    /// Report code.
+    pub id: u32,
+    /// Stride position; below the stride and 256.
+    pub offset: u32,
+}
+
 /// Index over the all-input start states.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum StartIndex {
     /// CSR buckets: `flat[off[sym]..off[sym+1]]` lists the starts whose
-    /// first-position charset accepts `sym`.
+    /// first charset accepts `sym`; those with an empty one come last.
     Bucketed {
         /// `alphabet + 1` offsets into `flat`.
         off: TableBuf<u32>,
@@ -133,10 +145,10 @@ pub struct SparseTables {
     /// charset contains it. A miss with an empty frontier proves the next
     /// frontier is empty too — the prefilter skip condition.
     pub start_lut: TableBuf<u64>,
-    /// One bit per state: set iff the state carries any report — lets the
-    /// match loop skip the automaton lookup for the (typical) majority of
-    /// non-reporting states.
-    pub report_bits: TableBuf<u64>,
+    /// CSR report offsets (`num_states + 1` entries).
+    pub report_off: TableBuf<u32>,
+    /// CSR report arena, each state's reports in the automaton's order.
+    pub report_flat: TableBuf<ReportRec>,
     /// Encoding histogram, index-aligned with [`ENCODING_KINDS`].
     pub encoding_counts: [u64; 6],
 }
@@ -157,9 +169,16 @@ impl SparseTables {
         let mut succ_off = Vec::with_capacity(n + 1);
         succ_off.push(0u32);
         let mut succ_flat = Vec::new();
-        for (id, _) in nfa.states() {
+        let mut report_off = succ_off.clone();
+        let mut report_flat = Vec::new();
+        for (id, ste) in nfa.states() {
             succ_flat.extend_from_slice(nfa.successors(id));
             succ_off.push(succ_flat.len() as u32);
+            report_flat.extend(ste.reports().iter().map(|r| ReportRec {
+                id: r.id,
+                offset: u32::from(r.offset),
+            }));
+            report_off.push(report_flat.len() as u32);
         }
 
         // Per-charset specialized codes.
@@ -175,57 +194,9 @@ impl SparseTables {
             }
         }
 
-        let mut report_bits = vec![0u64; n.div_ceil(64)];
-        for (id, ste) in nfa.states() {
-            if !ste.reports().is_empty() {
-                report_bits[id.index() >> 6] |= 1u64 << (id.index() & 63);
-            }
-        }
-
-        // Start states.
-        let mut all_input = Vec::new();
-        let mut sod_starts = Vec::new();
-        for (id, ste) in nfa.states() {
-            match ste.start_kind() {
-                StartKind::AllInput => all_input.push(id),
-                StartKind::StartOfData => sod_starts.push(id),
-                StartKind::None => {}
-            }
-        }
-        let mut start_lut = vec![0u64; dense_words];
-        for &id in &all_input {
-            nfa.state(id).charsets()[0].for_each_symbol(|sym| {
-                start_lut[usize::from(sym) >> 6] |= 1u64 << (sym & 63);
-            });
-        }
-        let start_index = if alphabet <= MAX_BUCKETED_ALPHABET {
-            // Counting sort into CSR buckets; within a bucket the starts
-            // stay in state-id order, matching the naive construction.
-            let mut off = vec![0u32; alphabet + 1];
-            for &id in &all_input {
-                nfa.state(id).charsets()[0].for_each_symbol(|sym| off[usize::from(sym) + 1] += 1);
-            }
-            for i in 0..alphabet {
-                off[i + 1] += off[i];
-            }
-            let mut flat = vec![StateId(0); off[alphabet] as usize];
-            let mut cursor = off.clone();
-            for &id in &all_input {
-                nfa.state(id).charsets()[0].for_each_symbol(|sym| {
-                    let c = &mut cursor[usize::from(sym)];
-                    flat[*c as usize] = id;
-                    *c += 1;
-                });
-            }
-            StartIndex::Bucketed {
-                off: off.into(),
-                flat: flat.into(),
-            }
-        } else {
-            StartIndex::Flat(all_input.into())
-        };
-
-        let tables = SparseTables {
+        let (sod_starts, start_index, start_lut) = start_tables(nfa);
+        emit_encoding_counts(&encoding_counts);
+        SparseTables {
             stride,
             alphabet,
             start_period: u64::from(nfa.start_period()),
@@ -235,24 +206,13 @@ impl SparseTables {
             sparse_arena: sparse_arena.into(),
             dense_arena: dense_arena.into(),
             dense_words,
-            sod_starts: sod_starts.into(),
+            sod_starts,
             start_index,
-            start_lut: start_lut.into(),
-            report_bits: report_bits.into(),
+            start_lut,
+            report_off: report_off.into(),
+            report_flat: report_flat.into(),
             encoding_counts,
-        };
-        if sunder_telemetry::enabled() {
-            for (kind, &count) in ENCODING_KINDS.iter().zip(&tables.encoding_counts) {
-                if count > 0 {
-                    sunder_telemetry::counter_add(
-                        "state_encodings_total",
-                        &[("kind", kind)],
-                        count,
-                    );
-                }
-            }
         }
-        tables
     }
 
     /// Successors of `id`, in the automaton's original order.
@@ -283,11 +243,11 @@ impl SparseTables {
         }
     }
 
-    /// Whether state `id` carries any report.
+    /// Reports of `id`, in the automaton's order.
     #[inline(always)]
-    pub fn has_reports(&self, id: StateId) -> bool {
+    pub fn reports(&self, id: StateId) -> &[ReportRec] {
         let i = id.index();
-        (self.report_bits[i >> 6] >> (i & 63)) & 1 != 0
+        &self.report_flat[self.report_off[i] as usize..self.report_off[i + 1] as usize]
     }
 
     /// Stride-1 fast path: whether the (single) charset of `id` contains
@@ -318,11 +278,117 @@ impl SparseTables {
         true
     }
 
-    /// The code chosen for state `id` at stride position `pos` (tests).
-    #[cfg(test)]
-    pub(crate) fn code_of(&self, id: StateId, pos: usize) -> SymCode {
-        self.codes[id.index() * self.stride + pos]
+    /// The charset `code` stands for.
+    fn charset(&self, code: SymCode) -> SymbolSet {
+        let bits = self.alphabet.trailing_zeros() as u8;
+        match code {
+            SymCode::Empty => SymbolSet::empty(bits),
+            SymCode::One(s) => SymbolSet::singleton(bits, s),
+            SymCode::Range { lo, hi } => SymbolSet::range(bits, lo, hi),
+            SymCode::Sparse { off, len } => {
+                let run = &self.sparse_arena[off as usize..][..usize::from(len)];
+                SymbolSet::from_symbols(bits, run.iter().copied())
+            }
+            SymCode::Dense { off } => SymbolSet::from_words(
+                bits,
+                &self.dense_arena[off as usize..off as usize + self.dense_words],
+            ),
+            SymCode::Full => SymbolSet::full(bits),
+        }
     }
+
+    /// The inverse of [`SparseTables::build`]. Panics on a code symbol
+    /// outside the alphabet, a report offset at or past the stride, or a
+    /// start period outside `1..=u32::MAX`; drops a repeated successor.
+    pub fn to_nfa(&self) -> Nfa {
+        let mut nfa = Nfa::with_stride(self.alphabet.trailing_zeros() as u8, self.stride);
+        nfa.set_start_period(u32::try_from(self.start_period).expect("start period fits u32"));
+        let mut kinds = vec![StartKind::None; self.succ_off.len() - 1];
+        let (StartIndex::Bucketed { flat, .. } | StartIndex::Flat(flat)) = &self.start_index;
+        let sod = self
+            .sod_starts
+            .iter()
+            .map(|&id| (id, StartKind::StartOfData));
+        for (id, kind) in sod.chain(flat.iter().map(|&id| (id, StartKind::AllInput))) {
+            kinds[id.index()] = kind;
+        }
+        for (i, codes) in self.codes.chunks(self.stride).enumerate() {
+            let charsets = codes.iter().map(|&code| self.charset(code)).collect();
+            let mut ste = Ste::with_charsets(charsets).start(kinds[i]);
+            for r in self.reports(StateId(i as u32)) {
+                ste.add_report(ReportInfo::at_offset(r.id, r.offset as u8));
+            }
+            nfa.add_state(ste);
+        }
+        for (i, w) in self.succ_off.windows(2).enumerate() {
+            for &to in &self.succ_flat[w[0] as usize..w[1] as usize] {
+                nfa.add_edge(StateId(i as u32), to);
+            }
+        }
+        nfa
+    }
+}
+
+/// Adds an encoding histogram to telemetry (`state_encodings_total{kind}`)
+/// when a collector is installed.
+pub fn emit_encoding_counts(counts: &[u64; 6]) {
+    if sunder_telemetry::enabled() {
+        for (kind, &count) in ENCODING_KINDS.iter().zip(counts) {
+            if count > 0 {
+                sunder_telemetry::counter_add("state_encodings_total", &[("kind", kind)], count);
+            }
+        }
+    }
+}
+
+/// The start-of-data starts, all-input start index and start LUT of
+/// `nfa`, as [`SparseTables::build`] lays them out.
+pub fn start_tables(nfa: &Nfa) -> (TableBuf<StateId>, StartIndex, TableBuf<u64>) {
+    let alphabet = 1usize << nfa.symbol_bits();
+    let mut all_input = Vec::new();
+    let mut sod_starts = Vec::new();
+    for (id, ste) in nfa.states() {
+        match ste.start_kind() {
+            StartKind::AllInput => all_input.push(id),
+            StartKind::StartOfData => sod_starts.push(id),
+            StartKind::None => {}
+        }
+    }
+    let mut start_lut = vec![0u64; alphabet.div_ceil(64)];
+    for &id in &all_input {
+        nfa.state(id).charsets()[0].for_each_symbol(|sym| {
+            start_lut[usize::from(sym) >> 6] |= 1u64 << (sym & 63);
+        });
+    }
+    let start_index = if alphabet <= MAX_BUCKETED_ALPHABET {
+        // Counting sort into CSR buckets; within a bucket the starts
+        // stay in state-id order, matching the naive construction.
+        let mut off = vec![0u32; alphabet + 1];
+        for &id in &all_input {
+            nfa.state(id).charsets()[0].for_each_symbol(|sym| off[usize::from(sym) + 1] += 1);
+        }
+        for i in 0..alphabet {
+            off[i + 1] += off[i];
+        }
+        let mut flat = vec![StateId(0); off[alphabet] as usize];
+        let mut cursor = off.clone();
+        for &id in &all_input {
+            nfa.state(id).charsets()[0].for_each_symbol(|sym| {
+                let c = &mut cursor[usize::from(sym)];
+                flat[*c as usize] = id;
+                *c += 1;
+            });
+        }
+        let unwakeable = |id: &&StateId| nfa.state(**id).charsets()[0].is_empty();
+        flat.extend(all_input.iter().filter(unwakeable));
+        StartIndex::Bucketed {
+            off: off.into(),
+            flat: flat.into(),
+        }
+    } else {
+        StartIndex::Flat(all_input.into())
+    };
+    (sod_starts.into(), start_index, start_lut.into())
 }
 
 /// Classifies one charset, appending to the arenas when the shape needs
@@ -371,6 +437,50 @@ mod tests {
         s
     }
 
+    /// One charset per encoding kind, with both ends of the alphabet.
+    fn exhaustive_shapes() -> Vec<SymbolSet> {
+        vec![
+            SymbolSet::empty(8),
+            SymbolSet::singleton(8, 0),
+            SymbolSet::singleton(8, 255),
+            set(8, &(b'a' as u16..=b'z' as u16).collect::<Vec<_>>()),
+            set(8, &[0, 255]),
+            set(8, &[3, 17, 42, 99, 100, 101, 250]),
+            set(8, &(0..=255).step_by(3).collect::<Vec<_>>()),
+            set(8, &(1..=254).collect::<Vec<_>>()),
+            SymbolSet::full(8),
+        ]
+    }
+
+    /// Stride-2 states with padding-sensitive charsets and reports at
+    /// both offsets.
+    fn strided_nfa() -> Nfa {
+        let mut nfa = Nfa::with_stride(4, 2);
+        let a = nfa.add_state(
+            Ste::with_charsets(vec![SymbolSet::singleton(4, 3), SymbolSet::full(4)])
+                .start(StartKind::AllInput)
+                .report_at(5, 1),
+        );
+        let b = nfa.add_state(
+            Ste::with_charsets(vec![set(4, &[1, 2, 3]), set(4, &[0, 7, 9, 12, 15])])
+                .start(StartKind::AllInput),
+        );
+        nfa.add_state(
+            Ste::with_charsets(vec![SymbolSet::full(4), SymbolSet::full(4)])
+                .start(StartKind::AllInput)
+                .report(2)
+                .report_at(2, 1),
+        );
+        nfa.add_edge(b, a);
+        nfa.add_edge(a, a);
+        nfa
+    }
+
+    /// The code chosen for state `id` at stride position `pos`.
+    fn code_of(t: &SparseTables, id: StateId, pos: usize) -> SymCode {
+        t.codes[id.index() * t.stride + pos]
+    }
+
     /// Builds a one-state automaton per charset and returns the tables.
     fn tables_for(charsets: Vec<SymbolSet>) -> (Nfa, SparseTables) {
         let bits = 8;
@@ -392,15 +502,18 @@ mod tests {
             set(8, &(0..=255).step_by(2).collect::<Vec<_>>()),
             SymbolSet::full(8),
         ]);
-        assert_eq!(t.code_of(StateId(0), 0), SymCode::Empty);
-        assert_eq!(t.code_of(StateId(1), 0), SymCode::One(7));
-        assert_eq!(t.code_of(StateId(2), 0), SymCode::Range { lo: 10, hi: 20 });
+        assert_eq!(code_of(&t, StateId(0), 0), SymCode::Empty);
+        assert_eq!(code_of(&t, StateId(1), 0), SymCode::One(7));
+        assert_eq!(
+            code_of(&t, StateId(2), 0),
+            SymCode::Range { lo: 10, hi: 20 }
+        );
         assert!(matches!(
-            t.code_of(StateId(3), 0),
+            code_of(&t, StateId(3), 0),
             SymCode::Sparse { len: 4, .. }
         ));
-        assert!(matches!(t.code_of(StateId(4), 0), SymCode::Dense { .. }));
-        assert_eq!(t.code_of(StateId(5), 0), SymCode::Full);
+        assert!(matches!(code_of(&t, StateId(4), 0), SymCode::Dense { .. }));
+        assert_eq!(code_of(&t, StateId(5), 0), SymCode::Full);
         assert_eq!(t.encoding_counts, [1, 1, 1, 1, 1, 1]);
     }
 
@@ -408,26 +521,15 @@ mod tests {
     fn every_encoding_agrees_with_contains_on_exhaustive_sweeps() {
         // One charset per encoding kind, swept over all 256 symbols: the
         // specialized probe must agree with the naive set membership.
-        let shapes: Vec<SymbolSet> = vec![
-            SymbolSet::empty(8),
-            SymbolSet::singleton(8, 0),
-            SymbolSet::singleton(8, 255),
-            set(8, &(b'a' as u16..=b'z' as u16).collect::<Vec<_>>()),
-            set(8, &[0, 255]),
-            set(8, &[3, 17, 42, 99, 100, 101, 250]),
-            set(8, &(0..=255).step_by(3).collect::<Vec<_>>()),
-            set(8, &(1..=254).collect::<Vec<_>>()),
-            SymbolSet::full(8),
-        ];
-        let (nfa, t) = tables_for(shapes);
+        let (nfa, t) = tables_for(exhaustive_shapes());
         for (id, ste) in nfa.states() {
             let cs = &ste.charsets()[0];
             for sym in 0..256u16 {
                 assert_eq!(
-                    t.code_matches(t.code_of(id, 0), sym),
+                    t.code_matches(code_of(&t, id, 0), sym),
                     cs.contains(sym),
                     "state {id:?} ({:?}) symbol {sym}",
-                    t.code_of(id, 0),
+                    code_of(&t, id, 0),
                 );
             }
         }
@@ -437,19 +539,7 @@ mod tests {
     fn state_matches_agrees_with_naive_on_exhaustive_strided_sweeps() {
         // Stride-2 states exercising padding: every (vector, valid)
         // combination must agree with `Ste::matches`.
-        let mut nfa = Nfa::with_stride(4, 2);
-        nfa.add_state(
-            Ste::with_charsets(vec![SymbolSet::singleton(4, 3), SymbolSet::full(4)])
-                .start(StartKind::AllInput),
-        );
-        nfa.add_state(
-            Ste::with_charsets(vec![set(4, &[1, 2, 3]), set(4, &[0, 7, 9, 12, 15])])
-                .start(StartKind::AllInput),
-        );
-        nfa.add_state(
-            Ste::with_charsets(vec![SymbolSet::full(4), SymbolSet::full(4)])
-                .start(StartKind::AllInput),
-        );
+        let nfa = strided_nfa();
         let t = SparseTables::build(&nfa);
         for (id, ste) in nfa.states() {
             for a in 0..16u16 {
@@ -510,6 +600,31 @@ mod tests {
         for sym in 0..256usize {
             let bucket = &flat[off[sym] as usize..off[sym + 1] as usize];
             assert_eq!(bucket, expect[sym].as_slice(), "symbol {sym}");
+        }
+    }
+
+    #[test]
+    fn to_nfa_inverts_build() {
+        // Every automaton the tests above build, plus a wide alphabet
+        // (flat start index) and a start-of-data start.
+        let mut wide = Nfa::new(9);
+        let w = wide.add_state(Ste::new(set(9, &[1, 300, 511])).start(StartKind::AllInput));
+        let x = wide.add_state(Ste::new(SymbolSet::range(9, 256, 400)).report(4));
+        wide.add_state(Ste::new(SymbolSet::empty(9)).start(StartKind::StartOfData));
+        wide.add_edge(w, x);
+        let mut automata = vec![tables_for(exhaustive_shapes()).0, strided_nfa(), wide];
+        for rules in [
+            &["ab+c", "a[xy]z"][..],
+            &["abc", "[0-9]x", "^zz"],
+            &["[af]x", "ay", ".*b"],
+        ] {
+            automata.push(compile_rule_set(rules).unwrap());
+        }
+        for nfa in automata {
+            let t = SparseTables::build(&nfa);
+            assert_eq!(t.to_nfa(), nfa);
+            let (sod, index, lut) = start_tables(&nfa);
+            assert!(sod == t.sod_starts && index == t.start_index && lut == t.start_lut);
         }
     }
 }

@@ -91,6 +91,12 @@ impl<T> From<Vec<T>> for TableBuf<T> {
     }
 }
 
+impl<T: PartialEq> PartialEq for TableBuf<T> {
+    fn eq(&self, other: &TableBuf<T>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
 impl<T> Default for TableBuf<T> {
     fn default() -> TableBuf<T> {
         TableBuf::owned(Vec::new())

@@ -18,7 +18,6 @@ struct Ring {
     events: VecDeque<Event>,
     capacity: usize,
     dropped: u64,
-    epoch: Instant,
 }
 
 static RECORDER: Mutex<Option<Ring>> = Mutex::new(None);
@@ -56,7 +55,6 @@ pub fn install(capacity: usize) {
         events: VecDeque::with_capacity(capacity.min(4096)),
         capacity,
         dropped: 0,
-        epoch: epoch(),
     });
 }
 
@@ -104,15 +102,6 @@ pub fn uninstall() -> (Vec<Event>, u64) {
         Some(mut ring) => (ring.events.drain(..).collect(), ring.dropped),
         None => (Vec::new(), 0),
     }
-}
-
-/// Seconds since the recorder was installed (zero when none is).
-pub fn uptime_secs() -> f64 {
-    let guard = RECORDER.lock().expect("telemetry recorder poisoned");
-    guard
-        .as_ref()
-        .map(|r| r.epoch.elapsed().as_secs_f64())
-        .unwrap_or(0.0)
 }
 
 #[cfg(test)]

@@ -204,6 +204,17 @@ fn inspect_db_shows_the_compiled_automaton() {
             "derived section {kind} stored: {stdout}"
         );
     }
+    // The sparse tables, reports included, are the only stored automaton.
+    let kinds: Vec<&str> = listing
+        .lines()
+        .filter_map(|l| l.split_whitespace().last())
+        .collect();
+    for kind in ["SpReportOff", "SpReportFlat"] {
+        assert!(kinds.contains(&kind), "no {kind} section: {stdout}");
+    }
+    for kind in ["NfaAnml", "SpReportBits"] {
+        assert!(!kinds.contains(&kind), "{kind} section stored: {stdout}");
+    }
 }
 
 #[test]
