@@ -16,6 +16,8 @@
 //! assigned in first-symbol order, so the lowest symbol of each class is
 //! its representative.
 
+use std::collections::HashSet;
+
 use crate::nfa::Nfa;
 use crate::symbol::SymbolSet;
 
@@ -48,8 +50,9 @@ pub struct ByteClasses {
 
 impl ByteClasses {
     /// Computes the equivalence classes of `nfa`, refining one partition
-    /// per stride position against every state's charset at that
-    /// position.
+    /// per stride position against every distinct charset at that
+    /// position (refining twice by one set changes nothing, and rule sets
+    /// repeat a few charsets over thousands of states).
     pub fn of(nfa: &Nfa) -> ByteClasses {
         let alphabet = 1usize << nfa.symbol_bits();
         let stride = nfa.stride();
@@ -58,11 +61,15 @@ impl ByteClasses {
         for pos in 0..stride {
             let row = &mut class_of[pos * alphabet..(pos + 1) * alphabet];
             let mut count: u16 = 1;
+            let mut seen = HashSet::new();
             for (_, ste) in nfa.states() {
                 if count as usize == alphabet {
                     break; // fully split; no further refinement possible
                 }
-                refine(row, &mut count, &ste.charsets()[pos]);
+                let cs = &ste.charsets()[pos];
+                if seen.insert(cs) {
+                    refine(row, &mut count, cs);
+                }
             }
             counts.push(count);
         }

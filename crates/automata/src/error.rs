@@ -51,9 +51,10 @@ pub enum AutomataError {
     },
     /// The symbol width requested is unsupported.
     UnsupportedWidth(u8),
-    /// A placement unit (connected component) exceeded a capacity budget.
+    /// A placement unit (connected component), or a pattern's expansion,
+    /// exceeded a capacity budget.
     Capacity {
-        /// STEs the component needs.
+        /// STEs the component or pattern needs.
         needed: usize,
         /// STEs the budget allows.
         budget: usize,
@@ -96,8 +97,8 @@ impl fmt::Display for AutomataError {
             AutomataError::Capacity { needed, budget } => {
                 write!(
                     f,
-                    "connected component needs {needed} STEs but the shard budget is {budget} \
-                     (components are never split across shards)"
+                    "needs {needed} STEs but the budget is {budget} (a connected component is \
+                     never split across shards; a pattern expands its counted repeats)"
                 )
             }
         }

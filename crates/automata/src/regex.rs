@@ -24,6 +24,11 @@ use crate::symbol::SymbolSet;
 /// Maximum expansion of a counted repetition, to bound state blowup.
 const MAX_COUNTED_REPEAT: u32 = 256;
 
+/// Most symbol positions (one state each) a pattern may expand to. Each
+/// counted repeat is capped above, but nesting multiplies, so the product
+/// is checked before the atom is cloned.
+pub const MAX_PATTERN_POSITIONS: usize = 1 << 16;
+
 #[derive(Debug, Clone)]
 enum Ast {
     Sym(SymbolSet),
@@ -32,6 +37,15 @@ enum Ast {
     Star(Box<Ast>),
     Plus(Box<Ast>),
     Opt(Box<Ast>),
+}
+
+/// The symbol positions (states) `ast` expands to, counted bottom-up.
+fn positions(ast: &Ast) -> usize {
+    match ast {
+        Ast::Sym(_) => 1,
+        Ast::Cat(parts) | Ast::Alt(parts) => parts.iter().map(positions).sum(),
+        Ast::Star(inner) | Ast::Plus(inner) | Ast::Opt(inner) => positions(inner),
+    }
 }
 
 /// Compiles one pattern into a fresh 8-bit automaton.
@@ -43,7 +57,9 @@ enum Ast {
 /// # Errors
 ///
 /// Returns [`AutomataError::Regex`] on syntax errors, unsupported syntax
-/// (`$`, backreferences), or a pattern that matches the empty string.
+/// (`$`, backreferences), or a pattern that matches the empty string, and
+/// [`AutomataError::Capacity`] when nested counted repeats would expand
+/// past [`MAX_PATTERN_POSITIONS`] states.
 ///
 /// # Examples
 ///
@@ -326,6 +342,13 @@ impl<'a> Parser<'a> {
         if m > MAX_COUNTED_REPEAT {
             return Err(self.error("counted repetition too large"));
         }
+        let needed = positions(&atom).saturating_mul(n.unwrap_or(m).max(1) as usize);
+        if needed > MAX_PATTERN_POSITIONS {
+            return Err(AutomataError::Capacity {
+                needed,
+                budget: MAX_PATTERN_POSITIONS,
+            });
+        }
         // Expand: X{m,n} = X^m (X?)^(n-m) ; X{m,} = X^(m-1) X+ ; X{0,..} ok.
         let mut parts: Vec<Ast> = Vec::new();
         match n {
@@ -590,6 +613,30 @@ mod tests {
         assert!(compile_regex("a{4,2}", 0).is_err());
         assert!(compile_regex("a{999}", 0).is_err());
         assert!(compile_regex("a{", 0).is_err());
+    }
+
+    #[test]
+    fn nested_counted_repeats_are_bounded_before_expanding() {
+        let start = std::time::Instant::now();
+        match compile_regex("((a{256}){256}){256}", 0) {
+            Err(AutomataError::Capacity { needed, budget }) => {
+                assert_eq!(budget, MAX_PATTERN_POSITIONS);
+                assert_eq!(needed, 256 * 256 * 256);
+            }
+            other => panic!("expected a capacity error, got {other:?}"),
+        }
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(2),
+            "refused only after expanding"
+        );
+        assert_eq!(
+            compile_regex("(a{256}){64}", 0).unwrap().num_states(),
+            256 * 64
+        );
+        assert!(matches!(
+            compile_regex("(ab{256}){256}", 0),
+            Err(AutomataError::Capacity { needed: 65_792, .. })
+        ));
     }
 
     #[test]

@@ -49,9 +49,10 @@ fn brill_adaptive_never_takes_a_losing_dense_switch() {
 }
 
 /// The `prefilter_skipped_total` counter must match the same hand
-/// simulation that pins `Simulator::prefilter_skipped`, and the
-/// build-time `state_encodings_total{kind}` histogram must reflect the
-/// automaton's charsets.
+/// simulation that pins `Simulator::prefilter_skipped`, the subset-cache
+/// counters the transitions it computed, and the build-time
+/// `state_encodings_total{kind}` histogram must reflect the automaton's
+/// charsets. A stream of ever-new frontiers counts one subset fallback.
 #[test]
 fn prefilter_and_encoding_telemetry_match_hand_computed_input() {
     // "ab" unanchored: the only all-input start accepts 'a', so the LUT
@@ -62,6 +63,9 @@ fn prefilter_and_encoding_telemetry_match_hand_computed_input() {
     //   cycle  6    'x', frontier non-empty  -> stepped, frontier dies
     //   cycles 7-8  'x' with empty frontier  -> skipped (2)
     //   cycle  9    'a' LUT hit              -> stepped
+    // The steps run through the subset cache: cycles 4-6 compute the
+    // transitions {} -a-> {a} -b-> {b} -x-> {} (three misses), and cycle 9
+    // finds the first one cached.
     let nfa = compile_regex("ab", 0).expect("compile");
     let input = InputView::new(b"xxxxabxxxa", 8, 1).expect("framing");
 
@@ -77,10 +81,49 @@ fn prefilter_and_encoding_telemetry_match_hand_computed_input() {
         Some(6),
         "4 + 2 skipped cycles"
     );
+    assert_eq!(
+        dump.metrics.counter("subset_cache_misses_total", &[]),
+        Some(3)
+    );
+    assert_eq!(dump.metrics.counter("subset_fallbacks_total", &[]), None);
     // Both states ('a' and 'b') hold single-symbol charsets.
     assert_eq!(
         dump.metrics
             .counter("state_encodings_total", &[("kind", "one")]),
         Some(2)
     );
+
+    // A stream that reaches a new frontier almost every cycle leaves the
+    // subset cache for the sparse step once, and says so.
+    // "X.." for 40 letters X: the frontier spells the last three bytes.
+    let letters = &b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmn"[..];
+    let patterns: Vec<String> = letters
+        .iter()
+        .map(|&c| format!("{}..", c as char))
+        .collect();
+    let nfa = sunder_automata::regex::compile_rule_set(&patterns).expect("compile");
+    let mut x = 7u32;
+    let text: Vec<u8> = (0..20_000)
+        .map(|_| {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            letters[(x >> 16) as usize % letters.len()]
+        })
+        .collect();
+    let input = InputView::new(&text, 8, 1).expect("framing");
+
+    sunder_telemetry::init(sunder_telemetry::Config::metrics());
+    let mut engine = EngineKind::Sparse.build(&nfa);
+    let mut trace = TraceSink::new();
+    engine.run(&input, &mut trace);
+    let dump = sunder_telemetry::finish().expect("telemetry session");
+
+    assert_eq!(dump.metrics.counter("subset_fallbacks_total", &[]), Some(1));
+    let misses = dump.metrics.counter("subset_cache_misses_total", &[]);
+    assert!(misses.is_some_and(|m| m > 50), "{misses:?}");
+    let mut stepped = TraceSink::new();
+    let mut reference = Simulator::new(&nfa);
+    for v in input.iter_ref() {
+        reference.step(v.symbols, v.valid, &mut stepped);
+    }
+    assert_eq!(trace.events, stepped.events);
 }

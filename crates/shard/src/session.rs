@@ -3,14 +3,17 @@
 //! A [`StreamSession`] is the unit of state the `sunder serve` daemon
 //! keeps per connection: an [`Arc<CompiledPipeline>`] pinned at session
 //! open (hot reloads never swap a live session's automaton), the
-//! suspended engine frontier ([`sunder_sim::ShardedState`]),
+//! suspended engine state ([`sunder_sim::ShardedState`]),
 //! and a [`SymbolFramer`] that buffers the partial symbols a chunk
 //! boundary can leave behind. Between chunks the session holds **no
-//! engine** — just the frontier, a few dozen bytes for typical automata —
-//! so millions of idle streams cost almost nothing. Feeding a chunk
-//! rebuilds the engine from the pipeline's shared compiled tables,
-//! resumes it from the suspended frontier, runs exactly the
-//! chunk's complete cycles, and suspends again.
+//! engine**: just the frontier (a few dozen bytes for typical automata)
+//! and the stream's subset cache, which is empty until the stream first
+//! steps, grows with the frontiers it reaches up to a fixed per-stream
+//! budget (1 MiB), and is dropped for good if the stream falls back to
+//! the plain sparse step. Feeding a chunk rebuilds the engine from the
+//! pipeline's shared compiled tables, lends it the cache, resumes it from
+//! the suspended frontier, runs exactly the chunk's complete cycles, and
+//! suspends again.
 //!
 //! The framing rules make a chunked run byte-identical to a whole-input
 //! run, no matter where the boundaries fall:

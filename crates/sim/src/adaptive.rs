@@ -17,7 +17,7 @@
 use std::sync::{Arc, OnceLock};
 
 use sunder_automata::input::InputView;
-use sunder_automata::{Nfa, StateId};
+use sunder_automata::{ByteClasses, Nfa, StateId};
 use sunder_resilience::Budget;
 
 use crate::dense::{DenseEngine, DenseTables};
@@ -25,9 +25,10 @@ use crate::engine::Simulator;
 use crate::exec::{drive, EngineState, Kernel};
 use crate::fastpath::SparseTables;
 use crate::sink::ReportSink;
+use crate::subset::SubsetCache;
 
 /// Frontier-size samples per selection decision.
-const WINDOW: u32 = 64;
+const WINDOW: u64 = 64;
 
 /// Cost-model constants, in nanoseconds per cycle. Fitted to measured
 /// per-cycle times of both engines across the 19-benchmark suite
@@ -137,7 +138,7 @@ pub struct AdaptiveEngine<'a> {
     in_dense: bool,
     /// Frontier sizes accumulated over the current window.
     window_active: u64,
-    window_cycles: u32,
+    window_cycles: u64,
     /// Average out-degree, for the sparse cost model.
     fanout: f64,
     /// State-vector width in words, for the dense cost model.
@@ -177,11 +178,12 @@ impl<'a> AdaptiveEngine<'a> {
         nfa: &'a Nfa,
         sparse_tables: Arc<SparseTables>,
         dense_cell: Arc<OnceLock<Arc<DenseTables>>>,
+        classes: Arc<OnceLock<ByteClasses>>,
         limits: AdaptiveLimits,
     ) -> Self {
         Self::with_shared_parts(
             nfa,
-            Simulator::with_tables(nfa, sparse_tables),
+            Simulator::with_tables(nfa, sparse_tables, classes),
             Some(dense_cell),
             limits,
         )
@@ -378,7 +380,7 @@ impl<'a> AdaptiveEngine<'a> {
     /// End-of-window decision: switch representations when the other cost
     /// model is decisively cheaper.
     fn maybe_switch(&mut self) {
-        let avg_active = self.window_active as f64 / f64::from(self.window_cycles.max(1));
+        let avg_active = self.window_active as f64 / self.window_cycles.max(1) as f64;
         self.window_active = 0;
         self.window_cycles = 0;
         let (sparse_cost, dense_cost) = self.modeled_costs(avg_active);
@@ -516,10 +518,46 @@ impl Kernel for AdaptiveEngine<'_> {
     /// cycles, so the cost model sees the idleness.
     fn skip(&mut self, cycles: u64) {
         self.sparse.skip(cycles);
-        self.window_cycles = (u64::from(self.window_cycles) + cycles).min(u64::from(WINDOW)) as u32;
+        self.window_cycles = (self.window_cycles + cycles).min(WINDOW);
         if self.window_cycles >= WINDOW {
             self.maybe_switch();
         }
+    }
+
+    /// The sparse half's cached-subset run, while sparse. Its stepped
+    /// cycles join the sampling window with their true frontier sizes, and
+    /// its skipped ones as zero-active cycles filling at most one window,
+    /// so the selector decides as it would over sparse steps and skips.
+    fn cached_cycles<S: ReportSink + ?Sized>(
+        &mut self,
+        input: &InputView,
+        from: usize,
+        to: usize,
+        sink: &mut S,
+    ) -> (usize, usize) {
+        if self.in_dense {
+            return (0, 0);
+        }
+        let mut active = 0;
+        let (ran, idle) = self
+            .sparse
+            .run_subset::<S, true>(input, from, to, sink, &mut active);
+        if ran > 0 {
+            self.window_active += active;
+            self.window_cycles += (ran - idle) as u64 + (idle as u64).min(WINDOW);
+            if self.window_cycles >= WINDOW {
+                self.maybe_switch();
+            }
+        }
+        (ran, idle)
+    }
+
+    fn subset_cache(&mut self) -> Option<&mut SubsetCache> {
+        self.sparse.subset_cache()
+    }
+
+    fn subset_counts(&self) -> (u64, u64) {
+        self.sparse.subset_counts()
     }
 }
 

@@ -18,17 +18,22 @@
 //! when the frontier is empty and the sink observes only reports, whole
 //! runs of cycles whose leading symbol cannot enable any start state are
 //! skipped without stepping.
+//!
+//! Under quiet sinks a stride-1 stream over at most 256 symbols steps
+//! through a cached subset automaton instead ([`crate::subset`]): one
+//! table lookup per cycle while the frontiers it reaches stay few, and the
+//! plain frontier step again for good when they do not.
 
-use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sunder_automata::input::InputView;
-use sunder_automata::{Nfa, ReportInfo, StateId};
+use sunder_automata::{ByteClasses, Nfa, ReportInfo, StateId};
 use sunder_resilience::Budget;
 
 use crate::exec::{drive, EngineState, Kernel};
-use crate::fastpath::{SparseTables, StartIndex, ENCODING_KINDS};
+use crate::fastpath::{SparseTables, StartIndex, ENCODING_KINDS, MAX_BUCKETED_ALPHABET};
 use crate::sink::{ReportEvent, ReportSink};
+use crate::subset::{SubsetCache, Verdict, EMPTY, INDEX, REPORTS, TAG, UNKNOWN};
 
 /// Cycle-by-cycle executor for one automaton over one input stream.
 ///
@@ -50,14 +55,27 @@ use crate::sink::{ReportEvent, ReportSink};
 #[derive(Debug)]
 pub struct Simulator<'a> {
     /// The automaton the tables were built from; the step reads only the
-    /// tables.
-    nfa: PhantomData<&'a Nfa>,
+    /// tables, the subset cache its byte classes.
+    nfa: &'a Nfa,
     /// Compiled symbol codes, CSR successors, start index and prefilter
     /// LUT — shareable across simulators of the same automaton.
     tables: Arc<SparseTables>,
+    /// The automaton's byte classes, derived on the subset cache's first
+    /// use and shared like the tables.
+    classes: Arc<OnceLock<ByteClasses>>,
+    /// This stream's subset cache.
+    subset: SubsetCache,
+    /// The cache state whose frontier `active` holds at `cycle`, while
+    /// nothing else has stepped.
+    subset_at: Option<u32>,
+    /// Subset-cache misses and fallbacks, cumulative.
+    subset_misses: u64,
+    subset_fallbacks: u64,
     /// Current active set (sparse).
     active: Vec<StateId>,
-    /// Candidate de-duplication stamps.
+    /// Candidate de-duplication stamps, one per state, allocated by the
+    /// first candidate walk ([`stamps`]): a chunk the subset cache runs
+    /// whole never needs them.
     stamp: Vec<u64>,
     generation: u64,
     cycle: u64,
@@ -84,26 +102,87 @@ fn push(stamp: &mut [u64], candidates: &mut Vec<StateId>, gen: u64, id: StateId)
     }
 }
 
+/// The stamps, allocated for `states` states on first use.
+#[inline(always)]
+fn stamps(stamp: &mut Vec<u64>, states: usize) -> &mut [u64] {
+    if stamp.len() != states {
+        *stamp = vec![0; states];
+    }
+    stamp
+}
+
+/// The stride-1 candidate walk: the successors of `frontier`, then (when
+/// `starts`) the all-input starts, that accept `sym`, each pushed once
+/// under generation `gen` into `out`. Candidates are checked against
+/// their (single) charset *before* insertion, and bucketed starts skip
+/// the check entirely (bucket membership is the match).
+#[inline(always)]
+fn gather1(
+    tables: &SparseTables,
+    stamp: &mut [u64],
+    gen: u64,
+    out: &mut Vec<StateId>,
+    frontier: &[StateId],
+    sym: u16,
+    starts: bool,
+) {
+    out.clear();
+    for &s in frontier {
+        for &t in tables.successors(s) {
+            if tables.matches1(t, sym) {
+                push(stamp, out, gen, t);
+            }
+        }
+    }
+    if starts {
+        match &tables.start_index {
+            StartIndex::Bucketed { off, flat } => {
+                let i = usize::from(sym);
+                for &id in &flat[off[i] as usize..off[i + 1] as usize] {
+                    push(stamp, out, gen, id);
+                }
+            }
+            StartIndex::Flat(all) => {
+                for &id in all {
+                    if tables.matches1(id, sym) {
+                        push(stamp, out, gen, id);
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl<'a> Simulator<'a> {
     /// Prepares a simulator for the automaton. The automaton must be valid
     /// (see [`Nfa::validate`]).
     pub fn new(nfa: &'a Nfa) -> Self {
-        Simulator::with_tables(nfa, Arc::new(SparseTables::build(nfa)))
+        Simulator::with_tables(nfa, Arc::new(SparseTables::build(nfa)), Arc::default())
     }
 
-    /// Prepares a simulator around precompiled tables, skipping the
-    /// per-automaton build. The tables must have been built from `nfa`.
-    pub(crate) fn with_tables(nfa: &'a Nfa, tables: Arc<SparseTables>) -> Self {
+    /// Prepares a simulator around precompiled tables and a (possibly
+    /// already filled) byte-class cell, skipping the per-automaton build.
+    /// Both must belong to `nfa`.
+    pub(crate) fn with_tables(
+        nfa: &'a Nfa,
+        tables: Arc<SparseTables>,
+        classes: Arc<OnceLock<ByteClasses>>,
+    ) -> Self {
         debug_assert_eq!(tables.stride, nfa.stride());
         let lut = &tables.start_lut;
         let wakes = (0..tables.alphabet)
             .map(|i| (lut[i >> 6] >> (i & 63)) & 1 != 0)
             .collect();
         Simulator {
-            nfa: PhantomData,
+            nfa,
             tables,
+            classes,
+            subset: SubsetCache::default(),
+            subset_at: None,
+            subset_misses: 0,
+            subset_fallbacks: 0,
             active: Vec::new(),
-            stamp: vec![0; nfa.num_states()],
+            stamp: Vec::new(),
             generation: 0,
             cycle: 0,
             candidates: Vec::new(),
@@ -147,6 +226,7 @@ impl<'a> Simulator<'a> {
     pub fn reset(&mut self) {
         self.active.clear();
         self.cycle = 0;
+        self.subset_at = None;
         // Stamps stay monotone; no clearing needed.
     }
 
@@ -160,6 +240,7 @@ impl<'a> Simulator<'a> {
         self.active.clear();
         self.active.extend_from_slice(states);
         self.cycle = cycle;
+        self.subset_at = None;
     }
 
     /// Captures the current execution state (canonical ascending-state
@@ -178,54 +259,29 @@ impl<'a> Simulator<'a> {
         self.load_frontier(&state.frontier, state.cycle);
     }
 
-    /// One cycle of the stride-1 specialization: candidates are checked
-    /// against their (single) charset *before* insertion, so the separate
-    /// match pass of the general path disappears, and bucketed start
-    /// states skip the check entirely (bucket membership is the match).
-    /// Trace-identical to the general path by construction: insertion
-    /// order and dedup discipline are unchanged, only the filter moved.
-    /// `QUIET` is as in [`Kernel::step`].
+    /// One cycle of the stride-1 specialization ([`gather1`]): the
+    /// separate match pass of the general path disappears. Trace-identical
+    /// to the general path by construction: insertion order and dedup
+    /// discipline are unchanged, only the filter moved. `QUIET` is as in
+    /// [`Kernel::step`].
     fn step1<S: ReportSink + ?Sized, const QUIET: bool>(
         &mut self,
         sym: u16,
         sink: &mut S,
     ) -> usize {
         self.generation += 1;
-        self.candidates.clear();
+        self.subset_at = None;
         let gen = self.generation;
         // Field-disjoint borrows: hoisting the shared-table deref out of
         // the loops lets the optimizer keep it in a register across the
         // stamp/candidate writes.
         let tables = &*self.tables;
-        let stamp = &mut self.stamp;
+        let stamp = stamps(&mut self.stamp, self.nfa.num_states());
         let candidates = &mut self.candidates;
-
-        for &s in &self.active {
-            for &t in tables.successors(s) {
-                if tables.matches1(t, sym) {
-                    push(stamp, candidates, gen, t);
-                }
-            }
-        }
         // The `== 1` short-circuit keeps the (slow) u64 modulo off the
         // per-cycle path for the overwhelmingly common period-1 case.
-        if tables.start_period == 1 || self.cycle.is_multiple_of(tables.start_period) {
-            match &tables.start_index {
-                StartIndex::Bucketed { off, flat } => {
-                    let i = usize::from(sym);
-                    for &id in &flat[off[i] as usize..off[i + 1] as usize] {
-                        push(stamp, candidates, gen, id);
-                    }
-                }
-                StartIndex::Flat(starts) => {
-                    for &id in starts {
-                        if tables.matches1(id, sym) {
-                            push(stamp, candidates, gen, id);
-                        }
-                    }
-                }
-            }
-        }
+        let starts = tables.start_period == 1 || self.cycle.is_multiple_of(tables.start_period);
+        gather1(tables, stamp, gen, candidates, &self.active, sym, starts);
         if self.cycle == 0 {
             for &id in &tables.sod_starts {
                 if tables.matches1(id, sym) {
@@ -295,6 +351,231 @@ impl<'a> Simulator<'a> {
     pub fn run<S: ReportSink + ?Sized>(&mut self, input: &InputView, sink: &mut S) {
         drive(self, input, sink, &Budget::unlimited());
     }
+
+    /// Subset-cache misses and fallbacks over this simulator's lifetime.
+    pub(crate) fn subset_counts(&self) -> (u64, u64) {
+        (self.subset_misses, self.subset_fallbacks)
+    }
+
+    /// The cached-subset loop behind [`Kernel::cached_cycles`]: from the
+    /// state holding the current frontier, one class lookup and one table
+    /// load per cycle. It leaves the table to fill a miss, to deliver a
+    /// state's precomputed reports, and to run the prefilter skip from an
+    /// empty frontier; it stops at an out-of-alphabet symbol (which the
+    /// sparse step handles) and for good on a fallback. Returns the cycles
+    /// it advanced and how many of them it skipped; `active` and `cycle`
+    /// are then the true frontier and clock. With `COUNT` the frontier
+    /// size of every cycle stepped is added to `active_sum`.
+    #[inline(always)]
+    pub(crate) fn run_subset<S: ReportSink + ?Sized, const COUNT: bool>(
+        &mut self,
+        input: &InputView,
+        from: usize,
+        to: usize,
+        sink: &mut S,
+        active_sum: &mut u64,
+    ) -> (usize, usize) {
+        // Checked inline: a stream that fell back pays no call per step.
+        if self.subset.is_off() || self.tables.stride != 1 {
+            return (0, 0);
+        }
+        self.run_subset_on::<S, COUNT>(input, from, to, sink, active_sum)
+    }
+
+    /// [`Simulator::run_subset`] past its inline checks.
+    fn run_subset_on<S: ReportSink + ?Sized, const COUNT: bool>(
+        &mut self,
+        input: &InputView,
+        from: usize,
+        to: usize,
+        sink: &mut S,
+        active_sum: &mut u64,
+    ) -> (usize, usize) {
+        let tables = &*self.tables;
+        if self.cycle == 0 && !tables.sod_starts.is_empty() {
+            return (0, 0);
+        }
+        if tables.alphabet > MAX_BUCKETED_ALPHABET {
+            self.subset.turn_off();
+            return (0, 0);
+        }
+        let (nfa, classes) = (self.nfa, &self.classes);
+        let classes = || classes.get_or_init(|| ByteClasses::of(nfa));
+        let Some(dfa) = self.subset.live(classes) else {
+            return (0, 0);
+        };
+        let (class_of, reps, states) = (&dfa.class_of, &dfa.reps, &mut dfa.states);
+        let period = tables.start_period;
+        let phase_at = |cycle: u64| if period == 1 { 0 } else { cycle % period };
+        let mut cur = match self.subset_at {
+            Some(id) => id,
+            None => {
+                let key = &mut self.candidates;
+                key.clear();
+                key.extend_from_slice(&self.active);
+                key.sort_unstable_by_key(|s| s.index());
+                key.dedup();
+                states.intern(phase_at(self.cycle) as u32, key, tables) & INDEX
+            }
+        };
+        let syms = &input.symbols()[from..to];
+        let base = self.cycle;
+        let (mut i, mut skipped) = (0, 0);
+        let mut fell_back = false;
+        while let Some(&sym) = syms.get(i) {
+            let Some(&class) = class_of.get(usize::from(sym)) else {
+                break;
+            };
+            let class = usize::from(class);
+            let mut next = states.trans[cur as usize + class];
+            if next < TAG {
+                cur = next;
+                if COUNT {
+                    *active_sum += u64::from(states.frontier_len(cur));
+                }
+                i += 1;
+                continue;
+            }
+            if next == UNKNOWN {
+                self.subset_misses += 1;
+                // The frontier before this cycle, kept across a clear.
+                self.active.clear();
+                self.active.extend_from_slice(states.frontier(cur));
+                let phase = states.phase(cur);
+                match states.miss(states.stepped + (i - skipped) as u64) {
+                    Verdict::FallBack => {
+                        fell_back = true;
+                        break;
+                    }
+                    Verdict::Cleared => cur = states.intern(phase, &self.active, tables) & INDEX,
+                    Verdict::Fill => {}
+                }
+                self.generation += 1;
+                let out = &mut self.candidates;
+                let gen = self.generation;
+                let stamp = stamps(&mut self.stamp, nfa.num_states());
+                gather1(
+                    tables,
+                    stamp,
+                    gen,
+                    out,
+                    &self.active,
+                    reps[class],
+                    phase == 0,
+                );
+                out.sort_unstable_by_key(|s| s.index());
+                next = states.intern(phase_at(u64::from(phase) + 1) as u32, out, tables);
+                states.trans[cur as usize + class] = next;
+            }
+            cur = next & INDEX;
+            if COUNT {
+                *active_sum += u64::from(states.frontier_len(cur));
+            }
+            i += 1;
+            if next & REPORTS != 0 {
+                let cycle = base + i as u64 - 1;
+                self.reports.clear();
+                let slice = states.reports(cur).iter();
+                self.reports
+                    .extend(slice.map(|&e| ReportEvent { cycle, ..e }));
+                sink.on_cycle_reports(cycle, &self.reports);
+            }
+            if next & EMPTY != 0 {
+                let phase = phase_at(base + i as u64);
+                let idle = idle_run(&self.wakes, period, phase, 1, &syms[i..]);
+                if idle > 0 {
+                    i += idle;
+                    skipped += idle;
+                    if period != 1 {
+                        let phase = phase_at(base + i as u64) as u32;
+                        cur = states.intern(phase, &[], tables) & INDEX;
+                    }
+                }
+            }
+        }
+        states.stepped += (i - skipped) as u64;
+        self.cycle = base + i as u64;
+        self.prefilter_skipped += skipped as u64;
+        if fell_back {
+            self.subset.turn_off();
+            self.subset_at = None;
+            self.subset_fallbacks += 1;
+        } else {
+            self.active.clear();
+            self.active.extend_from_slice(states.frontier(cur));
+            self.subset_at = Some(cur);
+        }
+        (i, skipped)
+    }
+}
+
+/// The prefilter skip loop: how many cycles of `window` (a leading symbol
+/// every `stride`) are idle for an empty frontier whose first cycle lies
+/// `phase` cycles past a start cycle. Idle means the cycle either falls
+/// off the start `period` or its leading symbol has no `wakes` flag (a
+/// symbol outside the alphabet has none). Tests eight cycles per pass,
+/// their flags ORed into one mask and ANDed with the block's phase gate,
+/// whose lowest set bit is the first waking cycle. Period 1 needs no
+/// gate, a period dividing 8 gates every block alike, and any other
+/// takes one remainder per block.
+#[inline(always)]
+fn idle_run(wakes: &[bool], period: u64, phase: u64, stride: usize, window: &[u16]) -> usize {
+    match period {
+        1 => idle_blocks::<false, false>(wakes, period, phase, stride, window),
+        2 | 4 | 8 => idle_blocks::<true, false>(wakes, period, phase, stride, window),
+        _ => idle_blocks::<true, true>(wakes, period, phase, stride, window),
+    }
+}
+
+/// [`idle_run`], specialized: `GATED` applies the phase gate, `ROTATE`
+/// recomputes it per block.
+#[inline(always)]
+fn idle_blocks<const GATED: bool, const ROTATE: bool>(
+    wakes: &[bool],
+    period: u64,
+    mut phase: u64,
+    stride: usize,
+    window: &[u16],
+) -> usize {
+    let hit = |s: u16| wakes.get(usize::from(s)).map_or(0, |&w| u32::from(w));
+    // Bit k set: the k-th cycle from one `phase` cycles past a start
+    // cycle may start a match.
+    let gate = |phase: u64| {
+        let mut k = if phase == 0 { 0 } else { period - phase };
+        let mut gate = 0u32;
+        while k < 8 {
+            gate |= 1 << k;
+            k += period;
+        }
+        gate
+    };
+    let mut block_gate = if GATED { gate(phase) } else { 0xFF };
+    let mut blocks = window.chunks_exact(8 * stride);
+    let mut idle = 0;
+    for block in &mut blocks {
+        if ROTATE {
+            block_gate = gate(phase);
+            phase = (phase + 8) % period;
+        }
+        let mut mask = 0;
+        for k in 0..8 {
+            mask |= hit(block[k * stride]) << k;
+        }
+        if GATED {
+            mask &= block_gate;
+        }
+        if mask != 0 {
+            return idle + mask.trailing_zeros() as usize;
+        }
+        idle += 8;
+    }
+    if ROTATE {
+        block_gate = gate(phase);
+    }
+    let tail = blocks.remainder().iter().step_by(stride).enumerate();
+    idle + tail
+        .take_while(|&(k, &s)| hit(s) & (block_gate >> k) & 1 == 0)
+        .count()
 }
 
 impl Kernel for Simulator<'_> {
@@ -351,6 +632,7 @@ impl Kernel for Simulator<'_> {
             .any(|&s| usize::from(s) >= self.tables.alphabet)
         {
             self.active.clear();
+            self.subset_at = None;
             if !QUIET {
                 sink.on_cycle_activity(self.cycle, 0);
                 if sink.wants_active_states() {
@@ -363,7 +645,9 @@ impl Kernel for Simulator<'_> {
 
         self.generation += 1;
         self.candidates.clear();
+        self.subset_at = None;
         let gen = self.generation;
+        stamps(&mut self.stamp, self.nfa.num_states());
 
         // Successors of the current frontier (CSR arena walk).
         for &s in &self.active {
@@ -435,40 +719,46 @@ impl Kernel for Simulator<'_> {
     }
 
     /// Idle means: the frontier is empty, no start-of-data start can
-    /// fire, and the leading symbol of the cycle misses the start LUT.
-    /// Tests eight cycles per pass, their flags ORed into one mask whose
-    /// lowest set bit is the first waking cycle; a symbol outside the
-    /// alphabet has no flag and misses.
+    /// fire, and the cycle is idle for [`idle_run`].
     fn idle_cycles(&self, input: &InputView, from: usize, to: usize) -> usize {
         if !self.active.is_empty() || (self.cycle == 0 && !self.tables.sod_starts.is_empty()) {
             return 0;
         }
-        let wakes = &*self.wakes;
-        let hit = |s: u16| wakes.get(usize::from(s)).map_or(0, |&w| u32::from(w));
-        let stride = self.tables.stride;
+        let (period, stride) = (self.tables.start_period, self.tables.stride);
         let syms = input.symbols();
         // The symbols of cycles [from, to); the view's last may be partial.
         let end = syms.len().min(to * stride);
         let window = &syms[end.min(from * stride)..end];
-        let mut blocks = window.chunks_exact(8 * stride);
-        let mut idle = 0;
-        for block in &mut blocks {
-            let mut mask = 0;
-            for k in 0..8 {
-                mask |= hit(block[k * stride]) << k;
-            }
-            if mask != 0 {
-                return idle + mask.trailing_zeros() as usize;
-            }
-            idle += 8;
-        }
-        let tail = blocks.remainder().iter().step_by(stride);
-        idle + tail.take_while(|&&s| hit(s) == 0).count()
+        let phase = if period == 1 { 0 } else { self.cycle % period };
+        idle_run(&self.wakes, period, phase, stride, window)
+    }
+
+    fn cached_cycles<S: ReportSink + ?Sized>(
+        &mut self,
+        input: &InputView,
+        from: usize,
+        to: usize,
+        sink: &mut S,
+    ) -> (usize, usize) {
+        self.run_subset::<S, false>(input, from, to, sink, &mut 0)
+    }
+
+    fn subset_cache(&mut self) -> Option<&mut SubsetCache> {
+        self.subset_at = None;
+        Some(&mut self.subset)
+    }
+
+    fn subset_counts(&self) -> (u64, u64) {
+        Simulator::subset_counts(self)
     }
 
     fn skip(&mut self, cycles: u64) {
         self.cycle += cycles;
         self.prefilter_skipped += cycles;
+        // The empty frontier's cache state depends on the start phase.
+        if self.tables.start_period != 1 {
+            self.subset_at = None;
+        }
     }
 }
 
@@ -734,18 +1024,24 @@ mod tests {
         assert_eq!(trace.cycle_id_pairs(), vec![(0, 1), (2, 1)]);
     }
 
-    /// The scalar reference for [`Kernel::idle_cycles`] on a fresh
-    /// simulator: cycles from `from` on whose leading symbol no all-input
-    /// start's first charset contains, up to the first that one does or
-    /// to `to`. Read from the automaton, not from the compiled LUT.
-    fn scalar_idle(nfa: &Nfa, input: &InputView, from: usize, to: usize) -> usize {
+    /// The scalar reference for [`Kernel::idle_cycles`] on a simulator
+    /// with an empty frontier whose clock reads `cycle` at view cycle
+    /// `from`: cycles from `from` on that are off the start period or
+    /// whose leading symbol no all-input start's first charset contains,
+    /// up to the first that is neither or to `to`. Read from the
+    /// automaton, not from the compiled LUT.
+    fn scalar_idle(nfa: &Nfa, input: &InputView, cycle: u64, from: usize, to: usize) -> usize {
         let wakes = |s: u16| {
             nfa.states().any(|(_, ste)| {
                 ste.start_kind() == StartKind::AllInput && ste.charsets()[0].contains(s)
             })
         };
+        let period = u64::from(nfa.start_period());
         (from..to)
-            .take_while(|&c| !wakes(input.symbols()[c * input.stride()]))
+            .take_while(|&c| {
+                let on_period = (cycle + (c - from) as u64).is_multiple_of(period);
+                !(on_period && wakes(input.symbols()[c * input.stride()]))
+            })
             .count()
     }
 
@@ -756,7 +1052,7 @@ mod tests {
             for to in from..=input.num_cycles() {
                 assert_eq!(
                     sim.idle_cycles(input, from, to),
-                    scalar_idle(nfa, input, from, to),
+                    scalar_idle(nfa, input, 0, from, to),
                     "from {from}, to {to}"
                 );
             }
@@ -799,7 +1095,7 @@ mod tests {
                             offset.min(to - from),
                             "sym {sym}, from {from}, hit {hit}, to {to}"
                         );
-                        assert_eq!(idle, scalar_idle(&nfa, &input, from, to));
+                        assert_eq!(idle, scalar_idle(&nfa, &input, 0, from, to));
                     }
                 }
             }
@@ -825,6 +1121,32 @@ mod tests {
                 let input = InputView::from_symbols(syms, stride);
                 assert_eq!(input.num_cycles(), 21);
                 assert_idle_matches_reference(&nfa, &input, 0..21);
+            }
+        }
+    }
+
+    #[test]
+    fn idle_gates_starts_by_phase_at_every_alignment() {
+        // Periods 2 and 3 (one dividing the 8-cycle block, one not) and
+        // 11 (longer than a block); every cycle but a few wakes the LUT,
+        // so only the phase gate can make a cycle idle.
+        for period in [2, 3, 11] {
+            let mut nfa = lone_start(4, 1, 5);
+            nfa.set_start_period(period);
+            let syms: Vec<u16> = (0..45).map(|i| if i % 7 == 3 { 9 } else { 5 }).collect();
+            let input = InputView::from_symbols(syms, 1);
+            let mut sim = Simulator::new(&nfa);
+            for cycle in 1..=2 * u64::from(period) + 1 {
+                sim.load_frontier(&[], cycle);
+                for from in 0..20 {
+                    for to in from..=input.num_cycles() {
+                        assert_eq!(
+                            sim.idle_cycles(&input, from, to),
+                            scalar_idle(&nfa, &input, cycle, from, to),
+                            "period {period}, clock {cycle}, from {from}, to {to}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -16,16 +16,18 @@
 //! [`EngineKind`] names them for configuration surfaces (CLI flags,
 //! `sunder-core`'s builder) and [`EngineKind::build`] instantiates one.
 //!
-//! Each engine supplies only its cycle step and prefilter hooks (the
-//! crate-private `Kernel` trait); one driver, `drive`, runs them all. It
-//! polls a [`Budget`] only between windows of [`Budget::poll_interval`]
-//! cycles, skipped ones counting; an unlimited budget is one window.
+//! Each engine supplies only its cycle step, prefilter and cached-subset
+//! hooks (the crate-private `Kernel` trait); one driver, `drive`, runs
+//! them all. It polls a [`Budget`] only between windows of
+//! [`Budget::poll_interval`] cycles, skipped and cached ones counting; an
+//! unlimited budget is one window.
 
 use sunder_automata::input::InputView;
 use sunder_automata::{Nfa, StateId};
 use sunder_resilience::{Budget, RunOutcome};
 
 use crate::sink::ReportSink;
+use crate::subset::SubsetCache;
 
 /// A suspended mid-stream execution snapshot: everything an engine needs
 /// to continue a stream later (possibly in a different engine instance,
@@ -158,6 +160,34 @@ pub(crate) trait Kernel {
     /// Advances over `cycles` cycles that [`Kernel::idle_cycles`] proved
     /// idle, without stepping them.
     fn skip(&mut self, cycles: u64);
+
+    /// Quiet sinks only: runs cycles of `input` from `from` on, never past
+    /// `to`, through a cached subset automaton, delivering their reports
+    /// to `sink` and skipping idle stretches as [`Kernel::idle_cycles`]
+    /// and [`Kernel::skip`] would. Returns the cycles advanced and how
+    /// many of them were skipped. Zero cycles means the kernel has no
+    /// cache or cannot take the next cycle, and the caller steps it.
+    /// Default: none.
+    fn cached_cycles<S: ReportSink + ?Sized>(
+        &mut self,
+        _input: &InputView,
+        _from: usize,
+        _to: usize,
+        _sink: &mut S,
+    ) -> (usize, usize) {
+        (0, 0)
+    }
+
+    /// The stream's subset cache, to carry it across chunks. Default:
+    /// none.
+    fn subset_cache(&mut self) -> Option<&mut SubsetCache> {
+        None
+    }
+
+    /// Subset-cache misses and fallbacks so far. Default: none.
+    fn subset_counts(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 impl<K: Kernel> Engine for K {
@@ -202,9 +232,10 @@ impl<K: Kernel> Engine for K {
 
 /// The one run loop of every engine: checks the stride, picks the quiet
 /// step once from the sink, then walks `input` window by window, fusing
-/// the prefilter's skips with the steps. Skipped cycles count toward the
-/// window, and `budget` is polled only between windows; an unlimited
-/// budget is one window, so the hot loop never polls.
+/// the prefilter's skips and the cached-subset runs with the steps.
+/// Skipped and cached cycles count toward the window, and `budget` is
+/// polled only between windows; an unlimited budget is one window, so
+/// the hot loop never polls.
 ///
 /// # Panics
 ///
@@ -229,6 +260,7 @@ pub(crate) fn drive<K: Kernel, S: ReportSink + ?Sized>(
         };
         let mut vectors = input.iter_ref();
         let (mut pos, mut skipped) = (0, 0);
+        let subset_before = kernel.subset_counts();
         let outcome = loop {
             let end = total.min(pos + window);
             while pos < end {
@@ -245,6 +277,13 @@ pub(crate) fn drive<K: Kernel, S: ReportSink + ?Sized>(
                             break;
                         }
                     }
+                    let (ran, idle) = kernel.cached_cycles(input, pos, end, sink);
+                    if ran > 0 {
+                        vectors.advance_cycles(ran);
+                        pos += ran;
+                        skipped += idle;
+                        continue;
+                    }
                 }
                 let v = vectors.next().expect("the view yields num_cycles vectors");
                 kernel.step::<S, QUIET>(v.symbols, v.valid, sink);
@@ -259,8 +298,17 @@ pub(crate) fn drive<K: Kernel, S: ReportSink + ?Sized>(
             }
         };
         // Once per run: the registry is a global lock, too dear per skip.
-        if skipped > 0 && sunder_telemetry::enabled() {
-            sunder_telemetry::counter_add("prefilter_skipped_total", &[], skipped as u64);
+        if sunder_telemetry::enabled() {
+            let (misses, fallbacks) = kernel.subset_counts();
+            for (name, n) in [
+                ("prefilter_skipped_total", skipped as u64),
+                ("subset_cache_misses_total", misses - subset_before.0),
+                ("subset_fallbacks_total", fallbacks - subset_before.1),
+            ] {
+                if n > 0 {
+                    sunder_telemetry::counter_add(name, &[], n);
+                }
+            }
         }
         outcome
     }

@@ -49,6 +49,7 @@ pub mod simd;
 pub mod sink;
 pub mod stats;
 pub mod storage;
+mod subset;
 
 pub use adaptive::{AdaptiveEngine, AdaptiveLimits, DegradeReason};
 pub use dense::{DenseBuildError, DenseEngine};

@@ -22,22 +22,24 @@ use std::sync::{Arc, OnceLock};
 use sunder_automata::graph::extract_subautomaton;
 use sunder_automata::input::InputView;
 use sunder_automata::partition::{ShardPlan, ShardSpec};
-use sunder_automata::{AutomataError, Nfa};
+use sunder_automata::{AutomataError, ByteClasses, Nfa};
 use sunder_resilience::{Budget, RunOutcome};
 
 use crate::adaptive::{AdaptiveEngine, AdaptiveLimits};
-use crate::dense::DenseTables;
-use crate::exec::{Engine, EngineKind, EngineState};
+use crate::dense::{DenseEngine, DenseTables};
+use crate::exec::{drive, EngineKind, EngineState, Kernel};
 use crate::fastpath::SparseTables;
 use crate::sink::{ReportEvent, ReportSink, TraceSink};
+use crate::subset::SubsetCache;
 
 /// Runs a whole transformed automaton on one engine per stream; its
 /// [`ShardPlan`] is placement data only.
 ///
 /// The compiled tables are shared across every run and every clone of
 /// the engine handed to worker threads: the sparse tables are built
-/// eagerly (they are linear in the automaton), the dense tables at most
-/// once, on first demand, no matter how many streams run concurrently.
+/// eagerly (they are linear in the automaton), the dense tables and the
+/// byte classes of the subset cache at most once, on first demand, no
+/// matter how many streams run concurrently.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     nfa: Arc<Nfa>,
@@ -45,6 +47,7 @@ pub struct ShardedEngine {
     kind: EngineKind,
     sparse: Arc<SparseTables>,
     dense: Arc<OnceLock<Arc<DenseTables>>>,
+    classes: Arc<OnceLock<ByteClasses>>,
 }
 
 impl ShardedEngine {
@@ -88,6 +91,7 @@ impl ShardedEngine {
             kind,
             sparse,
             dense: Arc::new(OnceLock::new()),
+            classes: Arc::new(OnceLock::new()),
         }
     }
 
@@ -135,27 +139,6 @@ impl ShardedEngine {
     /// Symbol width of the automaton.
     pub fn symbol_bits(&self) -> u8 {
         self.nfa.symbol_bits()
-    }
-
-    /// Instantiates the engine from the precompiled shared tables: no
-    /// per-run successor/encoding rebuild.
-    fn engine(&self) -> Box<dyn Engine + '_> {
-        match self.kind {
-            EngineKind::Sparse => Box::new(crate::Simulator::with_tables(
-                &self.nfa,
-                Arc::clone(&self.sparse),
-            )),
-            EngineKind::Dense => Box::new(crate::DenseEngine::with_tables(
-                &self.nfa,
-                self.ensure_dense(),
-            )),
-            EngineKind::Adaptive => Box::new(AdaptiveEngine::with_shared(
-                &self.nfa,
-                Arc::clone(&self.sparse),
-                Arc::clone(&self.dense),
-                AdaptiveLimits::default(),
-            )),
-        }
     }
 
     /// Diagnostic: runs one shard's sub-automaton, extracted on demand,
@@ -252,14 +235,15 @@ impl ShardedEngine {
     ///
     /// The engine is rebuilt from the precompiled shared tables per
     /// chunk — a few vector allocations, the expensive compilation having
-    /// been done once — which is what lets one compiled pipeline serve an
-    /// unbounded number of concurrently suspended streams at
-    /// ~`O(frontier)` bytes each.
+    /// been done once — and the stream's subset cache moves into it and
+    /// back out, so the frontiers one chunk cached serve the next.
     ///
     /// On an interrupted outcome nothing is delivered to `sink` and
-    /// `state` is left as it was *before* the chunk, so a caller
-    /// enforcing per-chunk deadlines can retry or abandon the stream
-    /// without observing a half-advanced clock.
+    /// `state`'s frontier and clock are left as they were *before* the
+    /// chunk, so a caller enforcing per-chunk deadlines can retry or
+    /// abandon the stream without observing a half-advanced clock. (The
+    /// cache keeps what it learned: its transitions hold for any
+    /// position.)
     ///
     /// # Panics
     ///
@@ -271,25 +255,99 @@ impl ShardedEngine {
         state: &mut ShardedState,
         budget: &Budget,
     ) -> RunOutcome {
-        let mut engine = self.engine();
-        engine.resume(&state.engine);
-        let mut staged = TraceSink::new();
-        let outcome = engine.run_budgeted(input, &mut staged, budget);
-        if outcome.is_complete() {
-            engine.suspend(&mut state.engine);
-            sink.on_trace(staged.events);
+        let nfa = &*self.nfa;
+        let sparse = || Arc::clone(&self.sparse);
+        let classes = || Arc::clone(&self.classes);
+        match self.kind {
+            EngineKind::Sparse => chunk(
+                crate::Simulator::with_tables(nfa, sparse(), classes()),
+                input,
+                sink,
+                state,
+                budget,
+            ),
+            EngineKind::Dense => chunk(
+                DenseEngine::with_tables(nfa, self.ensure_dense()),
+                input,
+                sink,
+                state,
+                budget,
+            ),
+            EngineKind::Adaptive => chunk(
+                AdaptiveEngine::with_shared(
+                    nfa,
+                    sparse(),
+                    Arc::clone(&self.dense),
+                    classes(),
+                    AdaptiveLimits::default(),
+                ),
+                input,
+                sink,
+                state,
+                budget,
+            ),
         }
-        outcome
     }
 }
 
-/// The suspended state of one stream on a [`ShardedEngine`]: exactly one
-/// [`EngineState`]. This is the whole per-stream footprint of a suspended
-/// streaming session — typically a few dozen bytes — everything else
-/// (tables, plan) is shared.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// [`ShardedEngine::run_chunk`] on one built engine.
+fn chunk<K: Kernel>(
+    mut engine: K,
+    input: &InputView,
+    sink: &mut dyn ReportSink,
+    state: &mut ShardedState,
+    budget: &Budget,
+) -> RunOutcome {
+    let mut lend = |engine: &mut K| {
+        if let Some(cache) = engine.subset_cache() {
+            std::mem::swap(cache, &mut state.cache);
+        }
+    };
+    lend(&mut engine);
+    engine.resume(&state.engine);
+    let mut staged = TraceSink::new();
+    let outcome = drive(&mut engine, input, &mut staged, budget);
+    lend(&mut engine);
+    if outcome.is_complete() {
+        engine.suspend(&mut state.engine);
+        sink.on_trace(staged.events);
+    }
+    outcome
+}
+
+/// The suspended state of one stream on a [`ShardedEngine`]: one
+/// [`EngineState`] (the canonical frontier and clock, typically a few
+/// dozen bytes) plus the stream's subset cache. The cache is empty until
+/// the stream first steps through it, grows with the frontiers the stream
+/// reaches up to a fixed budget, and is dropped for good when the stream
+/// falls back to the sparse step. Everything else (tables, plan) is
+/// shared.
+///
+/// Two states are equal when their frontiers and clocks are: the cache
+/// changes no trace.
+#[derive(Debug, Clone, Default)]
 pub struct ShardedState {
     engine: EngineState,
+    cache: SubsetCache,
+}
+
+impl PartialEq for ShardedState {
+    fn eq(&self, other: &Self) -> bool {
+        self.engine == other.engine
+    }
+}
+
+impl Eq for ShardedState {}
+
+#[cfg(test)]
+impl ShardedState {
+    pub(crate) fn with_cache(engine: EngineState, cache: SubsetCache) -> ShardedState {
+        ShardedState { engine, cache }
+    }
+
+    pub(crate) fn engine(&self) -> &EngineState {
+        &self.engine
+    }
 }
 
 impl ShardedState {
@@ -466,6 +524,34 @@ mod tests {
             state, before,
             "failed chunk must not half-advance the clock"
         );
+    }
+
+    #[test]
+    fn resuming_with_a_dropped_cache_equals_resuming_warm() {
+        let nfa = rules();
+        let head = b"zab-bc 192net abbbc 007xyq xy123net".repeat(20);
+        let tail = b"q abbc 123 net xy".repeat(20);
+        for kind in [EngineKind::Sparse, EngineKind::Adaptive] {
+            let engine = ShardedEngine::new(&nfa, ShardSpec::MaxShards(2), kind).unwrap();
+            let mut warm = engine.initial_state();
+            let view = InputView::new(&head, 8, 1).unwrap();
+            let mut before = TraceSink::new();
+            engine.run_chunk(&view, &mut before, &mut warm, &Budget::unlimited());
+            assert!(!warm.cache.is_off(), "{kind}: the rules stay cached");
+            let mut cold = ShardedState::with_cache(warm.engine.clone(), SubsetCache::default());
+            assert_eq!(cold, warm, "equality ignores the cache");
+
+            let view = InputView::new(&tail, 8, 1).unwrap();
+            let (mut a, mut b) = (TraceSink::new(), TraceSink::new());
+            engine.run_chunk(&view, &mut a, &mut warm, &Budget::unlimited());
+            engine.run_chunk(&view, &mut b, &mut cold, &Budget::unlimited());
+            assert_eq!(a.events, b.events, "{kind}");
+            assert_eq!(warm, cold, "{kind}");
+            let mut whole = head.clone();
+            whole.extend_from_slice(&tail);
+            before.events.extend(a.events);
+            assert_eq!(before.events, monolithic(&nfa, &whole), "{kind}");
+        }
     }
 
     #[test]
