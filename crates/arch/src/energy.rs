@@ -128,10 +128,10 @@ mod tests {
     fn end_to_end_energy_from_machine_run() {
         use sunder_automata::regex::compile_rule_set;
         use sunder_automata::InputView;
-        use sunder_transform::transform_to_rate;
+        use sunder_transform::PipelineConfig;
 
         let nfa = compile_rule_set(&["abc"]).unwrap();
-        let strided = transform_to_rate(&nfa, Rate::Nibble4).unwrap();
+        let (strided, _) = PipelineConfig::Stride4.apply(&nfa).unwrap();
         let config = SunderConfig::with_rate(Rate::Nibble4);
         let mut machine = crate::SunderMachine::new(&strided, config).unwrap();
         let input = b"zzabczzabc";

@@ -22,10 +22,10 @@
 //! use sunder_automata::regex::compile_rule_set;
 //! use sunder_automata::InputView;
 //! use sunder_arch::{SunderConfig, SunderMachine};
-//! use sunder_transform::{transform_to_rate, Rate};
+//! use sunder_transform::{PipelineConfig, Rate};
 //!
 //! let byte_nfa = compile_rule_set(&["evil", "bad[0-9]"])?;
-//! let nibble = transform_to_rate(&byte_nfa, Rate::Nibble4)?;
+//! let (nibble, _) = PipelineConfig::Stride4.apply(&byte_nfa)?;
 //! let config = SunderConfig::with_rate(Rate::Nibble4);
 //! let mut machine = SunderMachine::new(&nibble, config)?;
 //! let input = InputView::new(b"an evil bad7 stream", 4, 4)?;
@@ -64,13 +64,13 @@ mod machine_tests {
     use sunder_automata::regex::compile_rule_set;
     use sunder_automata::InputView;
     use sunder_sim::{CountSink, Simulator, TraceSink};
-    use sunder_transform::{transform_to_rate, Rate};
+    use sunder_transform::{PipelineConfig, Rate};
 
     /// The central correctness property: the hardware model and the
     /// functional simulator produce the same report stream.
     fn assert_machine_matches_sim(patterns: &[&str], input: &[u8], rate: Rate) {
         let byte_nfa = compile_rule_set(patterns).unwrap();
-        let strided = transform_to_rate(&byte_nfa, rate).unwrap();
+        let strided = PipelineConfig::from(rate).apply(&byte_nfa).unwrap().0;
         let view = InputView::new(input, 4, rate.nibbles_per_cycle()).unwrap();
 
         let mut sim = Simulator::new(&strided);
@@ -141,7 +141,7 @@ mod machine_tests {
     #[test]
     fn reports_land_in_region_and_read_back() {
         let byte_nfa = compile_rule_set(&["hit"]).unwrap();
-        let strided = transform_to_rate(&byte_nfa, Rate::Nibble4).unwrap();
+        let strided = PipelineConfig::Stride4.apply(&byte_nfa).unwrap().0;
         let config = SunderConfig::with_rate(Rate::Nibble4);
         let mut machine = SunderMachine::new(&strided, config).unwrap();
         let view = InputView::new(b"xxhit...hit.", 4, 4).unwrap();
@@ -165,7 +165,7 @@ mod machine_tests {
         // A pattern that reports every cycle overflows the region:
         // capacity is 1536 entries at the 16-bit rate.
         let byte_nfa = compile_rule_set(&["[ -~]"]).unwrap(); // any printable
-        let strided = transform_to_rate(&byte_nfa, Rate::Nibble4).unwrap();
+        let strided = PipelineConfig::Stride4.apply(&byte_nfa).unwrap().0;
         let config = SunderConfig::with_rate(Rate::Nibble4);
         let input_bytes: Vec<u8> = (0..8000u32).map(|i| b' ' + (i % 64) as u8).collect();
         let view = InputView::new(&input_bytes, 4, 4).unwrap();
@@ -189,7 +189,7 @@ mod machine_tests {
     #[test]
     fn placement_summary_reports_pus() {
         let byte_nfa = compile_rule_set(&["one", "two"]).unwrap();
-        let strided = transform_to_rate(&byte_nfa, Rate::Nibble2).unwrap();
+        let strided = PipelineConfig::Stride2.apply(&byte_nfa).unwrap().0;
         let machine = SunderMachine::new(&strided, SunderConfig::with_rate(Rate::Nibble2)).unwrap();
         let s = machine.placement_summary();
         assert_eq!(s.pus, 1);
@@ -199,7 +199,7 @@ mod machine_tests {
     #[test]
     fn report_column_states_maps_bits() {
         let byte_nfa = compile_rule_set(&["aa", "bb"]).unwrap();
-        let strided = transform_to_rate(&byte_nfa, Rate::Nibble4).unwrap();
+        let strided = PipelineConfig::Stride4.apply(&byte_nfa).unwrap().0;
         let machine = SunderMachine::new(&strided, SunderConfig::with_rate(Rate::Nibble4)).unwrap();
         let cols = machine.report_column_states(0);
         assert!(!cols.is_empty());

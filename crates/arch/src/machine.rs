@@ -139,8 +139,8 @@ impl SunderMachine {
     /// # Panics
     ///
     /// Panics if the automaton's symbol width is not 4 bits or its stride
-    /// does not match the configured rate — run it through
-    /// [`sunder_transform::transform_to_rate`] first.
+    /// does not match the configured rate — compile it with
+    /// [`sunder_transform::PipelineConfig::apply`] first.
     pub fn new(nfa: &Nfa, config: SunderConfig) -> Result<Self, PlacementError> {
         assert_eq!(nfa.symbol_bits(), 4, "machine executes nibble automata");
         assert_eq!(

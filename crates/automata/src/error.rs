@@ -54,9 +54,10 @@ pub enum AutomataError {
     /// A placement unit (connected component), or a pattern's expansion,
     /// exceeded a capacity budget.
     Capacity {
-        /// STEs the component or pattern needs.
+        /// STEs the component or pattern needs (for a pattern's follow
+        /// relation, transitions).
         needed: usize,
-        /// STEs the budget allows.
+        /// What the budget allows, in the same unit.
         budget: usize,
     },
 }
@@ -97,8 +98,9 @@ impl fmt::Display for AutomataError {
             AutomataError::Capacity { needed, budget } => {
                 write!(
                     f,
-                    "needs {needed} STEs but the budget is {budget} (a connected component is \
-                     never split across shards; a pattern expands its counted repeats)"
+                    "needs {needed} but the budget is {budget} (STEs of a connected component, \
+                     which is never split across shards, or of a pattern's expanded repeats; \
+                     or a pattern's follow transitions)"
                 )
             }
         }

@@ -29,6 +29,12 @@ const MAX_COUNTED_REPEAT: u32 = 256;
 /// is checked before the atom is cloned.
 pub const MAX_PATTERN_POSITIONS: usize = 1 << 16;
 
+/// Most follow pairs (transitions) a pattern may add while it compiles.
+/// Nested optional repeats stay under [`MAX_PATTERN_POSITIONS`] yet make
+/// every position follow every earlier one, so the pairs are counted, and
+/// refused, before each batch is added. `(a?){255}b` adds 32 640.
+pub const MAX_PATTERN_TRANSITIONS: usize = 1 << 18;
+
 #[derive(Debug, Clone)]
 enum Ast {
     Sym(SymbolSet),
@@ -59,7 +65,8 @@ fn positions(ast: &Ast) -> usize {
 /// Returns [`AutomataError::Regex`] on syntax errors, unsupported syntax
 /// (`$`, backreferences), or a pattern that matches the empty string, and
 /// [`AutomataError::Capacity`] when nested counted repeats would expand
-/// past [`MAX_PATTERN_POSITIONS`] states.
+/// past [`MAX_PATTERN_POSITIONS`] states or add more than
+/// [`MAX_PATTERN_TRANSITIONS`] follow pairs.
 ///
 /// # Examples
 ///
@@ -82,9 +89,8 @@ pub fn compile_regex(pattern: &str, report_id: u32) -> Result<Nfa, AutomataError
         return Err(parser.error("unexpected trailing input"));
     }
 
-    let mut positions: Vec<SymbolSet> = Vec::new();
-    let mut follow: Vec<BTreeSet<usize>> = Vec::new();
-    let info = analyze(&ast, &mut positions, &mut follow);
+    let mut glushkov = Glushkov::default();
+    let info = glushkov.analyze(&ast)?;
     if info.nullable {
         return Err(AutomataError::Regex {
             position: 0,
@@ -100,7 +106,7 @@ pub fn compile_regex(pattern: &str, report_id: u32) -> Result<Nfa, AutomataError
     let mut nfa = Nfa::new(8);
     let last: BTreeSet<usize> = info.last.iter().copied().collect();
     let first: BTreeSet<usize> = info.first.iter().copied().collect();
-    for (i, cs) in positions.iter().enumerate() {
+    for (i, cs) in glushkov.positions.iter().enumerate() {
         let mut ste = Ste::new(cs.clone());
         if first.contains(&i) {
             ste = ste.start(start_kind);
@@ -110,8 +116,10 @@ pub fn compile_regex(pattern: &str, report_id: u32) -> Result<Nfa, AutomataError
         }
         nfa.add_state(ste);
     }
-    for (i, follows) in follow.iter().enumerate() {
-        for &j in follows {
+    for (i, follows) in glushkov.follow.iter_mut().enumerate() {
+        follows.sort_unstable();
+        follows.dedup();
+        for &j in follows.iter() {
             nfa.add_edge(crate::nfa::StateId(i as u32), crate::nfa::StateId(j as u32));
         }
     }
@@ -147,83 +155,101 @@ struct Info {
     last: Vec<usize>,
 }
 
-fn analyze(ast: &Ast, positions: &mut Vec<SymbolSet>, follow: &mut Vec<BTreeSet<usize>>) -> Info {
-    match ast {
-        Ast::Sym(cs) => {
-            let p = positions.len();
-            positions.push(cs.clone());
-            follow.push(BTreeSet::new());
-            Info {
-                nullable: false,
-                first: vec![p],
-                last: vec![p],
-            }
+/// The Glushkov construction under way: each position's symbol set, its
+/// followers in insertion order (repeats included; sorted and
+/// deduplicated once at the end), and the follow pairs added so far.
+#[derive(Default)]
+struct Glushkov {
+    positions: Vec<SymbolSet>,
+    follow: Vec<Vec<usize>>,
+    pairs: usize,
+}
+
+impl Glushkov {
+    /// Makes every position in `from` followed by every one in `to`,
+    /// refusing first if that would pass [`MAX_PATTERN_TRANSITIONS`].
+    fn link(&mut self, from: &[usize], to: &[usize]) -> Result<(), AutomataError> {
+        let (needed, budget) = (self.pairs + from.len() * to.len(), MAX_PATTERN_TRANSITIONS);
+        if needed > budget {
+            return Err(AutomataError::Capacity { needed, budget });
         }
-        Ast::Cat(parts) => {
-            let mut nullable = true;
-            let mut first: Vec<usize> = Vec::new();
-            let mut last: Vec<usize> = Vec::new();
-            for part in parts {
-                let info = analyze(part, positions, follow);
-                // follow: every last-so-far flows into this part's first.
-                for &l in &last {
-                    for &f in &info.first {
-                        follow[l].insert(f);
+        self.pairs = needed;
+        for &l in from {
+            self.follow[l].extend_from_slice(to);
+        }
+        Ok(())
+    }
+
+    fn analyze(&mut self, ast: &Ast) -> Result<Info, AutomataError> {
+        Ok(match ast {
+            Ast::Sym(cs) => {
+                let p = self.positions.len();
+                self.positions.push(cs.clone());
+                self.follow.push(Vec::new());
+                Info {
+                    nullable: false,
+                    first: vec![p],
+                    last: vec![p],
+                }
+            }
+            Ast::Cat(parts) => {
+                let mut nullable = true;
+                let mut first: Vec<usize> = Vec::new();
+                let mut last: Vec<usize> = Vec::new();
+                for part in parts {
+                    let info = self.analyze(part)?;
+                    // follow: every last-so-far flows into this part's first.
+                    self.link(&last, &info.first)?;
+                    if nullable {
+                        first.extend(&info.first);
                     }
+                    if info.nullable {
+                        last.extend(&info.last);
+                    } else {
+                        last = info.last;
+                    }
+                    nullable &= info.nullable;
                 }
-                if nullable {
-                    first.extend(&info.first);
-                }
-                if info.nullable {
-                    last.extend(&info.last);
-                } else {
-                    last = info.last;
-                }
-                nullable &= info.nullable;
-            }
-            Info {
-                nullable,
-                first,
-                last,
-            }
-        }
-        Ast::Alt(parts) => {
-            let mut nullable = false;
-            let mut first = Vec::new();
-            let mut last = Vec::new();
-            for part in parts {
-                let info = analyze(part, positions, follow);
-                nullable |= info.nullable;
-                first.extend(info.first);
-                last.extend(info.last);
-            }
-            Info {
-                nullable,
-                first,
-                last,
-            }
-        }
-        Ast::Star(inner) | Ast::Plus(inner) => {
-            let info = analyze(inner, positions, follow);
-            for &l in &info.last {
-                for &f in &info.first {
-                    follow[l].insert(f);
+                Info {
+                    nullable,
+                    first,
+                    last,
                 }
             }
-            Info {
-                nullable: matches!(ast, Ast::Star(_)) || info.nullable,
-                first: info.first,
-                last: info.last,
+            Ast::Alt(parts) => {
+                let mut nullable = false;
+                let mut first = Vec::new();
+                let mut last = Vec::new();
+                for part in parts {
+                    let info = self.analyze(part)?;
+                    nullable |= info.nullable;
+                    first.extend(info.first);
+                    last.extend(info.last);
+                }
+                Info {
+                    nullable,
+                    first,
+                    last,
+                }
             }
-        }
-        Ast::Opt(inner) => {
-            let info = analyze(inner, positions, follow);
-            Info {
-                nullable: true,
-                first: info.first,
-                last: info.last,
+            Ast::Star(inner) | Ast::Plus(inner) => {
+                let info = self.analyze(inner)?;
+                self.link(&info.last, &info.first)?;
+                Info {
+                    nullable: matches!(ast, Ast::Star(_)) || info.nullable,
+                    first: info.first,
+                    last: info.last,
+                }
             }
-        }
+            Ast::Opt(inner) => {
+                let info = self.analyze(inner)?;
+                Info {
+                    nullable: true,
+                    first: info.first,
+                    last: info.last,
+                }
+            }
+        })
     }
 }
 
@@ -637,6 +663,32 @@ mod tests {
             compile_regex("(ab{256}){256}", 0),
             Err(AutomataError::Capacity { needed: 65_792, .. })
         ));
+    }
+
+    #[test]
+    fn quadratic_follow_sets_are_bounded_before_adding() {
+        // Every optional position follows every earlier one: 2 048
+        // positions (far under the position cap) need ~2.1 M pairs.
+        for pattern in ["((a?){256}){8}", "((a?){256}){256}"] {
+            let start = std::time::Instant::now();
+            match compile_regex(pattern, 0) {
+                Err(AutomataError::Capacity { needed, budget }) => {
+                    assert_eq!(budget, MAX_PATTERN_TRANSITIONS, "{pattern}");
+                    assert!(needed > MAX_PATTERN_TRANSITIONS, "{pattern}");
+                }
+                other => panic!("{pattern}: expected a capacity error, got {other:?}"),
+            }
+            assert!(
+                start.elapsed() < std::time::Duration::from_millis(100),
+                "{pattern}: refused after {:?}",
+                start.elapsed()
+            );
+        }
+        // One level of optional repeats stays well inside the budget.
+        let nfa = compile_regex("(a?){255}b", 0).unwrap();
+        assert_eq!(nfa.num_states(), 256);
+        // a_i -> a_j for i < j, and every a_i -> b.
+        assert_eq!(nfa.num_transitions(), 255 * 254 / 2 + 255);
     }
 
     #[test]

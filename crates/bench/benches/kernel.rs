@@ -8,7 +8,7 @@ use std::hint::black_box;
 use sunder_arch::{SunderConfig, SunderMachine};
 use sunder_automata::InputView;
 use sunder_sim::{NullSink, Simulator};
-use sunder_transform::{transform_to_rate, Rate};
+use sunder_transform::{PipelineConfig, Rate};
 use sunder_workloads::{Benchmark, Scale};
 
 fn bench_machine_rates(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn bench_machine_rates(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Bytes(w.input.len() as u64));
     for rate in Rate::ALL {
-        let strided = transform_to_rate(&w.nfa, rate).expect("transform");
+        let (strided, _) = PipelineConfig::from(rate).apply(&w.nfa).expect("transform");
         let view = InputView::new(&w.input, 4, rate.nibbles_per_cycle()).expect("view");
         group.bench_with_input(
             BenchmarkId::new("snort", rate.bits_per_cycle()),

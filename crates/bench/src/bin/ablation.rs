@@ -23,7 +23,7 @@ use sunder_core::{DeviceModel, Engine};
 use sunder_llc::{HostBridge, SliceGeometry, SlicedLlc, WayPartition};
 use sunder_sim::NullSink;
 use sunder_tech::{Architecture, PipelineTiming};
-use sunder_transform::{transform_to_rate_with, Rate, TransformOptions};
+use sunder_transform::{transform_to_rate_with, PipelineConfig, Rate, TransformOptions};
 use sunder_workloads::{Benchmark, Scale};
 
 fn run() -> Result<u8, BenchError> {
@@ -81,17 +81,17 @@ fn rate_vs_capacity() {
         let mut best: Option<(Rate, f64)> = None;
         let mut rows = Vec::new();
         for rate in Rate::ALL {
-            // Minimization off: cross-pattern prefix merging would fuse the
-            // rule set into one giant component that no small device fits;
-            // capacity planning works at per-pattern granularity.
-            let engine = Engine::builder()
-                .rate(rate)
-                .transform_options(TransformOptions {
-                    minimize: false,
-                    prune: true,
-                })
-                .build();
-            let program = engine.compile_nfa(&w.nfa).expect("compile");
+            // The raw transform, minimization off: cross-pattern prefix
+            // merging would fuse the rule set into one giant component
+            // that no small device fits; capacity planning works at
+            // per-pattern granularity.
+            let options = TransformOptions {
+                minimize: false,
+                prune: true,
+            };
+            let strided = transform_to_rate_with(&w.nfa, rate, options).expect("transform");
+            let engine = Engine::builder().rate(rate).build();
+            let program = engine.compile_precompiled(strided).expect("compile");
             match engine.plan_rounds(&program, device) {
                 Ok(plan) => {
                     let gbps =
@@ -181,8 +181,7 @@ fn fifo_drain_period() {
         state_fraction: 0.02,
         input_len: 60_000,
     });
-    let strided = transform_to_rate_with(&w.nfa, Rate::Nibble4, TransformOptions::default())
-        .expect("transform");
+    let (strided, _) = PipelineConfig::Stride4.apply(&w.nfa).expect("transform");
     let view = InputView::new(&w.input, 4, 4).expect("view");
     let mut table = TextTable::new([
         "Drain period (cycles/row)",
@@ -215,8 +214,7 @@ fn report_columns() {
         state_fraction: 0.05,
         input_len: 60_000,
     });
-    let strided = transform_to_rate_with(&w.nfa, Rate::Nibble4, TransformOptions::default())
-        .expect("transform");
+    let (strided, _) = PipelineConfig::Stride4.apply(&w.nfa).expect("transform");
     let view = InputView::new(&w.input, 4, 4).expect("view");
     let mut table = TextTable::new([
         "m",
@@ -251,8 +249,7 @@ fn host_traffic() {
         state_fraction: 0.02,
         input_len: 60_000,
     });
-    let strided = transform_to_rate_with(&w.nfa, Rate::Nibble4, TransformOptions::default())
-        .expect("transform");
+    let (strided, _) = PipelineConfig::Stride4.apply(&w.nfa).expect("transform");
     let view = InputView::new(&w.input, 4, 4).expect("view");
     let config = SunderConfig::with_rate(Rate::Nibble4).fifo(false);
     let mut machine = SunderMachine::new(&strided, config).expect("place");

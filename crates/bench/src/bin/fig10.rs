@@ -15,7 +15,7 @@ use sunder_bench::args::BenchArgs;
 use sunder_bench::error::{bench_main, BenchError, Context};
 use sunder_bench::table::TextTable;
 use sunder_sim::NullSink;
-use sunder_transform::{transform_to_rate, Rate};
+use sunder_transform::{PipelineConfig, Rate};
 
 /// Builds a single always-enabled report state whose charset covers
 /// `percent`% of the byte alphabet: the machine then generates a report
@@ -35,7 +35,8 @@ fn hot_automaton(percent: u32) -> Nfa {
 /// slowdown, with the host drain cost matched to the analytic model.
 fn measured_slowdown(percent: u32, summarize_mode: bool) -> Result<f64, BenchError> {
     let nfa = hot_automaton(percent);
-    let strided = transform_to_rate(&nfa, Rate::Nibble4)
+    let (strided, _) = PipelineConfig::Stride4
+        .apply(&nfa)
         .with_context(|| format!("nibble transform for {percent}% hot automaton"))?;
     let mut config = SunderConfig::with_rate(Rate::Nibble4);
     config.flush_cycles_per_row = HOST_ROW_READ_CYCLES as u32;

@@ -24,7 +24,7 @@ use sunder_bench::args::BenchArgs;
 use sunder_bench::error::{bench_main, BenchError};
 use sunder_bench::table::TextTable;
 use sunder_sim::{hybrid_split, ActivationProfileSink, CountSink, NullSink, Simulator};
-use sunder_transform::{transform_to_rate, Rate};
+use sunder_transform::{PipelineConfig, Rate};
 
 const INTERMEDIATE_BASE: u32 = 1_000_000;
 const INPUT_LEN: usize = 200_000;
@@ -129,7 +129,7 @@ fn run() -> Result<u8, BenchError> {
             model.stats().reporting_overhead()
         };
         let sunder_overhead = |nfa: &Nfa, label: &str| {
-            let strided = transform_to_rate(nfa, Rate::Nibble4).expect("transform");
+            let (strided, _) = PipelineConfig::Stride4.apply(nfa).expect("transform");
             let config = SunderConfig::with_rate(Rate::Nibble4).fifo(true);
             let mut machine = SunderMachine::new(&strided, config).expect("place");
             let view = InputView::new(&input, 4, 4).expect("view");

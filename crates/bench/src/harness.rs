@@ -5,7 +5,7 @@ use sunder_arch::{SunderConfig, SunderMachine};
 use sunder_automata::InputView;
 use sunder_baselines::ap::{ApParams, ApReportingModel};
 use sunder_sim::{NullSink, Simulator};
-use sunder_transform::{transform_to_rate, Rate};
+use sunder_transform::{PipelineConfig, Rate};
 use sunder_workloads::Workload;
 
 /// Table 4 numbers for one benchmark.
@@ -38,7 +38,9 @@ pub struct Table4Row {
 /// (cannot happen for the bundled benchmarks).
 pub fn run_table4(workload: &Workload) -> Table4Row {
     // Sunder at the 16-bit rate, with and without FIFO.
-    let strided = transform_to_rate(&workload.nfa, Rate::Nibble4).expect("transform");
+    let (strided, _) = PipelineConfig::Stride4
+        .apply(&workload.nfa)
+        .expect("transform");
     let view4 = InputView::new(&workload.input, 4, 4).expect("nibble view");
 
     let run_sunder = |fifo: bool| {

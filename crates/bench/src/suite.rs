@@ -33,7 +33,7 @@ use sunder_sim::{
     AdaptiveEngine, AdaptiveLimits, Engine, EngineKind, NullSink, RunOutcome, TraceSink,
 };
 use sunder_telemetry::json::escape;
-use sunder_transform::{transform_to_rate, Rate};
+use sunder_transform::{PipelineConfig, Rate};
 use sunder_workloads::{Benchmark, Scale, Workload};
 
 use crate::args::OnlyFilter;
@@ -188,7 +188,7 @@ pub fn cycle_model_machine<'p>(
     workload: &Workload,
     faults: impl IntoIterator<Item = &'p FaultKind>,
 ) -> Option<SunderMachine> {
-    let strided = transform_to_rate(&workload.nfa, Rate::Nibble4).ok()?;
+    let (strided, _) = PipelineConfig::Stride4.apply(&workload.nfa).ok()?;
     let config = SunderConfig::with_rate(Rate::Nibble4).fifo(true);
     let mut machine = SunderMachine::new(&strided, config).ok()?;
     for kind in faults {

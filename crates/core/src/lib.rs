@@ -3,9 +3,10 @@
 //! [`Engine`] bundles the whole pipeline the paper describes: compile
 //! patterns to a homogeneous NFA, run the FlexAmata-style nibble
 //! transformation and vectorized temporal striding for the configured
-//! processing rate, place the result onto processing units, execute the
-//! cycle-level machine, and expose the memory-mapped reporting interface
-//! (readback, selective access, summarization).
+//! processing rate (through [`PipelineConfig::apply`], the same compile
+//! path the daemon serves), place the result onto processing units,
+//! execute the cycle-level machine, and expose the memory-mapped reporting
+//! interface (readback, selective access, summarization).
 //!
 //! ```
 //! use sunder_core::Engine;
@@ -39,7 +40,7 @@ use sunder_automata::regex::compile_rule_set;
 use sunder_automata::stats::StaticStats;
 use sunder_automata::{AutomataError, Nfa};
 use sunder_sim::{ReportEvent, ReportSink};
-use sunder_transform::{transform_to_rate_with, Rate, TransformOptions};
+use sunder_transform::{PipelineConfig, Rate};
 
 pub use sunder_sim::EngineKind;
 
@@ -116,7 +117,6 @@ impl From<PlacementError> for CoreError {
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     config: SunderConfig,
-    options: TransformOptions,
     backend: ExecBackend,
 }
 
@@ -140,12 +140,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the transformation options (minimization/pruning).
-    pub fn transform_options(mut self, options: TransformOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Selects the execution backend (default: the cycle-accurate
     /// machine). `ExecBackend::Functional(EngineKind::Adaptive)` runs the
     /// density-adaptive functional engine instead.
@@ -158,7 +152,6 @@ impl EngineBuilder {
     pub fn build(self) -> Engine {
         Engine {
             config: self.config,
-            options: self.options,
             backend: self.backend,
         }
     }
@@ -168,7 +161,6 @@ impl EngineBuilder {
 #[derive(Debug, Clone)]
 pub struct Engine {
     config: SunderConfig,
-    options: TransformOptions,
     backend: ExecBackend,
 }
 
@@ -183,7 +175,6 @@ impl Engine {
     pub fn builder() -> EngineBuilder {
         EngineBuilder {
             config: SunderConfig::default(),
-            options: TransformOptions::default(),
             backend: ExecBackend::default(),
         }
     }
@@ -208,13 +199,14 @@ impl Engine {
         self.compile_nfa(&nfa)
     }
 
-    /// Compiles an already-built byte automaton into a program.
+    /// Compiles an already-built byte automaton into a program, through
+    /// the configured rate's [`PipelineConfig::apply`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Automata`] on transformation errors.
     pub fn compile_nfa(&self, nfa: &Nfa) -> Result<Program, CoreError> {
-        let strided = transform_to_rate_with(nfa, self.config.rate, self.options)?;
+        let (strided, _) = PipelineConfig::from(self.config.rate).apply(nfa)?;
         Ok(Program {
             rate: self.config.rate,
             source_stats: StaticStats::of(nfa),
@@ -223,32 +215,29 @@ impl Engine {
         })
     }
 
-    /// Wraps an already-transformed nibble automaton (e.g. deserialized
-    /// from the textual format) as a program without re-running the
+    /// Wraps an already-transformed nibble automaton (e.g. the one a
+    /// mapped `.sdb` holds) as a program without re-running the
     /// transformation pipeline.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the automaton is not 4-bit or its stride does not match
-    /// the engine's configured rate.
-    pub fn compile_precompiled(&self, strided: Nfa) -> Program {
-        assert_eq!(
-            strided.symbol_bits(),
-            4,
-            "precompiled programs are nibble automata"
-        );
-        assert_eq!(
-            strided.stride(),
-            self.config.rate.nibbles_per_cycle(),
-            "program stride must match the engine rate"
-        );
+    /// Returns [`AutomataError::WidthMismatch`] if the automaton is not
+    /// 4-bit, and [`AutomataError::StrideMismatch`] if its stride is not
+    /// the engine rate's.
+    pub fn compile_precompiled(&self, strided: Nfa) -> Result<Program, CoreError> {
+        let expected = self.config.rate.nibbles_per_cycle();
+        match (strided.symbol_bits(), strided.stride()) {
+            (4, stride) if stride == expected => {}
+            (4, found) => return Err(AutomataError::StrideMismatch { expected, found }.into()),
+            (found, _) => return Err(AutomataError::WidthMismatch { expected: 4, found }.into()),
+        }
         let stats = StaticStats::of(&strided);
-        Program {
+        Ok(Program {
             rate: self.config.rate,
             source_stats: stats.clone(),
             strided_stats: stats,
             strided,
-        }
+        })
     }
 
     /// Configures a machine with a compiled program.
@@ -581,6 +570,42 @@ mod tests {
         assert!(matches!(err, CoreError::Automata(_)));
         assert!(err.to_string().contains("automata"));
         assert!(err.source().is_some());
+    }
+
+    #[test]
+    fn programs_run_the_served_automaton() {
+        // The `.*` head is compiled away, as in a `.sdb`.
+        let nfa = compile_rule_set(&[".*ab"]).unwrap();
+        for rate in Rate::ALL {
+            let engine = Engine::builder().rate(rate).build();
+            let program = engine.compile_nfa(&nfa).unwrap();
+            let (served, _) = PipelineConfig::from(rate).apply(&nfa).unwrap();
+            assert_eq!(program.automaton(), &served, "{rate}");
+        }
+    }
+
+    #[test]
+    fn precompiled_programs_must_match_the_rate() {
+        let engine = Engine::builder().rate(Rate::Nibble2).build();
+        let bytes = compile_rule_set(&["ab"]).unwrap();
+        assert_eq!(
+            engine.compile_precompiled(bytes.clone()).unwrap_err(),
+            CoreError::Automata(AutomataError::WidthMismatch {
+                expected: 4,
+                found: 8
+            })
+        );
+        let (stride4, _) = PipelineConfig::Stride4.apply(&bytes).unwrap();
+        assert_eq!(
+            engine.compile_precompiled(stride4).unwrap_err(),
+            CoreError::Automata(AutomataError::StrideMismatch {
+                expected: 2,
+                found: 4
+            })
+        );
+        let (stride2, _) = PipelineConfig::Stride2.apply(&bytes).unwrap();
+        let program = engine.compile_precompiled(stride2).unwrap();
+        assert_eq!(program.automaton().stride(), 2);
     }
 
     #[test]

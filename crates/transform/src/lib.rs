@@ -14,8 +14,8 @@
 //!   nibbles. [`stride`] implements doubling with report-offset tracking
 //!   and mid-vector start states.
 //!
-//! [`rate::transform_to_rate`] chains both into the pipeline that prepares
-//! an automaton for any of Sunder's three processing rates,
+//! [`PipelineConfig::apply`] chains both into the one compile path that
+//! prepares an automaton for any of Sunder's three processing rates,
 //! [`stats::TransformStats`] measures the state/transition overheads the
 //! paper reports in Table 3, and [`map::PositionMap`] folds transformed
 //! report positions back into original-symbol coordinates — the contract
@@ -23,10 +23,10 @@
 //!
 //! ```
 //! use sunder_automata::regex::compile_rule_set;
-//! use sunder_transform::{transform_to_rate, Rate};
+//! use sunder_transform::{PipelineConfig, Rate};
 //!
 //! let byte_nfa = compile_rule_set(&["virus", "worm[0-9]"])?;
-//! let sixteen_bit = transform_to_rate(&byte_nfa, Rate::Nibble4)?;
+//! let (sixteen_bit, _map) = PipelineConfig::from(Rate::Nibble4).apply(&byte_nfa)?;
 //! assert_eq!(sixteen_bit.bits_per_cycle(), 16);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -42,6 +42,6 @@ pub mod stride;
 
 pub use map::{MisalignedReport, PositionMap};
 pub use nibble::to_nibble_automaton;
-pub use rate::{transform_to_rate, transform_to_rate_with, PipelineConfig, Rate, TransformOptions};
+pub use rate::{transform_to_rate_with, PipelineConfig, Rate, TransformOptions};
 pub use stats::TransformStats;
 pub use stride::{double_stride, stride_times};

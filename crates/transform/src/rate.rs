@@ -2,9 +2,10 @@
 //!
 //! Sunder processes 1, 2, or 4 nibbles per cycle (4-, 8-, or 16-bit rate),
 //! selected per application at configuration time (paper, Section 5.1.1).
-//! [`transform_to_rate`] runs the full FlexAmata + temporal-striding
-//! pipeline: byte automaton → nibble automaton → repeated stride doubling →
-//! cleanup (pruning and forward-equivalence minimization).
+//! [`PipelineConfig::apply`] is the one compile path; under it,
+//! [`transform_to_rate_with`] runs the raw FlexAmata + temporal-striding
+//! transform: byte automaton → nibble automaton → repeated stride doubling
+//! → cleanup (pruning and forward-equivalence minimization).
 
 use sunder_automata::graph::{drop_start_subsumed, prune_useless};
 use sunder_automata::minimize::merge_equivalent_states;
@@ -15,6 +16,8 @@ use crate::nibble::to_nibble_automaton;
 use crate::stride::double_stride;
 
 /// A Sunder processing rate: how many 4-bit nibbles each cycle consumes.
+/// The machine runs only nibble automata, so there is no identity rate;
+/// [`PipelineConfig`] is the compile-side name that adds one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rate {
     /// One nibble (4 bits) per cycle: maximum state density, half the
@@ -91,22 +94,17 @@ impl Default for TransformOptions {
     }
 }
 
-/// Transforms a stride-1 byte (or 16-bit) automaton to the given processing
-/// rate with default options.
+/// The raw transform: a stride-1 byte (or 16-bit) automaton to the given
+/// processing rate, with explicit [`TransformOptions`].
+///
+/// This is not what the product runs: [`PipelineConfig::apply`] adds
+/// [`drop_start_subsumed`]. Only Table 3 ([`crate::TransformStats`]), the
+/// ablation studies and the transform's own tests measure it alone.
 ///
 /// # Errors
 ///
 /// Propagates [`to_nibble_automaton`]'s errors (unsupported width, already
 /// strided input).
-pub fn transform_to_rate(nfa: &Nfa, rate: Rate) -> Result<Nfa, AutomataError> {
-    transform_to_rate_with(nfa, rate, TransformOptions::default())
-}
-
-/// Transforms with explicit [`TransformOptions`].
-///
-/// # Errors
-///
-/// Propagates [`to_nibble_automaton`]'s errors.
 pub fn transform_to_rate_with(
     nfa: &Nfa,
     rate: Rate,
@@ -192,12 +190,23 @@ impl PipelineConfig {
         let (mut prepared, map) = match self.rate() {
             None => (nfa.clone(), PositionMap::identity()),
             Some(rate) => (
-                transform_to_rate(nfa, rate)?,
+                transform_to_rate_with(nfa, rate, TransformOptions::default())?,
                 PositionMap::nibble_of(nfa.symbol_bits())?,
             ),
         };
         drop_start_subsumed(&mut prepared);
         Ok((prepared, map))
+    }
+}
+
+impl From<Rate> for PipelineConfig {
+    /// The configuration that compiles for `rate`.
+    fn from(rate: Rate) -> Self {
+        match rate {
+            Rate::Nibble1 => PipelineConfig::Nibble,
+            Rate::Nibble2 => PipelineConfig::Stride2,
+            Rate::Nibble4 => PipelineConfig::Stride4,
+        }
     }
 }
 
@@ -218,6 +227,9 @@ mod tests {
         assert_eq!(PipelineConfig::Identity.rate(), None);
         assert_eq!(PipelineConfig::Stride4.rate(), Some(Rate::Nibble4));
         assert_eq!(PipelineConfig::Stride2.to_string(), "stride2");
+        for rate in Rate::ALL {
+            assert_eq!(PipelineConfig::from(rate).rate(), Some(rate));
+        }
     }
 
     #[test]
@@ -231,11 +243,15 @@ mod tests {
         assert_eq!(format!("{}", Rate::Nibble4), "4-nibble (16-bit)");
     }
 
+    fn raw(nfa: &Nfa, rate: Rate) -> Nfa {
+        transform_to_rate_with(nfa, rate, TransformOptions::default()).unwrap()
+    }
+
     #[test]
     fn pipeline_produces_requested_stride() {
         let nfa = compile_rule_set(&["abc", "x[0-9]y"]).unwrap();
         for rate in Rate::ALL {
-            let t = transform_to_rate(&nfa, rate).unwrap();
+            let t = raw(&nfa, rate);
             assert_eq!(t.symbol_bits(), 4);
             assert_eq!(t.stride(), rate.nibbles_per_cycle());
             assert!(t.validate().is_ok());
@@ -245,7 +261,7 @@ mod tests {
     #[test]
     fn minimization_shrinks_or_equals() {
         let nfa = compile_rule_set(&["abcd", "abce", "abcf"]).unwrap();
-        let min = transform_to_rate(&nfa, Rate::Nibble1).unwrap();
+        let min = raw(&nfa, Rate::Nibble1);
         let raw = transform_to_rate_with(
             &nfa,
             Rate::Nibble1,
@@ -269,7 +285,7 @@ mod tests {
             .unwrap()
             .position_id_pairs(1);
         for rate in Rate::ALL {
-            let t = transform_to_rate(&nfa, rate).unwrap();
+            let (t, _) = PipelineConfig::from(rate).apply(&nfa).unwrap();
             let got: Vec<(u64, u32)> = sunder_sim::run_trace(&t, input)
                 .unwrap()
                 .position_id_pairs(t.stride())

@@ -33,25 +33,16 @@ pub struct TransformStats {
 }
 
 impl TransformStats {
-    /// Transforms `nfa` to every rate and collects the counts.
+    /// Runs the raw transform ([`transform_to_rate_with`], default
+    /// options) of `nfa` to every rate and collects the counts.
     ///
     /// # Errors
     ///
     /// Propagates transformation errors (unsupported width, strided input).
     pub fn measure(nfa: &Nfa) -> Result<Self, AutomataError> {
-        Self::measure_with(nfa, TransformOptions::default())
-    }
-
-    /// Same as [`TransformStats::measure`] with explicit options (for the
-    /// minimization ablation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transformation errors.
-    pub fn measure_with(nfa: &Nfa, options: TransformOptions) -> Result<Self, AutomataError> {
         let mut per_rate = Vec::with_capacity(Rate::ALL.len());
         for rate in Rate::ALL {
-            let t = transform_to_rate_with(nfa, rate, options)?;
+            let t = transform_to_rate_with(nfa, rate, TransformOptions::default())?;
             per_rate.push(RateCounts {
                 rate,
                 states: t.num_states(),

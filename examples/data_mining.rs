@@ -7,7 +7,7 @@
 
 use sunder::baselines::ap::{evaluate, ApParams};
 use sunder::sim::CountSink;
-use sunder::transform::transform_to_rate;
+use sunder::transform::PipelineConfig;
 use sunder::{Benchmark, InputView, Rate, Scale, SunderConfig, SunderMachine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.expected_reports,
     );
 
-    let strided = transform_to_rate(&workload.nfa, Rate::Nibble4)?;
+    let (strided, _) = PipelineConfig::Stride4.apply(&workload.nfa)?;
     let view = InputView::new(&workload.input, 4, 4)?;
 
     // Without FIFO: overflowing regions flush (stall) the machine.

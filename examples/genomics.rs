@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example genomics`
 
 use sunder::automata::regex::compile_rule_set;
-use sunder::transform::{transform_to_rate, Rate};
+use sunder::transform::{PipelineConfig, Rate};
 use sunder::workloads::gen::WorkloadBuilder;
 use sunder::workloads::mesh::add_hamming_mesh;
 use sunder::{Engine, InputView, SunderConfig, SunderMachine};
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     offtarget[11] = b'A'; // two mismatches
     target[5_000..5_000 + guide.len()].copy_from_slice(&offtarget);
 
-    let strided = transform_to_rate(&mesh, Rate::Nibble4)?;
+    let (strided, _) = PipelineConfig::Stride4.apply(&mesh)?;
     let mut machine = SunderMachine::new(&strided, SunderConfig::with_rate(Rate::Nibble4))?;
     let mut hits = sunder::sim::TraceSink::new();
     machine.run(&InputView::new(&target, 4, 4)?, &mut hits);
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dna_rules = compile_rule_set(&motifs)?;
     println!("\nrate trade-off for the motif set:");
     for rate in Rate::ALL {
-        let t = transform_to_rate(&dna_rules, rate)?;
+        let (t, _) = PipelineConfig::from(rate).apply(&dna_rules)?;
         println!(
             "  {:<18} {:>3} states, {:>2} matching rows, {:>3} report rows free, {} bits/cycle",
             rate.to_string(),

@@ -1,14 +1,13 @@
 //! `sunder` — command-line front end for the Sunder toolchain.
 //!
 //! ```text
-//! sunder compile --rules rules.txt --rate 16 -o program.saml
 //! sunder compile-db (--rules rules.txt | --program p.saml) -o db.sdb
 //!                [--shards 4] [--config stride2] [--engine adaptive]
 //! sunder inspect-db db.sdb
 //! sunder artifact-smoke [--dir out/] [--shards 4] [--config <name>]
 //!                [--engine <name>] [--paper]
-//! sunder run     --rules rules.txt --input data.bin [--rate 16] [--fifo] [--summarize]
-//! sunder run     --program program.saml --input data.bin
+//! sunder run     --rules rules.txt --input data.bin [--config stride4] [--fifo] [--summarize]
+//! sunder run     --program db.sdb --input data.bin
 //! sunder stats   --rules rules.txt
 //! sunder bench   --benchmark Snort [--small]
 //! sunder telemetry-report --input trace.jsonl [--validate] [--chrome out.json]
@@ -20,13 +19,17 @@
 //!                [--artifact serve.jsonl] [--reload-rules new.txt]
 //! ```
 //!
-//! Rules files contain one regex per line (`#` comments allowed); compiled
-//! programs use the textual automaton format of `sunder_automata::anml`.
+//! Rules files contain one regex per line (`#` comments allowed); a
+//! `--program` is a source automaton in the textual format of
+//! `sunder_automata::anml`, or on `run` a `.sdb` from `compile-db`. Every
+//! command compiles through the same `--config` pipeline, so `run` models
+//! the automaton that `serve` maps.
 
 use std::fs;
 use std::process::ExitCode;
 
 use sunder::automata::{anml, stats::StaticStats};
+use sunder::oracle::PipelineConfig;
 use sunder::sim::ReportSink;
 use sunder::transform::TransformStats;
 use sunder::{Benchmark, Engine, Rate, Scale};
@@ -34,7 +37,6 @@ use sunder::{Benchmark, Engine, Rate, Scale};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("compile") => cmd_compile(&args[1..]),
         Some("compile-db") => cmd_compile_db(&args[1..]),
         Some("inspect-db") => cmd_inspect_db(&args[1..]),
         Some("artifact-smoke") => cmd_artifact_smoke(&args[1..]),
@@ -64,14 +66,14 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  sunder compile --rules <file> [--rate 4|8|16] [-o <out.saml>]
   sunder compile-db (--rules <file> | --program <file.saml>) -o <out.sdb>
                  [--shards <n>] [--config <name>] [--engine <name>]
   sunder inspect-db <file.sdb>
   sunder artifact-smoke [--dir <dir>] [--shards <n>] [--config <name>]
                  [--engine <name>] [--paper]
-  sunder run     (--rules <file> | --program <file.saml>) --input <file>
-                 [--rate 4|8|16] [--fifo] [--summarize] [--trace]
+  sunder run     (--rules <file> | --program <file.saml|file.sdb>) --input <file>
+                 [--config nibble|stride2|stride4] [--fifo] [--summarize] [--trace]
+                 (default stride4; a .sdb runs at the config it was compiled for)
   sunder stats   --rules <file>
   sunder bench   --benchmark <name> [--small]
   sunder telemetry-report --input <trace.jsonl> [--validate] [--chrome <out.json>]
@@ -116,20 +118,10 @@ impl<'a> Flags<'a> {
     }
 }
 
-fn parse_rate(flags: &Flags) -> Result<Rate, String> {
-    match flags.value("--rate") {
-        None | Some("16") => Ok(Rate::Nibble4),
-        Some("8") => Ok(Rate::Nibble2),
-        Some("4") => Ok(Rate::Nibble1),
-        Some(other) => Err(format!("unknown rate {other:?} (use 4, 8, or 16)")),
-    }
-}
-
-/// Parses `--config` into a pipeline configuration (default `identity`).
-fn parse_config(flags: &Flags) -> Result<sunder::oracle::PipelineConfig, String> {
-    use sunder::oracle::PipelineConfig;
+/// Parses `--config` into a pipeline configuration.
+fn parse_config(flags: &Flags, default: PipelineConfig) -> Result<PipelineConfig, String> {
     match flags.value("--config") {
-        None => Ok(PipelineConfig::Identity),
+        None => Ok(default),
         Some(name) => PipelineConfig::ALL
             .into_iter()
             .find(|c| c.name().eq_ignore_ascii_case(name))
@@ -196,28 +188,12 @@ fn read_rules(path: &str) -> Result<Vec<String>, String> {
         .collect())
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let rules = read_rules(flags.required("--rules")?)?;
-    let rate = parse_rate(&flags)?;
-    let engine = Engine::builder().rate(rate).build();
-    let program = engine.compile_patterns(&rules).map_err(|e| e.to_string())?;
-    let text = anml::serialize(program.automaton());
-    match flags.value("-o") {
-        Some(path) => {
-            fs::write(path, &text).map_err(|e| format!("write compiled program {path}: {e}"))?;
-            eprintln!(
-                "compiled {} rules: {} byte states -> {} nibble states at {} -> {}",
-                rules.len(),
-                program.source_stats().states,
-                program.strided_stats().states,
-                rate,
-                path,
-            );
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
+/// The machine rate a config compiles for: the model runs nibble
+/// automata, so `identity` has none.
+fn machine_rate(config: PipelineConfig) -> Result<Rate, String> {
+    config.rate().ok_or_else(|| {
+        "the Sunder model runs the nibble, stride2 or stride4 config, not identity".to_string()
+    })
 }
 
 /// Streams reports to stdout as `cycle<TAB>rule`.
@@ -235,31 +211,29 @@ impl ReportSink for PrintSink {
     }
 }
 
+/// Runs the cycle-level machine model. A `.sdb` program runs the
+/// automaton it stores, at the rate of the config it was compiled for.
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let flags = Flags { args };
-    let rate = parse_rate(&flags)?;
-    let engine = Engine::builder()
-        .rate(rate)
-        .fifo(flags.flag("--fifo"))
-        .build();
-
-    let program = if let Some(path) = flags.value("--program") {
-        let text = fs::read_to_string(path).map_err(|e| format!("read program {path}: {e}"))?;
-        let nfa = anml::parse(&text).map_err(|e| e.to_string())?;
-        if nfa.symbol_bits() != 4 || nfa.stride() != rate.nibbles_per_cycle() {
-            return Err(format!(
-                "program is {}-bit stride {}, but the engine rate needs stride {} (recompile or pass --rate)",
-                nfa.symbol_bits(),
-                nfa.stride(),
-                rate.nibbles_per_cycle()
-            ));
+    let builder = Engine::builder().fifo(flags.flag("--fifo"));
+    let (engine, program) = match flags.value("--program") {
+        Some(path) if path.ends_with(".sdb") => {
+            let mapped = sunder::artifact::MappedDb::open(std::path::Path::new(path))
+                .map_err(|e| format!("{path}: {e}"))?;
+            let pipeline = mapped.pipeline();
+            let rate = machine_rate(pipeline.config).map_err(|e| format!("{path}: {e}"))?;
+            let engine = builder.rate(rate).build();
+            let program = engine.compile_precompiled(sunder::Nfa::clone(&pipeline.nfa));
+            (engine, program)
         }
-        // Wrap the precompiled automaton without re-transforming.
-        engine.compile_precompiled(nfa)
-    } else {
-        let rules = read_rules(flags.required("--rules")?)?;
-        engine.compile_patterns(&rules).map_err(|e| e.to_string())?
+        _ => {
+            let rate = machine_rate(parse_config(&flags, PipelineConfig::Stride4)?)?;
+            let engine = builder.rate(rate).build();
+            let program = engine.compile_nfa(&load_nfa(&flags)?);
+            (engine, program)
+        }
     };
+    let program = program.map_err(|e| e.to_string())?;
 
     let input_path = flags.required("--input")?;
     let input = fs::read(input_path).map_err(|e| format!("read input {input_path}: {e}"))?;
@@ -271,10 +245,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .run_with_sink(&input, &mut sink)
             .map_err(|e| e.to_string())?;
         eprintln!(
-            "{} reports; {} cycles (+{} stalls), overhead {:.3}x",
+            "{} reports; {} cycles (+{} stalls, {} flushes), overhead {:.3}x",
             sink.lines,
             stats.input_cycles,
             stats.stall_cycles,
+            stats.flushes,
             stats.reporting_overhead()
         );
     } else {
@@ -366,7 +341,7 @@ fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
         "--workers",
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
     )?;
-    let config = parse_config(&flags)?;
+    let config = parse_config(&flags, PipelineConfig::Identity)?;
     let engine = parse_engine(&flags)?;
 
     let pipeline = CompiledPipeline::compile(&nfa, config, ShardSpec::MaxShards(shards), engine)
@@ -428,7 +403,7 @@ fn parse_server_config(flags: &Flags) -> Result<sunder::shard::ServerConfig, Str
 
     let defaults = ServerConfig::default();
     Ok(ServerConfig {
-        config: parse_config(flags)?,
+        config: parse_config(flags, PipelineConfig::Identity)?,
         spec: ShardSpec::MaxShards(parse_num(flags, "--shards", 4)?),
         engine: parse_engine(flags)?,
         max_sessions: parse_num(flags, "--max-sessions", defaults.max_sessions)?,
@@ -744,7 +719,7 @@ fn run_serve_chaos(args: &[String]) -> Result<u8, String> {
 
         // Reference pipelines per epoch, from the server's own cache so
         // compilation is shared with what actually served the sessions.
-        let config = parse_config(&flags)?;
+        let config = parse_config(&flags, PipelineConfig::Identity)?;
         let primary = s
             .cache()
             .get_or_compile(&nfa, config)
@@ -896,7 +871,7 @@ fn cmd_compile_db(args: &[String]) -> Result<(), String> {
 
     let flags = Flags { args };
     let nfa = load_nfa(&flags)?;
-    let config = parse_config(&flags)?;
+    let config = parse_config(&flags, PipelineConfig::Identity)?;
     let engine = parse_engine(&flags)?;
     let shards: usize = parse_num(&flags, "--shards", 4)?;
     let out = flags.required("-o")?;
@@ -983,10 +958,7 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
     // Default to the flagship stride-2 pipeline: the cold-load gate
     // compares mapping against *recompiling*, and the identity config
     // (no transform work at all) makes that comparison degenerate.
-    let config = match flags.value("--config") {
-        Some(_) => parse_config(&flags)?,
-        None => sunder::oracle::PipelineConfig::Stride2,
-    };
+    let config = parse_config(&flags, PipelineConfig::Stride2)?;
     let engine = parse_engine(&flags)?;
     let shards: usize = parse_num(&flags, "--shards", 4)?;
     let spec = ShardSpec::MaxShards(shards);

@@ -57,9 +57,7 @@ pub use sunder_transform as transform;
 pub use sunder_workloads as workloads;
 
 pub use sunder_arch::{RunStats, SunderConfig, SunderMachine};
-pub use sunder_automata::{
-    AutomataError, ClassicNfa, Dfa, InputView, Nfa, StartKind, StateId, Ste, SymbolSet,
-};
+pub use sunder_automata::{AutomataError, InputView, Nfa, StartKind, StateId, Ste, SymbolSet};
 pub use sunder_core::{CoreError, Engine, Outcome, Program, Session};
 pub use sunder_transform::Rate;
 pub use sunder_workloads::{Benchmark, Scale};

@@ -62,52 +62,55 @@ fn trace_mode_lists_cycle_rule_pairs() {
         .arg(&rules)
         .arg("--input")
         .arg(&input)
-        .args(["--trace", "--rate", "8"])
+        .args(["--trace", "--config", "stride2"])
         .output()
         .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // 8-bit rate: one byte per cycle; matches end at cycles 1 and 3.
+    // stride2 (8-bit rate): one byte per cycle; matches end at cycles 1 and 3.
     assert_eq!(
         stdout.trim().lines().collect::<Vec<_>>(),
         vec!["1\t0", "3\t0"]
     );
 }
 
-#[test]
-fn compile_then_run_precompiled_program() {
-    let rules = write_temp("c-rules.txt", b"net[0-9]+\n");
-    let program = write_temp("program.saml", b"");
-    let out = bin()
-        .args(["compile", "--rules"])
-        .arg(&rules)
-        .args(["--rate", "16", "-o"])
-        .arg(&program)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&program).unwrap();
-    assert!(text.starts_with("automaton bits=4 stride=4"));
+/// `sunder` with `args`, asserting success; returns (stdout, stderr).
+fn run_ok(args: &[&str]) -> (String, String) {
+    let out = bin().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+}
 
-    let input = write_temp("c-input.bin", b"net42 online");
-    let out = bin()
-        .args(["run", "--program"])
-        .arg(&program)
-        .arg("--input")
-        .arg(&input)
-        .output()
-        .unwrap();
+#[test]
+fn sdb_program_runs_exactly_like_its_rules() {
+    // `.*ab` loses its `.*` head to the compile pipeline; `[a-c]` fires on
+    // most bytes, so the reporting regions fill and the machine flushes.
+    let rules = write_temp("sdb-run-rules.txt", b".*ab\n[a-c]\nb.*c\n");
+    let input = write_temp("sdb-run-input.bin", &b"xabcab-"[..].repeat(3000));
+    let (rules, input) = (rules.to_str().unwrap(), input.to_str().unwrap());
+    let mut flushed = false;
+    for config in ["nibble", "stride2", "stride4"] {
+        let db = write_temp(&format!("run-{config}.sdb"), b"");
+        let db = db.to_str().unwrap();
+        run_ok(&["compile-db", "--rules", rules, "--config", config, "-o", db]);
+        let trace = ["--input", input, "--trace"];
+        let (mapped, mapped_summary) = run_ok(&[&["run", "--program", db][..], &trace].concat());
+        let (compiled, compiled_summary) =
+            run_ok(&[&["run", "--rules", rules, "--config", config][..], &trace].concat());
+        assert!(mapped.lines().count() > 3000, "{config}: too few reports");
+        assert!(
+            mapped.lines().eq(compiled.lines()),
+            "{config}: traces differ"
+        );
+        // "N reports; C cycles (+S stalls, F flushes), overhead X".
+        assert_eq!(mapped_summary, compiled_summary, "{config}");
+        flushed |= !mapped_summary.contains(" 0 flushes");
+    }
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        flushed,
+        "no config flushed: the stall comparison is vacuous"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("matched_rules: 0"), "{stdout}");
 }
 
 #[test]
@@ -234,16 +237,37 @@ fn bench_command_reports_measured_stats() {
 }
 
 #[test]
-fn bad_rate_is_rejected() {
+fn unknown_config_and_identity_database_are_rejected() {
+    let fails = |args: &[&str]| {
+        let out = bin().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        stderr
+    };
     let rules = write_temp("r-rules.txt", b"a\n");
-    let out = bin()
-        .args(["compile", "--rules"])
-        .arg(&rules)
-        .args(["--rate", "12"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown rate"));
+    let input = write_temp("r-input.bin", b"aaa");
+    let db = write_temp("r-identity.sdb", b"");
+    let [rules, input, db] = [&rules, &input, &db].map(|p| p.to_str().unwrap());
+    let run = ["run", "--input", input];
+
+    let stderr = fails(&[&run[..], &["--rules", rules, "--config", "stride3"]].concat());
+    assert!(stderr.contains("unknown config \"stride3\""), "{stderr}");
+
+    run_ok(&[
+        "compile-db",
+        "--rules",
+        rules,
+        "--config",
+        "identity",
+        "-o",
+        db,
+    ]);
+    let stderr = fails(&[&run[..], &["--program", db]].concat());
+    assert!(
+        stderr.contains("runs the nibble, stride2 or stride4 config, not identity"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -12,7 +12,7 @@ use sunder::oracle::{
     check_pipelines, compare_transformed, oracle_trace, Divergence, PipelineConfig,
 };
 use sunder::sim::EngineKind;
-use sunder::transform::transform_to_rate;
+use sunder::transform::{transform_to_rate_with, TransformOptions};
 use sunder::{Benchmark, Scale};
 
 #[test]
@@ -38,7 +38,9 @@ fn one_suite_workload_conforms_end_to_end() {
     for config in PipelineConfig::ALL {
         let unfolded = match config.rate() {
             None => w.nfa.num_states(),
-            Some(rate) => transform_to_rate(&w.nfa, rate).unwrap().num_states(),
+            Some(rate) => transform_to_rate_with(&w.nfa, rate, TransformOptions::default())
+                .unwrap()
+                .num_states(),
         };
         let (applied, _) = config.apply(&w.nfa).unwrap();
         assert!(

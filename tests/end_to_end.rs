@@ -4,7 +4,7 @@
 
 use sunder::automata::regex::compile_rule_set;
 use sunder::sim::{Simulator, TraceSink};
-use sunder::transform::transform_to_rate;
+use sunder::transform::PipelineConfig;
 use sunder::{Benchmark, Engine, InputView, Rate, Scale, SunderConfig, SunderMachine};
 
 /// Byte-position report pairs from any (width, stride) run.
@@ -46,7 +46,7 @@ fn benchmark_pipeline_equivalence_at_all_rates() {
         let w = bench.build(scale);
         let expected = positions(&w.nfa, &w.input);
         for rate in Rate::ALL {
-            let strided = transform_to_rate(&w.nfa, rate).unwrap();
+            let (strided, _) = PipelineConfig::from(rate).apply(&w.nfa).unwrap();
             let got = positions(&strided, &w.input);
             assert_eq!(got, expected, "{bench} diverged at {rate}");
         }
@@ -61,7 +61,7 @@ fn machine_equals_simulator_on_benchmarks() {
     };
     for bench in [Benchmark::Snort, Benchmark::Brill, Benchmark::Ranges05] {
         let w = bench.build(scale);
-        let strided = transform_to_rate(&w.nfa, Rate::Nibble4).unwrap();
+        let (strided, _) = PipelineConfig::Stride4.apply(&w.nfa).unwrap();
         let view = InputView::new(&w.input, 4, 4).unwrap();
 
         let mut sim = Simulator::new(&strided);
@@ -118,7 +118,7 @@ fn textual_format_round_trips_through_pipeline() {
 #[test]
 fn strided_serialization_round_trips() {
     let rules = compile_rule_set(&["abc[0-9]"]).unwrap();
-    let strided = transform_to_rate(&rules, Rate::Nibble4).unwrap();
+    let (strided, _) = PipelineConfig::Stride4.apply(&rules).unwrap();
     let text = sunder::automata::anml::serialize(&strided);
     let parsed = sunder::automata::anml::parse(&text).unwrap();
     assert_eq!(strided, parsed);

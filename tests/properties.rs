@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use sunder::sim::{Simulator, TraceSink};
-use sunder::transform::{transform_to_rate, Rate};
+use sunder::transform::{PipelineConfig, Rate};
 use sunder::{InputView, Nfa, StartKind, StateId, Ste, SunderConfig, SunderMachine, SymbolSet};
 
 /// A compact description of a random automaton.
@@ -110,7 +110,7 @@ proptest! {
         prop_assume!(nfa.validate().is_ok());
         let expected = positions(&nfa, &input);
         for rate in Rate::ALL {
-            let strided = transform_to_rate(&nfa, rate).unwrap();
+            let (strided, _) = PipelineConfig::from(rate).apply(&nfa).unwrap();
             prop_assert!(strided.validate().is_ok());
             let got = positions(&strided, &input);
             prop_assert_eq!(&got, &expected, "rate {}", rate);
@@ -120,7 +120,7 @@ proptest! {
     #[test]
     fn machine_matches_simulator(spec in nfa_spec(), input in input_bytes()) {
         let nfa = build_nfa(&spec);
-        let strided = transform_to_rate(&nfa, Rate::Nibble4).unwrap();
+        let (strided, _) = PipelineConfig::Stride4.apply(&nfa).unwrap();
         prop_assume!(strided.num_states() > 0);
         let view = InputView::new(&input, 4, 4).unwrap();
 
