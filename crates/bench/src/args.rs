@@ -13,13 +13,50 @@
 //! artifact to `PATH`; without it both calls are no-ops beyond honoring
 //! `--quiet`.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use sunder_resilience::FaultPlan;
 use sunder_workloads::Scale;
 
 use crate::error::{BenchError, Context};
-use crate::parallel::{default_workers, workers_from_args};
+
+/// Worker count to use by default: the machine's available parallelism,
+/// overridable with `--workers N` in the bench binaries.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Parses a `--workers N` override out of a raw argument list, falling
+/// back to [`default_workers`] when the flag is absent.
+///
+/// # Errors
+///
+/// An invalid value (`--workers abc`, `--workers 0`, or a trailing
+/// `--workers` with no value) is a hard error — silently falling back to
+/// the default would hide the typo and run with an unintended worker
+/// count.
+pub fn workers_from_args<S: AsRef<str>>(args: &[S]) -> Result<usize, String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a.as_ref() == "--workers" {
+            let Some(value) = it.next() else {
+                return Err("--workers requires a value (e.g. --workers 4)".to_string());
+            };
+            let value = value.as_ref();
+            return match value.parse::<usize>() {
+                Ok(0) => Err("--workers must be at least 1, got 0".to_string()),
+                Ok(n) => Ok(n),
+                Err(_) => Err(format!(
+                    "invalid --workers value {value:?}: expected a positive integer"
+                )),
+            };
+        }
+    }
+    Ok(default_workers())
+}
 
 /// One `--only` selector. The flag has two modes:
 ///
@@ -306,6 +343,26 @@ mod tests {
 
     fn argv(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn workers_arg_parsing() {
+        assert_eq!(workers_from_args(&["--workers", "3"]), Ok(3));
+        assert_eq!(workers_from_args(&["--small", "--workers", "2"]), Ok(2));
+        let none: [&str; 0] = [];
+        assert_eq!(workers_from_args(&none), Ok(default_workers()));
+    }
+
+    #[test]
+    fn invalid_workers_values_are_hard_errors() {
+        let zero = workers_from_args(&["--workers", "0"]).unwrap_err();
+        assert!(zero.contains("at least 1"), "{zero}");
+        let abc = workers_from_args(&["--workers", "abc"]).unwrap_err();
+        assert!(abc.contains("\"abc\""), "{abc}");
+        let missing = workers_from_args(&["--workers"]).unwrap_err();
+        assert!(missing.contains("requires a value"), "{missing}");
+        let negative = workers_from_args(&["--workers", "-2"]).unwrap_err();
+        assert!(negative.contains("positive integer"), "{negative}");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! Usage: `cargo run -p sunder-bench --release --bin table1 [--small]
 //! [--workers N]`
 //!
-//! Benchmarks run in parallel (one work item per benchmark, dynamically
-//! scheduled); the table is merged in benchmark order, so the output is
-//! identical for any worker count.
+//! Benchmarks run in parallel under the supervisor (one job per
+//! benchmark); the table is merged in benchmark order, so the output is
+//! identical for any worker count. If a benchmark's row fails, the failed
+//! rows are listed on stderr and the binary exits 3 (partial results).
 
 use std::process::ExitCode;
 
@@ -17,7 +18,7 @@ use sunder_automata::stats::StaticStats;
 use sunder_automata::InputView;
 use sunder_bench::args::BenchArgs;
 use sunder_bench::error::{bench_main, BenchError};
-use sunder_bench::parallel::run_indexed;
+use sunder_bench::harness::supervised_rows;
 use sunder_bench::table::TextTable;
 use sunder_sim::{DynamicStatsSink, Simulator};
 use sunder_workloads::Benchmark;
@@ -55,7 +56,7 @@ fn run() -> Result<u8, BenchError> {
         "RepCyc%",
     ]);
 
-    let rows = run_indexed(&Benchmark::ALL, workers, |_, bench| {
+    let rows = supervised_rows(workers, |bench| {
         let _span = sunder_telemetry::span("table1.benchmark").field("bench", bench.name());
         let w = bench.build(scale);
         let stats = StaticStats::of(&w.nfa);
@@ -65,6 +66,10 @@ fn run() -> Result<u8, BenchError> {
         sim.run(&input, &mut sink);
         (stats, sink.finish())
     });
+    let Some(rows) = rows else {
+        args.finish_telemetry()?;
+        return Ok(3);
+    };
 
     for (bench, (stats, d)) in Benchmark::ALL.iter().zip(rows) {
         let paper = bench.paper();

@@ -4,16 +4,16 @@
 //! Usage: `cargo run -p sunder-bench --release --bin table4 [--small]
 //! [--workers N]`
 //!
-//! Benchmarks run in parallel (one work item per benchmark, dynamically
-//! scheduled); rows merge in benchmark order, so the output is identical
-//! for any worker count.
+//! Benchmarks run in parallel under the supervisor (one job per
+//! benchmark); rows merge in benchmark order, so the output is identical
+//! for any worker count. If a benchmark's row fails, the failed rows are
+//! listed on stderr and the binary exits 3 (partial results).
 
 use std::process::ExitCode;
 
 use sunder_bench::args::BenchArgs;
 use sunder_bench::error::{bench_main, BenchError};
-use sunder_bench::harness::run_table4;
-use sunder_bench::parallel::run_indexed;
+use sunder_bench::harness::{run_table4, supervised_rows};
 use sunder_bench::table::TextTable;
 use sunder_workloads::Benchmark;
 
@@ -71,10 +71,14 @@ fn run() -> Result<u8, BenchError> {
         "(p)",
     ]);
 
-    let rows = run_indexed(&Benchmark::ALL, workers, |_, bench| {
+    let rows = supervised_rows(workers, |bench| {
         let _span = sunder_telemetry::span("table4.benchmark").field("bench", bench.name());
         run_table4(&bench.build(scale))
     });
+    let Some(rows) = rows else {
+        args.finish_telemetry()?;
+        return Ok(3);
+    };
 
     let mut sums = [0.0f64; 4]; // sunder, fifo, ap, rad
     for ((bench, paper), row) in Benchmark::ALL.iter().zip(PAPER.iter()).zip(rows) {

@@ -1,12 +1,57 @@
-//! Shared experiment harness: runs one benchmark through every reporting
-//! architecture of Table 4.
+//! Shared experiment harness: runs the benchmarks of a table under the
+//! supervisor, and one benchmark through every reporting architecture of
+//! Table 4.
 
 use sunder_arch::{SunderConfig, SunderMachine};
 use sunder_automata::InputView;
 use sunder_baselines::ap::{ApParams, ApReportingModel};
+use sunder_resilience::{supervise, JobOutcome, JobValue, SupervisorPolicy};
 use sunder_sim::{NullSink, Simulator};
 use sunder_transform::{PipelineConfig, Rate};
-use sunder_workloads::Workload;
+use sunder_workloads::{Benchmark, Workload};
+
+/// Runs `row` on every benchmark of [`Benchmark::ALL`] through
+/// [`supervise`] on `workers` workers and returns the rows in benchmark
+/// order, so a table prints the same bytes for any worker count.
+///
+/// A row that panics does not stop the others. If any row failed, each
+/// one is listed on stderr by benchmark name and the result is `None`:
+/// the binary then exits 3 (partial results), as the suite does.
+pub fn supervised_rows<R: Send>(
+    workers: usize,
+    row: impl Fn(&Benchmark) -> R + Sync,
+) -> Option<Vec<R>> {
+    let jobs = supervise(
+        &Benchmark::ALL,
+        workers,
+        &SupervisorPolicy::default(),
+        |_, bench| bench.name().to_string(),
+        |_, bench, _| Ok(JobValue::Ok(row(bench))),
+    );
+    let mut rows = Vec::with_capacity(jobs.len());
+    let mut failed = Vec::new();
+    for job in jobs {
+        match job.outcome {
+            JobOutcome::Ok(r) => rows.push(r),
+            JobOutcome::Panicked { message } => {
+                failed.push(format!("{}: panicked: {message}", job.name));
+            }
+            other => failed.push(format!("{}: {}", job.name, other.status())),
+        }
+    }
+    if failed.is_empty() {
+        return Some(rows);
+    }
+    eprintln!(
+        "ERROR: {} of {} rows failed:",
+        failed.len(),
+        Benchmark::ALL.len()
+    );
+    for line in &failed {
+        eprintln!("  {line}");
+    }
+    None
+}
 
 /// Table 4 numbers for one benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -106,5 +151,16 @@ mod tests {
         );
         assert!(row.fifo_overhead <= row.sunder_overhead);
         assert_eq!(row.fifo_overhead, 1.0);
+    }
+
+    #[test]
+    fn supervised_rows_merge_in_benchmark_order_and_fail_as_a_whole() {
+        let names = supervised_rows(4, |bench| bench.name()).unwrap();
+        assert_eq!(names, Benchmark::ALL.map(|bench| bench.name()));
+        let failed = supervised_rows(2, |bench| {
+            assert_ne!(*bench, Benchmark::Snort, "injected row failure");
+            bench.name()
+        });
+        assert!(failed.is_none());
     }
 }

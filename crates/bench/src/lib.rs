@@ -8,6 +8,5 @@
 pub mod args;
 pub mod error;
 pub mod harness;
-pub mod parallel;
 pub mod suite;
 pub mod table;

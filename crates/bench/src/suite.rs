@@ -238,41 +238,17 @@ fn run_benchmark(
     index: usize,
     ctx: &JobContext,
 ) -> Result<JobValue<SuiteRow>, JobError> {
-    // Decode this item's faults up front.
-    let mut stall: Option<u64> = None;
-    let mut transient_failures = 0u32;
-    let mut corrupt_seed: Option<u64> = None;
-    let mut fail_dense_build = false;
-    for kind in opts.plan.faults_for(index) {
-        match kind {
-            FaultKind::Panic => panic!("injected panic: benchmark {}", bench.name()),
-            FaultKind::Stall { millis } => stall = Some(*millis),
-            FaultKind::TransientError { failures } => transient_failures = *failures,
-            FaultKind::CorruptInput { seed } => corrupt_seed = Some(*seed),
-            FaultKind::DenseBuildFailure => fail_dense_build = true,
-            // Cycle-model faults target `sunder_arch::SunderMachine`, not
-            // the functional engines this suite runs; see the arch tests.
-            FaultKind::FifoOverflowStorm { .. } | FaultKind::StuckReportRow { .. } => {}
-            // Connection-level faults are acted out by the streaming
-            // chaos client (`sunder serve-chaos`), not this worker pool.
-            FaultKind::Disconnect { .. }
-            | FaultKind::SlowDrip { .. }
-            | FaultKind::MalformedFrame { .. }
-            | FaultKind::ReloadDuringBurst { .. } => {}
-        }
-    }
-    if ctx.attempt < transient_failures {
-        return Err(JobError::Transient(format!(
-            "injected transient failure {} of {transient_failures}",
-            ctx.attempt + 1
-        )));
-    }
-    if let Some(millis) = stall {
-        std::thread::sleep(Duration::from_millis(millis));
-    }
+    let faults = opts.plan.job_faults(index);
+    faults.act_out(ctx.attempt, format_args!("benchmark {}", bench.name()))?;
+    // The one engine-level fault: cycle-model faults are armed by
+    // `cycle_model_machine`, connection-level ones by `sunder serve-chaos`.
+    let fail_dense_build = opts
+        .plan
+        .faults_for(index)
+        .any(|kind| *kind == FaultKind::DenseBuildFailure);
 
     let mut w = bench.build(opts.scale);
-    if let Some(seed) = corrupt_seed {
+    if let Some(seed) = faults.corrupt_seed {
         corrupt(&mut w.input, seed);
     }
     let input = InputView::new(&w.input, 8, 1)
@@ -690,110 +666,6 @@ mod tests {
         assert_eq!(picked[0].name(), "Dotstar06", "list order wins");
         let err = select_benchmarks(&[OnlyFilter::substring("zzz")]).unwrap_err();
         assert!(err.contains("no benchmark name contains"), "{err}");
-    }
-
-    /// The acceptance tie at suite level: a `--telemetry` run's artifact
-    /// must carry per-benchmark, per-cause stall-cycle totals exactly
-    /// equal to the `RunStats` of an identically configured cycle-model
-    /// run — including under injected cycle-model faults. This is the
-    /// only bench test that touches the process-global telemetry state.
-    #[test]
-    fn telemetry_artifact_ties_stall_cycles_to_run_stats() {
-        use sunder_arch::StallCause;
-        use sunder_resilience::Fault;
-        use sunder_sim::NullSink;
-
-        let mut opts = tiny_opts();
-        opts.only = vec![OnlyFilter::exact("Brill"), OnlyFilter::exact("Snort")];
-        // Report states land on placement-dependent PUs, so stick every
-        // Snort PU: any storm-forced overflow then wedges and recovers.
-        let snort_pus = {
-            let w = Benchmark::Snort.build(Scale::tiny());
-            cycle_model_machine(&w, std::iter::empty::<&FaultKind>())
-                .expect("placeable")
-                .num_pus()
-        };
-        let mut faults = vec![
-            // Item 0 (Brill): an overflow storm under the FIFO drain.
-            Fault {
-                item: 0,
-                kind: FaultKind::FifoOverflowStorm {
-                    from_cycle: 10,
-                    cycles: 5,
-                },
-            },
-            // Item 1 (Snort): a storm on top of stuck report rows,
-            // wedging the FIFO so every overflow recovers via flush.
-            Fault {
-                item: 1,
-                kind: FaultKind::FifoOverflowStorm {
-                    from_cycle: 10,
-                    cycles: 3,
-                },
-            },
-        ];
-        faults.extend((0..snort_pus).map(|pu| Fault {
-            item: 1,
-            kind: FaultKind::StuckReportRow { pu },
-        }));
-        opts.plan = FaultPlan::new(0, faults);
-
-        sunder_telemetry::init(sunder_telemetry::Config::spans());
-        let report = run_suite(&opts);
-        let dump = sunder_telemetry::finish().unwrap();
-        assert!(report.summary.all_ok(), "{}", report.summary);
-
-        // The artifact validates and converts to a Chrome trace.
-        let jsonl = dump.to_jsonl();
-        let parsed = sunder_telemetry::Report::from_jsonl(&jsonl).unwrap();
-        sunder_telemetry::json::parse(&dump.to_chrome_trace()).unwrap();
-        assert!(parsed.spans >= 2, "one suite.benchmark span per job");
-
-        // Reference runs: the same machine, same faults, outside telemetry.
-        for (index, bench) in [Benchmark::Brill, Benchmark::Snort].iter().enumerate() {
-            let w = bench.build(Scale::tiny());
-            let mut machine =
-                cycle_model_machine(&w, opts.plan.faults_for(index)).expect("placeable");
-            let stats = machine.run(&InputView::new(&w.input, 4, 4).unwrap(), &mut NullSink);
-            let att = machine.stall_attribution();
-            assert!(stats.stall_cycles > 0, "{}: fault must stall", bench.name());
-
-            let b = parsed
-                .benches
-                .iter()
-                .find(|b| b.bench == bench.name())
-                .expect("bench present in artifact");
-            assert_eq!(b.input_cycles, Some(stats.input_cycles), "{}", bench.name());
-            assert_eq!(b.stall_cycles(), stats.stall_cycles, "{}", bench.name());
-            for cause in StallCause::ALL {
-                let artifact_cycles = b
-                    .stall_by_cause
-                    .iter()
-                    .find(|(c, _)| c == cause.name())
-                    .map_or(0, |(_, cycles)| *cycles);
-                assert_eq!(
-                    artifact_cycles,
-                    att.cycles(cause),
-                    "{}: cause {}",
-                    bench.name(),
-                    cause.name()
-                );
-            }
-            // Suite-level counters match the functional row.
-            let row = report.jobs[index].outcome.value().expect("all ok");
-            assert_eq!(b.reports, Some(row.reports as u64), "{}", bench.name());
-            assert_eq!(b.cycles, Some(row.input_bytes as u64), "{}", bench.name());
-        }
-        // The stuck row actually exercised the recovery path on Snort.
-        let snort = parsed.benches.iter().find(|b| b.bench == "Snort").unwrap();
-        assert!(
-            snort
-                .stall_by_cause
-                .iter()
-                .any(|(c, cycles)| c == "stuck_row_recovery" && *cycles > 0),
-            "stuck-report-row must surface as recovery stalls: {:?}",
-            snort.stall_by_cause
-        );
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //! layer (see `sunder serve-chaos`): the chaos client acts them out on
 //! the wire instead of the worker pool acting them out in-process.
 
+use crate::supervisor::JobError;
+
 /// A single injected fault, targeting one work item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
@@ -189,6 +191,25 @@ impl FaultPlan {
             .iter()
             .filter(move |f| f.item == item)
             .map(|f| &f.kind)
+    }
+
+    /// The job-level faults targeting work item `item`, decoded once for
+    /// every worker pool that acts them out. A later directive of the
+    /// same kind replaces an earlier one.
+    pub fn job_faults(&self, item: usize) -> JobFaults {
+        let mut out = JobFaults::default();
+        for kind in self.faults_for(item) {
+            match kind {
+                FaultKind::Panic => out.panic = true,
+                FaultKind::Stall { millis } => out.stall_millis = Some(*millis),
+                FaultKind::TransientError { failures } => out.transient_failures = *failures,
+                FaultKind::CorruptInput { seed } => out.corrupt_seed = Some(*seed),
+                // Engine-, cycle-model- and connection-level faults belong
+                // to the layers that own those paths.
+                _ => {}
+            }
+        }
+        out
     }
 
     /// Renders the plan in the text format parsed by [`FaultPlan::from_text`].
@@ -382,6 +403,52 @@ impl FaultPlan {
     }
 }
 
+/// The job-level faults of one work item (see [`FaultPlan::job_faults`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JobFaults {
+    /// `panic`: every attempt panics.
+    pub panic: bool,
+    /// `stall`: each attempt first sleeps this many milliseconds.
+    pub stall_millis: Option<u64>,
+    /// `transient`: the first this-many attempts fail with a retryable
+    /// error.
+    pub transient_failures: u32,
+    /// `corrupt-input`: the seed the item's input is [`corrupt`]ed with.
+    /// Applying it is the caller's, since only the caller holds the bytes.
+    pub corrupt_seed: Option<u64>,
+}
+
+impl JobFaults {
+    /// Acts out the faults that stop or delay attempt `attempt` of
+    /// `item`, in this order: the panic (its message names `item`), the
+    /// transient error, the stall.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Transient`] while `attempt` is below the requested
+    /// failure count.
+    ///
+    /// # Panics
+    ///
+    /// When the plan injects a panic into this item.
+    pub fn act_out(&self, attempt: u32, item: impl std::fmt::Display) -> Result<(), JobError> {
+        if self.panic {
+            panic!("injected panic: {item}");
+        }
+        if attempt < self.transient_failures {
+            return Err(JobError::Transient(format!(
+                "injected transient failure {} of {}",
+                attempt + 1,
+                self.transient_failures
+            )));
+        }
+        if let Some(millis) = self.stall_millis {
+            std::thread::sleep(std::time::Duration::from_millis(millis));
+        }
+        Ok(())
+    }
+}
+
 /// Deterministically corrupts `data` in place: flips one bit in roughly
 /// one byte per 32 (at least one for non-empty input), positions and bit
 /// indices drawn from a splitmix64 stream over `seed`.
@@ -553,6 +620,44 @@ mod tests {
         let for3: Vec<_> = plan.faults_for(3).collect();
         assert_eq!(for3, vec![&FaultKind::Panic, &FaultKind::DenseBuildFailure]);
         assert_eq!(plan.faults_for(0).count(), 0);
+    }
+
+    #[test]
+    fn job_faults_decode_the_job_level_kinds_only() {
+        let plan = FaultPlan::from_text(
+            "seed 0\nstall 2 10\ntransient 2 2\ncorrupt-input 2 77\n\
+             dense-build-failure 2\nstall 2 1\npanic 5\ndisconnect 2 3\n",
+        )
+        .unwrap();
+        let faults = plan.job_faults(2);
+        assert_eq!(
+            faults,
+            JobFaults {
+                panic: false,
+                stall_millis: Some(1), // the later directive wins
+                transient_failures: 2,
+                corrupt_seed: Some(77),
+            }
+        );
+        assert_eq!(plan.job_faults(0), JobFaults::default());
+        assert!(plan.job_faults(5).panic);
+
+        // Attempts below the failure count fail retryably; later ones
+        // stall and go on.
+        assert_eq!(
+            faults.act_out(1, "item 2"),
+            Err(JobError::Transient(
+                "injected transient failure 2 of 2".into()
+            ))
+        );
+        assert_eq!(faults.act_out(2, "item 2"), Ok(()));
+        assert_eq!(JobFaults::default().act_out(0, "item 0"), Ok(()));
+        let panicked = std::panic::catch_unwind(|| plan.job_faults(5).act_out(0, "item 5"));
+        let payload = panicked.unwrap_err();
+        assert_eq!(
+            crate::panic_message(payload.as_ref()),
+            "injected panic: item 5"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod fault;
 pub mod supervisor;
 
 pub use budget::{Budget, CancelToken, RunOutcome, StopReason, DEFAULT_CHECK_EVERY};
-pub use fault::{corrupt, Fault, FaultKind, FaultPlan, SplitMix64};
+pub use fault::{corrupt, Fault, FaultKind, FaultPlan, JobFaults, SplitMix64};
 pub use supervisor::{
     panic_message, supervise, JobContext, JobError, JobOutcome, JobReport, JobValue,
     SupervisorPolicy, SupervisorSummary,

@@ -1,12 +1,14 @@
 //! The panic-isolating job supervisor.
 //!
 //! [`supervise`] runs a batch of independent work items on a pool of
-//! scoped worker threads, exactly like a plain parallel map — except that
-//! no single item can take the batch down. Each attempt runs under
-//! `catch_unwind`; panics, errors, timeouts, and degradations become
-//! structured [`JobOutcome`]s carrying the item's name, so the caller can
-//! finish the batch, report partial results, and exit nonzero instead of
-//! dying mid-suite.
+//! scoped worker threads (the calling thread is worker 0), exactly like a
+//! plain parallel map — except that no single item can take the batch
+//! down. Each attempt runs under `catch_unwind`; panics, errors,
+//! timeouts, and degradations become structured [`JobOutcome`]s carrying
+//! the item's name, so the caller can finish the batch, report partial
+//! results, and exit nonzero instead of dying mid-suite. It is the
+//! workspace's one pool for such batches: the suite, the table binaries
+//! and the stream scheduler all run on it.
 //!
 //! Scheduling is dynamic (workers claim items from an atomic counter) but
 //! the returned reports are merged **by item index**, so output order is
@@ -70,6 +72,21 @@ impl<R> JobOutcome<R> {
         match self {
             JobOutcome::Ok(v) | JobOutcome::Degraded { value: v, .. } => Some(v),
             _ => None,
+        }
+    }
+
+    /// The same outcome with its value (if any) mapped through `f`.
+    pub fn map<S>(self, f: impl FnOnce(R) -> S) -> JobOutcome<S> {
+        match self {
+            JobOutcome::Ok(v) => JobOutcome::Ok(f(v)),
+            JobOutcome::Degraded { value, reason } => JobOutcome::Degraded {
+                value: f(value),
+                reason,
+            },
+            JobOutcome::Panicked { message } => JobOutcome::Panicked { message },
+            JobOutcome::TimedOut { elapsed } => JobOutcome::TimedOut { elapsed },
+            JobOutcome::Cancelled => JobOutcome::Cancelled,
+            JobOutcome::Failed { error } => JobOutcome::Failed { error },
         }
     }
 
@@ -236,8 +253,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs every item under supervision on up to `workers` scoped threads and
-/// returns one [`JobReport`] per item, in item order.
+/// Runs every item under supervision on up to `workers` threads and
+/// returns one [`JobReport`] per item, in item order. The calling thread
+/// is worker 0 and `workers - 1` scoped helpers are spawned, so one
+/// worker spawns nothing.
 ///
 /// `name` labels each item for attribution; `job` does the work. A job
 /// signals degradation by returning [`JobValue::Degraded`] and a
@@ -360,47 +379,34 @@ where
     };
 
     let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| run_one(i, item))
-            .collect();
-    }
-
     let next = AtomicUsize::new(0);
-    let mut collected: Vec<Vec<JobReport<R>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push(run_one(i, item));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("supervisor workers catch job panics"))
-            .collect()
+    let drain = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            local.push(run_one(i, item));
+        }
+        local
+    };
+    let mut reports: Vec<JobReport<R>> = std::thread::scope(|scope| {
+        // The caller is worker 0; only the other `workers - 1` are spawned.
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut reports = drain();
+        // Join each helper explicitly: the scope's implicit join returns
+        // once the closures finish, before the threads have exited and
+        // handed their malloc arenas and stacks back. The next batch's
+        // helpers would then race those exits and sometimes get fresh
+        // arenas, each of which keeps its freed buffers resident.
+        for helper in helpers {
+            reports.extend(helper.join().expect("supervisor workers catch job panics"));
+        }
+        reports
     });
 
     // Merge by item index: deterministic for any worker count.
-    let mut slots: Vec<Option<JobReport<R>>> = (0..items.len()).map(|_| None).collect();
-    for local in &mut collected {
-        for report in local.drain(..) {
-            let index = report.index;
-            slots[index] = Some(report);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item claimed exactly once"))
-        .collect()
+    reports.sort_unstable_by_key(|r| r.index);
+    reports
 }
 
 #[cfg(test)]
@@ -606,68 +612,27 @@ mod tests {
         }
     }
 
-    /// The only resilience test touching the process-global telemetry
-    /// state: each job gets one `supervisor.job` span with its final
-    /// status, and retries/panics/timeouts surface as instants.
     #[test]
-    fn job_lifecycle_emits_spans_and_instants() {
-        let items: Vec<u32> = (0..4).collect();
-        let policy = SupervisorPolicy {
-            retries: 2,
-            ..SupervisorPolicy::default()
-        };
-        sunder_telemetry::init(sunder_telemetry::Config::spans());
-        let reports = supervise(&items, 1, &policy, idx_name, |i, &x, ctx| match i {
-            1 => panic!("boom"),
-            2 if ctx.attempt < 1 => Err(JobError::Transient("flake".into())),
-            _ => Ok(JobValue::Ok(x)),
-        });
-        let dump = sunder_telemetry::finish().unwrap();
-        assert_eq!(SupervisorSummary::of(&reports).successes(), 3);
-
-        let spans: Vec<_> = dump
-            .events
-            .iter()
-            .filter(|e| e.name == "supervisor.job")
-            .collect();
-        assert_eq!(spans.len(), 4, "one lifecycle span per job");
-        let status_of = |job: &str| {
-            spans
-                .iter()
-                .find(|s| {
-                    s.fields.iter().any(|f| {
-                        f.key == "job" && f.value == sunder_telemetry::Value::Str(job.to_string())
-                    })
-                })
-                .and_then(|s| s.fields.iter().find(|f| f.key == "status"))
-                .map(|f| f.value.clone())
-        };
-        assert_eq!(
-            status_of("item-1"),
-            Some(sunder_telemetry::Value::Str("panicked".into()))
+    fn the_caller_is_worker_zero() {
+        // Each job waits until all three run at once, so three workers
+        // must each hold one: the caller and two spawned helpers.
+        let items = [0u32; 3];
+        let barrier = std::sync::Barrier::new(3);
+        let reports = supervise(
+            &items,
+            3,
+            &SupervisorPolicy::default(),
+            idx_name,
+            |_, _, _| {
+                barrier.wait();
+                Ok(JobValue::Ok(std::thread::current().id()))
+            },
         );
-        assert_eq!(
-            status_of("item-2"),
-            Some(sunder_telemetry::Value::Str("ok".into()))
-        );
-        assert_eq!(
-            dump.events.iter().filter(|e| e.name == "job.panic").count(),
-            1
-        );
-        assert_eq!(
-            dump.events.iter().filter(|e| e.name == "job.retry").count(),
-            1
-        );
-        assert_eq!(
-            dump.metrics
-                .counter("supervisor_jobs_total", &[("status", "ok")]),
-            Some(3)
-        );
-        assert_eq!(
-            dump.metrics
-                .counter("supervisor_jobs_total", &[("status", "panicked")]),
-            Some(1)
-        );
+        let ids: Vec<_> = reports.iter().filter_map(|r| r.outcome.value()).collect();
+        assert_eq!(ids.len(), 3);
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 3, "one job per worker: {ids:?}");
+        assert!(ids.contains(&&std::thread::current().id()), "{ids:?}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   by a hash of the automaton, the pipeline configuration, and the
 //!   sharding spec, so repeated stream submissions skip the FlexAmata /
 //!   striding / partitioning work entirely;
-//! * a **work-stealing stream scheduler** ([`run_batch`]) — N independent
-//!   input streams across M worker threads, per-stream panic isolation
+//! * a **stream scheduler** ([`run_batch`]) — N independent input
+//!   streams across M workers of [`sunder_resilience::supervise`], the
+//!   workspace's one worker pool, with per-stream panic isolation
 //!   into [`sunder_resilience::JobOutcome`], fault injection via
 //!   [`sunder_resilience::FaultPlan`] keyed by stream index;
 //! * the **equivalence gate** ([`verify_stream`]) — every stream's trace

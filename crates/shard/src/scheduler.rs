@@ -1,11 +1,10 @@
-//! Work-stealing multi-stream scheduler over a compiled pipeline.
+//! Multi-stream batches over a compiled pipeline.
 //!
 //! A batch is N independent input streams matched against one compiled
-//! pipeline. Streams are dealt round-robin onto M per-worker queues; a
-//! worker drains its own queue from the front and, when empty, steals
-//! from the *back* of a victim's queue (classic deque discipline: owner
-//! and thief touch opposite ends, so streams migrate in whole units and
-//! the steal count measures actual imbalance).
+//! pipeline. [`run_batch`] hands them to [`sunder_resilience::supervise`],
+//! the workspace's one worker pool: workers claim streams in order from
+//! a shared counter, and results merge by stream index, so a batch's
+//! traces are the same for any worker count.
 //!
 //! Each stream runs once, on one engine over the whole compiled
 //! automaton, under its own panic isolation boundary and deadline: a
@@ -13,19 +12,15 @@
 //! to that stream* while every other stream completes normally. Fault
 //! injection plugs in through [`sunder_resilience::FaultPlan`] keyed by
 //! the stream index.
-//!
-//! Telemetry: `scheduler_steals_total{worker}` counters and
-//! `scheduler_queue_depth{worker}` gauges (sampled at each dequeue).
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use sunder_artifact::CompiledPipeline;
 use sunder_automata::input::InputView;
-use sunder_resilience::{corrupt, panic_message, Budget, FaultKind, FaultPlan, JobOutcome};
+use sunder_resilience::{
+    corrupt, supervise, FaultPlan, JobContext, JobError, JobOutcome, JobValue, SupervisorPolicy,
+};
 use sunder_sim::{ReportEvent, RunOutcome, TraceSink};
 
 /// Default [`BatchOptions::serial_cutoff`]: batches whose total input is
@@ -104,10 +99,6 @@ fn effective_workers(opts: &BatchOptions, streams: &[Vec<u8>]) -> usize {
 pub struct StreamResult {
     /// Stream index in submission order.
     pub stream: usize,
-    /// Worker that executed the stream.
-    pub worker: usize,
-    /// `true` when the stream was stolen from another worker's queue.
-    pub stolen: bool,
     /// What happened to the stream's one run.
     pub outcome: JobOutcome<()>,
     /// The stream's report trace (transformed-automaton coordinates) —
@@ -146,7 +137,9 @@ pub struct BatchReport {
     pub workers: usize,
     /// Shards in the pipeline's placement plan.
     pub shards: usize,
-    /// Streams executed off a victim's queue.
+    /// Always 0: the batch runs on the supervisor's shared work counter,
+    /// which has no queues to steal from. Kept because the benchmark
+    /// (`benchmark/src/batch.rs`) still reads it.
     pub steals: u64,
     /// Wall-clock time for the whole batch.
     pub wall: Duration,
@@ -164,153 +157,35 @@ impl BatchReport {
     }
 }
 
-/// Runs one whole stream on one engine under panic isolation, its
-/// deadline and its injected faults.
+/// Runs one whole stream on one engine: acts out the stream's faults,
+/// frames its input and runs it under the attempt's budget.
 fn run_stream(
     pipeline: &CompiledPipeline,
     stream_idx: usize,
     bytes: &[u8],
-    opts: &BatchOptions,
-    worker: usize,
-    stolen: bool,
-) -> StreamResult {
-    let start = Instant::now();
-    let _job = sunder_telemetry::span("scheduler.job")
-        .field("stream", stream_idx as u64)
-        .field("worker", worker as u64)
-        .field("stolen", u64::from(stolen));
-    let mut input = std::borrow::Cow::Borrowed(bytes);
-    let mut transient: Option<u32> = None;
-    let mut inject_panic = false;
-    for fault in opts.plan.faults_for(stream_idx) {
-        match fault {
-            FaultKind::Stall { millis } => std::thread::sleep(Duration::from_millis(*millis)),
-            FaultKind::CorruptInput { seed } => corrupt(input.to_mut(), *seed),
-            FaultKind::TransientError { failures } => transient = Some(*failures),
-            FaultKind::Panic => inject_panic = true,
-            // Engine- and cycle-model-level faults have no hook here.
-            _ => {}
-        }
+    plan: &FaultPlan,
+    ctx: &JobContext,
+) -> Result<JobValue<Vec<ReportEvent>>, JobError> {
+    let faults = plan.job_faults(stream_idx);
+    faults.act_out(ctx.attempt, format_args!("stream {stream_idx}"))?;
+    let mut input = Cow::Borrowed(bytes);
+    if let Some(seed) = faults.corrupt_seed {
+        corrupt(input.to_mut(), seed);
     }
-    let budget = match opts.deadline {
-        Some(d) => Budget::with_deadline(d),
-        None => Budget::unlimited(),
-    };
-
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if inject_panic {
-            panic!("injected panic (stream {stream_idx})");
-        }
-        if let Some(failures) = transient.filter(|&f| f > 0) {
-            // The scheduler runs each stream exactly once — a transient
-            // fault therefore surfaces as a hard failure.
-            return Err(format!(
-                "injected transient fault ({failures} failures requested)"
-            ));
-        }
-        let sharded = &pipeline.sharded;
-        let view = InputView::new(&input, sharded.symbol_bits(), sharded.stride())
-            .map_err(|e| format!("input framing: {e}"))?;
-        let mut trace = TraceSink::new();
-        let outcome = sharded.run_budgeted(&view, &mut trace, &budget);
-        Ok((trace.events, outcome))
-    }));
-
-    let elapsed = start.elapsed();
-    let (outcome, merged) = match result {
-        Ok(Ok((events, RunOutcome::Completed))) => (JobOutcome::Ok(()), Some(events)),
-        Ok(Ok((_, RunOutcome::Interrupted { .. }))) => (JobOutcome::TimedOut { elapsed }, None),
-        Ok(Err(error)) => (JobOutcome::Failed { error }, None),
-        Err(payload) => {
-            let message = panic_message(payload.as_ref());
-            sunder_telemetry::counter_add("scheduler_stream_panics_total", &[], 1);
-            (JobOutcome::Panicked { message }, None)
-        }
-    };
-    StreamResult {
-        stream: stream_idx,
-        worker,
-        stolen,
-        outcome,
-        merged,
-        shards: pipeline.num_shards(),
-        elapsed,
+    let sharded = &pipeline.sharded;
+    let view = InputView::new(&input, sharded.symbol_bits(), sharded.stride())
+        .map_err(|e| JobError::Fatal(format!("input framing: {e}")))?;
+    let mut trace = TraceSink::new();
+    match sharded.run_budgeted(&view, &mut trace, &ctx.budget) {
+        RunOutcome::Completed => Ok(JobValue::Ok(trace.events)),
+        RunOutcome::Interrupted { .. } => Err(JobError::TimedOut),
     }
 }
 
-/// Round-robin deal of `streams` stream indices onto `workers` queues
-/// (stream `i` goes to worker `i mod workers`).
-fn deal_queues(streams: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
-    (0..workers)
-        .map(|w| Mutex::new((w..streams).step_by(workers).collect()))
-        .collect()
-}
-
-/// One worker's drain loop: own queue first (front), then steal from a
-/// victim's back.
-#[allow(clippy::too_many_arguments)]
-fn drain_worker(
-    w: usize,
-    workers: usize,
-    pipeline: &CompiledPipeline,
-    streams: &[Vec<u8>],
-    opts: &BatchOptions,
-    queues: &[Mutex<VecDeque<usize>>],
-    steals: &AtomicU64,
-    results: &[Mutex<Option<StreamResult>>],
-) {
-    // Intern the per-worker label handles once: each record below is an
-    // atomic on a pre-resolved cell, not a string allocation plus a
-    // registry lookup under the global lock.
-    let labels_value = w.to_string();
-    let labels: [(&'static str, &str); 1] = [("worker", labels_value.as_str())];
-    let depth_gauge = sunder_telemetry::gauge_handle("scheduler_queue_depth", &labels);
-    let steals_total = sunder_telemetry::counter_handle("scheduler_steals_total", &labels);
-    loop {
-        let mut claimed: Option<(usize, bool)> = None;
-        {
-            let mut own = queues[w].lock().unwrap();
-            if let Some(s) = own.pop_front() {
-                claimed = Some((s, false));
-            }
-            depth_gauge.set(own.len() as f64);
-        }
-        if claimed.is_none() {
-            for step in 1..workers {
-                let victim = (w + step) % workers;
-                if let Some(s) = queues[victim].lock().unwrap().pop_back() {
-                    steals.fetch_add(1, Ordering::Relaxed);
-                    steals_total.add(1);
-                    claimed = Some((s, true));
-                    break;
-                }
-            }
-        }
-        let Some((stream_idx, stolen)) = claimed else {
-            break;
-        };
-        let result = run_stream(pipeline, stream_idx, &streams[stream_idx], opts, w, stolen);
-        *results[stream_idx].lock().unwrap() = Some(result);
-    }
-}
-
-/// Drains the filled result slots into submission order.
-fn collect_results(results: &[Mutex<Option<StreamResult>>]) -> Vec<StreamResult> {
-    results
-        .iter()
-        .map(|slot| {
-            slot.lock()
-                .unwrap()
-                .take()
-                .expect("every queued stream must have been executed")
-        })
-        .collect()
-}
-
-/// Runs `streams` against `pipeline` across `opts.workers` work-stealing
-/// worker threads. Results come back indexed by stream, so the report is
-/// deterministic for any worker count (modulo the `worker`/`stolen`
-/// bookkeeping fields, which record the actual schedule).
+/// Runs `streams` against `pipeline` on `opts.workers` workers through
+/// [`supervise`]. Each stream runs exactly once (a transient fault is a
+/// failure, not a retry), and results come back indexed by stream, so
+/// the report is deterministic for any worker count.
 pub fn run_batch(
     pipeline: &CompiledPipeline,
     streams: &[Vec<u8>],
@@ -318,41 +193,37 @@ pub fn run_batch(
 ) -> BatchReport {
     let started = Instant::now();
     let workers = effective_workers(opts, streams);
-    let queues = deal_queues(streams.len(), workers);
-    let steals = AtomicU64::new(0);
-    let results: Vec<Mutex<Option<StreamResult>>> =
-        streams.iter().map(|_| Mutex::new(None)).collect();
-
-    // The caller is worker 0; only the other `workers - 1` are spawned.
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers)
-            .map(|w| {
-                let (queues, steals, results) = (&queues, &steals, &results);
-                scope.spawn(move || {
-                    drain_worker(w, workers, pipeline, streams, opts, queues, steals, results);
-                })
-            })
-            .collect();
-        drain_worker(
-            0, workers, pipeline, streams, opts, &queues, &steals, &results,
-        );
-        // Join each helper explicitly: the scope's implicit join returns
-        // once the closures finish, before the threads have exited and
-        // handed their malloc arenas and stacks back. The next batch's
-        // helpers would then race those exits and sometimes get fresh
-        // arenas, each of which keeps its freed input views resident.
-        for helper in helpers {
-            if let Err(payload) = helper.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-
-    BatchReport {
-        streams: collect_results(&results),
+    let policy = SupervisorPolicy {
+        deadline: opts.deadline,
+        ..SupervisorPolicy::default()
+    };
+    let jobs = supervise(
+        streams,
         workers,
-        shards: pipeline.num_shards(),
-        steals: steals.load(Ordering::Relaxed),
+        &policy,
+        |i, _| format!("stream {i}"),
+        |i, bytes, ctx| run_stream(pipeline, i, bytes, &opts.plan, ctx),
+    );
+    let shards = pipeline.num_shards();
+    let streams = jobs
+        .into_iter()
+        .map(|job| {
+            let mut merged = None;
+            let outcome = job.outcome.map(|events| merged = Some(events));
+            StreamResult {
+                stream: job.index,
+                outcome,
+                merged,
+                shards,
+                elapsed: job.elapsed,
+            }
+        })
+        .collect();
+    BatchReport {
+        streams,
+        workers,
+        shards,
+        steals: 0,
         wall: started.elapsed(),
     }
 }
@@ -362,7 +233,7 @@ mod tests {
     use super::*;
     use sunder_automata::partition::ShardSpec;
     use sunder_automata::regex::compile_rule_set;
-    use sunder_resilience::Fault;
+    use sunder_resilience::{Fault, FaultKind};
     use sunder_sim::EngineKind;
     use sunder_transform::PipelineConfig;
 
@@ -534,7 +405,6 @@ mod tests {
         let inputs = streams(5); // a few hundred bytes, far below the cutoff
         let report = run_batch(&p, &inputs, &BatchOptions::with_workers(4));
         assert_eq!(report.workers, 1, "tiny batch must not fan out");
-        assert_eq!(report.steals, 0);
 
         // The cutoff is a scheduling decision only: results match a
         // forced-parallel run byte for byte.
@@ -550,10 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_never_steals_and_empty_batch_is_fine() {
+    fn single_worker_and_empty_batch_are_fine() {
         let p = pipeline(PipelineConfig::Identity, 2);
         let report = run_batch(&p, &streams(5), &BatchOptions::with_workers(1));
-        assert_eq!(report.steals, 0);
+        assert_eq!(report.ok_count(), 5);
         assert_eq!(report.workers, 1);
         let empty = run_batch(&p, &[], &BatchOptions::with_workers(4));
         assert!(empty.streams.is_empty());

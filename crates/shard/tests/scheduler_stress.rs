@@ -1,4 +1,4 @@
-//! Concurrency stress for the work-stealing stream scheduler: a seeded
+//! Concurrency stress for the stream scheduler: a seeded
 //! 64-stream × 8-worker batch with a fault plan panicking exactly one
 //! stream. The panic must be attributed to that stream in its
 //! `JobOutcome`, and every surviving stream must complete, verify
@@ -94,7 +94,7 @@ fn panicking_stream_is_attributed_and_survivors_match_clean_run() {
     }
 
     // Byte-identical, verified survivors: the panic must not perturb any
-    // other stream, regardless of how the steal schedule shifted around it.
+    // other stream, regardless of how the schedule shifted around it.
     for (c, f) in clean.streams.iter().zip(&faulty.streams) {
         assert_eq!(c.stream, f.stream);
         if f.stream != VICTIM_STREAM {
@@ -117,7 +117,6 @@ fn results_are_schedule_independent_across_worker_counts() {
     let p = pipeline();
     let inputs = streams();
     let sequential = run_batch(&p, &inputs, &BatchOptions::with_workers(1));
-    assert_eq!(sequential.steals, 0, "a single worker has nobody to rob");
     for workers in [2, 4, 8] {
         let parallel = run_batch(
             &p,

@@ -310,8 +310,8 @@ fn cmd_telemetry_report(args: &[String]) -> Result<(), String> {
 }
 
 /// Batches many independent input streams against one rule set through
-/// the multi-stream execution service: streams fan out across
-/// work-stealing workers, each one engine pass over the whole automaton,
+/// the multi-stream execution service: streams fan out across the
+/// supervisor's workers, each one engine pass over the whole automaton,
 /// and per-stream failures are attributed without aborting the batch.
 /// `--verify` additionally holds every stream's trace against a
 /// monolithic run (the equivalence gate).
@@ -380,13 +380,12 @@ fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
     }
     eprintln!(
         "batch: {} streams over {} shards x {} workers ({} pipeline, {} engine); \
-         {} steals, {:.1} ms",
+         {:.1} ms",
         report.streams.len(),
         report.shards,
         report.workers,
         config.name(),
         engine.name(),
-        report.steals,
         report.wall.as_secs_f64() * 1e3,
     );
     if failures > 0 {

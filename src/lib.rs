@@ -21,8 +21,9 @@
 //!   executor independent of the simulator, pipeline equivalence
 //!   checking, and the structured fuzzer behind the `conformance` binary;
 //! * [`shard`] — the sharded multi-stream execution service: automaton
-//!   partitioning into per-subarray shards, a work-stealing stream
-//!   scheduler, and a content-addressed compiled-pipeline cache;
+//!   partitioning into per-subarray shards, a stream scheduler on the
+//!   supervisor's worker pool, and a content-addressed compiled-pipeline
+//!   cache;
 //! * [`artifact`] — zero-copy mmap-able compiled pattern databases
 //!   (`.sdb`): the versioned on-disk format, the corruption-hardened
 //!   validator, and the zero-deserialization loader.
