@@ -1,138 +1,79 @@
 //! Per-session flight recorder: a bounded ring of recent events that is
-//! dumped as a schema-v1 JSON-lines artifact when a session dies badly —
+//! dumped as a telemetry JSON-lines artifact when a session dies badly —
 //! a worker panic, a blown chunk deadline, or a chunk over the
 //! slow-session threshold.
 //!
-//! The global telemetry ring (PR 4) answers "what did the whole process
-//! do"; under 64 concurrent sessions the events of the one session you
-//! care about are interleaved with everyone else's and may have been
-//! evicted long before the post-mortem. The flight recorder is the
-//! complement: each session keeps its *own* last-N events (chunk sizes,
-//! queue waits, service times, error codes), costs a ring slot per event
-//! while healthy, and writes one small artifact per casualty — the
-//! chaos taxonomy of PR 7 turned into something an operator can open.
+//! The global telemetry ring answers "what did the whole process do";
+//! under 64 concurrent sessions the events of the one session you care
+//! about are interleaved with everyone else's and may have been evicted
+//! long before the post-mortem. The flight recorder is the complement:
+//! each session keeps its *own* last-N events (chunk sizes, queue waits,
+//! service times, error codes) in a [`Ring`], costs a ring slot per event
+//! while healthy, and writes one small artifact per casualty.
 //!
-//! Artifact format (`sunder-flight` schema version 1): a meta line
-//!
-//! ```json
-//! {"type":"meta","schema":"sunder-flight","version":1,"tenant":"s3",
-//!  "session":7,"epoch":1,"reason":"panic","events":12,"dropped":0}
-//! ```
-//!
-//! followed by one `{"type":"event","ts_us":...,"name":...,
-//! "fields":{...}}` line per ring entry, oldest first. [`validate_flight`]
-//! is the schema gate used by tests and the `obs-smoke` CI job.
+//! The artifact is the workspace telemetry schema
+//! ([`sunder_telemetry::export`]): a meta line, the ring's `instant`
+//! events oldest first, then one `flight.dump` instant naming the
+//! tenant, session, epoch and reason. That last event is added at dump
+//! time, so ring eviction can never drop it. `validate_jsonl` checks the
+//! artifact, `sunder telemetry-report` reads it, and its `--chrome`
+//! export opens it in Perfetto.
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
-use sunder_telemetry::json::{self, Json};
-
-/// Current flight-recorder artifact schema version.
-pub const FLIGHT_SCHEMA_VERSION: u64 = 1;
+use sunder_telemetry::{render_jsonl, Event, Level, MetricsSnapshot, Ring, Value};
 
 /// Default ring capacity: enough to hold a burst of chunks around the
 /// failure without making a session's footprint noticeable.
 pub const DEFAULT_FLIGHT_EVENTS: usize = 128;
 
-/// One recorded event: a name, a timestamp relative to session open,
-/// and small string-valued fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// Microseconds since the recorder was created.
-    pub ts_us: u64,
-    /// Event name (`session_open`, `chunk`, `error`, ...).
-    pub name: &'static str,
-    /// Field pairs, in recording order.
-    pub fields: Vec<(&'static str, String)>,
-}
-
 /// A bounded per-session event ring.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    started: Instant,
     tenant: String,
     session: u64,
     epoch: u64,
-    cap: usize,
-    ring: VecDeque<FlightEvent>,
-    dropped: u64,
+    ring: Ring,
     dumped: bool,
 }
 
 impl FlightRecorder {
     /// A recorder for one session, holding at most `cap` events (older
-    /// events are evicted, counted in `dropped`).
+    /// events are evicted and counted as dropped).
     pub fn new(tenant: &str, session: u64, epoch: u64, cap: usize) -> FlightRecorder {
         FlightRecorder {
-            started: Instant::now(),
             tenant: tenant.to_string(),
             session,
             epoch,
-            cap: cap.max(1),
-            ring: VecDeque::new(),
-            dropped: 0,
+            ring: Ring::new(cap),
             dumped: false,
         }
     }
 
-    /// Records one event into the ring.
-    pub fn record(&mut self, name: &'static str, fields: &[(&'static str, String)]) {
-        if self.ring.len() >= self.cap {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(FlightEvent {
-            ts_us: self.started.elapsed().as_micros() as u64,
-            name,
-            fields: fields.to_vec(),
-        });
+    /// Records one instant event into the ring.
+    pub fn record(&mut self, name: &'static str, fields: &[(&'static str, Value)]) {
+        self.ring.push(Event::instant(name, fields));
     }
 
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Renders the JSON-lines artifact for this session.
+    /// Renders the JSON-lines artifact for this session: the ring, then
+    /// the `flight.dump` identity event.
     pub fn dump(&self, reason: &str) -> String {
-        let mut out = String::new();
-        let meta = Json::Obj(vec![
-            ("type".into(), Json::Str("meta".into())),
-            ("schema".into(), Json::Str("sunder-flight".into())),
-            ("version".into(), Json::Num(FLIGHT_SCHEMA_VERSION as f64)),
-            ("tenant".into(), Json::Str(self.tenant.clone())),
-            ("session".into(), Json::Num(self.session as f64)),
-            ("epoch".into(), Json::Num(self.epoch as f64)),
-            ("reason".into(), Json::Str(reason.to_string())),
-            ("events".into(), Json::Num(self.ring.len() as f64)),
-            ("dropped".into(), Json::Num(self.dropped as f64)),
-        ]);
-        out.push_str(&meta.render());
-        out.push('\n');
-        for e in &self.ring {
-            let fields = Json::Obj(
-                e.fields
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), Json::Str(v.clone())))
-                    .collect(),
-            );
-            let line = Json::Obj(vec![
-                ("type".into(), Json::Str("event".into())),
-                ("ts_us".into(), Json::Num(e.ts_us as f64)),
-                ("name".into(), Json::Str(e.name.to_string())),
-                ("fields".into(), fields),
-            ]);
-            out.push_str(&line.render());
-            out.push('\n');
-        }
-        out
+        let identity = Event::instant(
+            "flight.dump",
+            &[
+                ("tenant", self.tenant.as_str().into()),
+                ("session", self.session.into()),
+                ("epoch", self.epoch.into()),
+                ("reason", reason.into()),
+            ],
+        );
+        let events: Vec<Event> = self.ring.events().cloned().chain([identity]).collect();
+        render_jsonl(
+            Level::Spans.name(),
+            &events,
+            self.ring.dropped(),
+            &MetricsSnapshot::default(),
+        )
     }
 
     /// Writes the artifact into `dir` as
@@ -168,166 +109,84 @@ impl FlightRecorder {
     }
 }
 
-/// What [`validate_flight`] extracts from a valid artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightSummary {
-    /// Schema version (always [`FLIGHT_SCHEMA_VERSION`] today).
-    pub version: u64,
-    /// Tenant the session belonged to.
-    pub tenant: String,
-    /// Session (connection) id.
-    pub session: u64,
-    /// Epoch the session pinned.
-    pub epoch: u64,
-    /// Why the artifact was dumped (`panic`, `deadline`, `slow`).
-    pub reason: String,
-    /// Event lines in the artifact.
-    pub events: usize,
-    /// Events lost to ring eviction before the dump.
-    pub dropped: u64,
-}
-
-/// Validates a flight-recorder artifact against schema version 1.
-///
-/// Checks: a `sunder-flight` meta first line with all required keys,
-/// every following line a well-formed event with `ts_us`/`name`/`fields`,
-/// non-decreasing timestamps, and an event count matching the meta line.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending line.
-pub fn validate_flight(text: &str) -> Result<FlightSummary, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, meta_line) = lines.next().ok_or("empty artifact")?;
-    let meta = json::parse(meta_line).map_err(|e| format!("meta line: {e}"))?;
-    if meta.get("type").and_then(Json::as_str) != Some("meta") {
-        return Err("first line is not a meta record".into());
-    }
-    if meta.get("schema").and_then(Json::as_str) != Some("sunder-flight") {
-        return Err("meta schema is not sunder-flight".into());
-    }
-    let version = meta
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("meta missing version")?;
-    if version != FLIGHT_SCHEMA_VERSION {
-        return Err(format!("unsupported flight schema version {version}"));
-    }
-    let summary = FlightSummary {
-        version,
-        tenant: meta
-            .get("tenant")
-            .and_then(Json::as_str)
-            .ok_or("meta missing tenant")?
-            .to_string(),
-        session: meta
-            .get("session")
-            .and_then(Json::as_u64)
-            .ok_or("meta missing session")?,
-        epoch: meta
-            .get("epoch")
-            .and_then(Json::as_u64)
-            .ok_or("meta missing epoch")?,
-        reason: meta
-            .get("reason")
-            .and_then(Json::as_str)
-            .ok_or("meta missing reason")?
-            .to_string(),
-        events: meta
-            .get("events")
-            .and_then(Json::as_u64)
-            .ok_or("meta missing events")? as usize,
-        dropped: meta
-            .get("dropped")
-            .and_then(Json::as_u64)
-            .ok_or("meta missing dropped")?,
-    };
-    let mut seen = 0usize;
-    let mut last_ts = 0u64;
-    for (i, line) in lines {
-        let lineno = i + 1;
-        let obj = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        if obj.get("type").and_then(Json::as_str) != Some("event") {
-            return Err(format!("line {lineno}: not an event record"));
-        }
-        let ts = obj
-            .get("ts_us")
-            .and_then(Json::as_u64)
-            .ok_or(format!("line {lineno}: event missing ts_us"))?;
-        if ts < last_ts {
-            return Err(format!("line {lineno}: timestamps go backwards"));
-        }
-        last_ts = ts;
-        if obj.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("line {lineno}: event missing name"));
-        }
-        match obj.get("fields") {
-            Some(Json::Obj(_)) => {}
-            _ => return Err(format!("line {lineno}: event missing fields object")),
-        }
-        seen += 1;
-    }
-    if seen != summary.events {
-        return Err(format!(
-            "meta says {} events, artifact has {seen}",
-            summary.events
-        ));
-    }
-    Ok(summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sunder_telemetry::json::{self, Json};
+    use sunder_telemetry::{chrome_trace_from_jsonl, validate_jsonl};
 
     fn sample_recorder() -> FlightRecorder {
         let mut fr = FlightRecorder::new("s3", 7, 1, 16);
-        fr.record("session_open", &[("epoch", "1".into())]);
+        fr.record("session_open", &[("epoch", 1u64.into())]);
         fr.record(
             "chunk",
             &[
-                ("bytes", "48".into()),
-                ("service_us", "120".into()),
-                ("reports", "2".into()),
+                ("bytes", 48u64.into()),
+                ("service_us", 120u64.into()),
+                ("reports", 2u64.into()),
             ],
         );
         fr.record("error", &[("kind", "panic".into())]);
         fr
     }
 
-    #[test]
-    fn dump_round_trips_through_validator() {
-        let fr = sample_recorder();
-        let text = fr.dump("panic");
-        let summary = validate_flight(&text).unwrap();
-        assert_eq!(summary.version, FLIGHT_SCHEMA_VERSION);
-        assert_eq!(summary.tenant, "s3");
-        assert_eq!(summary.session, 7);
-        assert_eq!(summary.epoch, 1);
-        assert_eq!(summary.reason, "panic");
-        assert_eq!(summary.events, 3);
-        assert_eq!(summary.dropped, 0);
+    /// The event lines of an artifact, oldest first.
+    fn events(text: &str) -> Vec<Json> {
+        text.lines()
+            .skip(1)
+            .map(|l| json::parse(l).unwrap())
+            .collect()
+    }
+
+    fn field<'a>(event: &'a Json, key: &str) -> &'a Json {
+        event.get("fields").and_then(|f| f.get(key)).unwrap()
     }
 
     #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
+    fn dump_is_a_telemetry_artifact_ending_in_the_identity() {
+        let text = sample_recorder().dump("panic");
+        let summary = validate_jsonl(&text).unwrap();
+        assert_eq!(
+            (summary.instants, summary.spans, summary.metrics),
+            (4, 0, 0)
+        );
+        assert_eq!(summary.dropped, 0);
+        chrome_trace_from_jsonl(&text).unwrap();
+        let events = events(&text);
+        let chunk = &events[1];
+        assert_eq!(chunk.get("name").and_then(Json::as_str), Some("chunk"));
+        assert_eq!(field(chunk, "service_us").as_u64(), Some(120));
+        let id = events.last().unwrap();
+        assert_eq!(id.get("name").and_then(Json::as_str), Some("flight.dump"));
+        assert_eq!(field(id, "tenant").as_str(), Some("s3"));
+        assert_eq!(field(id, "session").as_u64(), Some(7));
+        assert_eq!(field(id, "epoch").as_u64(), Some(1));
+        assert_eq!(field(id, "reason").as_str(), Some("panic"));
+    }
+
+    #[test]
+    fn ring_evicts_oldest_and_counts_drops_but_keeps_the_identity() {
         let mut fr = FlightRecorder::new("t", 0, 1, 4);
-        for i in 0..10u32 {
-            fr.record("chunk", &[("seq", i.to_string())]);
+        for i in 0..10u64 {
+            fr.record("chunk", &[("seq", i.into())]);
         }
-        assert_eq!(fr.len(), 4);
         let text = fr.dump("slow");
-        let summary = validate_flight(&text).unwrap();
-        assert_eq!(summary.events, 4);
+        let summary = validate_jsonl(&text).unwrap();
+        assert_eq!(summary.instants, 5, "four ring events plus the identity");
         assert_eq!(summary.dropped, 6);
         // Oldest-first: the surviving events are the last four recorded.
-        assert!(text.contains(r#""seq":"6""#));
-        assert!(!text.contains(r#""seq":"5""#));
+        let seqs: Vec<u64> = events(&text)[..4]
+            .iter()
+            .map(|e| field(e, "seq").as_u64().unwrap())
+            .collect();
+        assert_eq!(seqs, [6, 7, 8, 9]);
+        let last = events(&text).pop().unwrap();
+        assert_eq!(field(&last, "reason").as_str(), Some("slow"));
     }
 
     #[test]
     fn write_creates_one_sanitized_artifact_per_session() {
-        let dir = std::env::temp_dir().join(format!("sunder-flight-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("flight-recorder-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut fr = FlightRecorder::new("s3/../evil", 9, 2, 8);
         fr.record("session_open", &[]);
@@ -337,36 +196,12 @@ mod tests {
             "flight-s3____evil-9-deadline.jsonl"
         );
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(validate_flight(&text).unwrap().reason, "deadline");
+        validate_jsonl(&text).unwrap();
+        let last = events(&text).pop().unwrap();
+        assert_eq!(field(&last, "tenant").as_str(), Some("s3/../evil"));
+        assert_eq!(field(&last, "reason").as_str(), Some("deadline"));
         // Second trigger is a no-op: the first post-mortem wins.
         assert!(fr.write(&dir, "panic").unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn validator_rejects_malformed_artifacts() {
-        let good = sample_recorder().dump("panic");
-        for (mangle, why) in [
-            ("".to_string(), "empty"),
-            ("not json\n".to_string(), "bad meta json"),
-            (
-                good.replace("sunder-flight", "other-schema"),
-                "wrong schema",
-            ),
-            (
-                good.replace("\"version\":1", "\"version\":99"),
-                "bad version",
-            ),
-            (
-                good.replace("\"events\":3", "\"events\":7"),
-                "count mismatch",
-            ),
-            (
-                good.replace("\"type\":\"event\"", "\"type\":\"wat\""),
-                "bad event type",
-            ),
-        ] {
-            assert!(validate_flight(&mangle).is_err(), "should reject: {why}");
-        }
     }
 }

@@ -57,7 +57,7 @@ pub mod session;
 
 pub use cache::PipelineCache;
 pub use chaos::{run_chaos, ChaosOptions, SessionOutcome};
-pub use flight::{validate_flight, FlightRecorder, FlightSummary, FLIGHT_SCHEMA_VERSION};
+pub use flight::FlightRecorder;
 pub use frame::{ClientFrame, FrameError, ServerFrame, PROTOCOL_VERSION};
 pub use obs::{http_get, ObsHandle};
 pub use scheduler::{run_batch, BatchOptions, BatchReport, StreamResult, SERIAL_CUTOFF_BYTES};

@@ -17,22 +17,22 @@
 //!
 //! The listener is plain `std::net`: a blocking accept loop on its own
 //! thread, one short-lived request handled at a time (scrapes are rare
-//! and tiny next to match traffic, so there is nothing to pool). A
-//! second thread diffs registry snapshots every `snapshot_interval` into
-//! `*_per_sec` rate gauges ([`sunder_telemetry::publish_rate_gauges`]),
-//! so a scrape shows live rates without the scraper having to keep
-//! state. Neither thread polls: shutdown wakes the accept with the match
-//! listener's own wake connection and the rate thread through a condvar.
-//! Both stop when [`MatchServer::drain`] completes — the listener keeps
-//! answering (`/readyz` 503) for the whole drain window.
+//! and tiny next to match traffic, so there is nothing to pool). Rates
+//! are the scraper's to derive from the exported counters (Prometheus
+//! `rate()`), so the daemon keeps no snapshot history. The thread does
+//! not poll: shutdown sets a flag and wakes the accept with the match
+//! listener's own wake connection. It stops when [`MatchServer::drain`]
+//! completes — the listener keeps answering (`/readyz` 503) for the whole
+//! drain window.
 //!
 //! [`MatchServer::drain`]: crate::server::MatchServer::drain
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sunder_telemetry::json::Json;
 use sunder_telemetry::MetricValue;
@@ -43,14 +43,10 @@ use crate::server::{accept, join_acceptor, wake_acceptor, ServerInner, ACCEPT_WA
 /// [`crate::server::MatchServer`] it describes.
 pub struct ObsHandle {
     addr: SocketAddr,
-    stop: Arc<Stop>,
+    /// Set at shutdown; the accept loop checks it after every accept.
+    stop: Arc<AtomicBool>,
     http: Option<JoinHandle<()>>,
-    rates: Option<JoinHandle<()>>,
 }
-
-/// The shutdown flag both obs threads check, and the condvar the rate
-/// thread sleeps on between snapshots.
-type Stop = (Mutex<bool>, Condvar);
 
 impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -68,76 +64,37 @@ impl ObsHandle {
 }
 
 impl Drop for ObsHandle {
-    /// Stops the listener and the snapshot thread, joining both.
+    /// Stops the listener and joins its thread.
     fn drop(&mut self) {
-        if let Ok(mut stopped) = self.stop.0.lock() {
-            *stopped = true;
-        }
-        self.stop.1.notify_all();
+        self.stop.store(true, Ordering::Release);
         if let Some(http) = self.http.take() {
             wake_acceptor(self.addr);
             join_acceptor(http, self.addr, ACCEPT_WAKE_LIMIT);
         }
-        if let Some(rates) = self.rates.take() {
-            let _ = rates.join();
-        }
     }
 }
 
-/// Binds the obs listener and spawns its two threads.
+/// Binds the obs listener and spawns its thread.
 pub(crate) fn start_obs(inner: &Arc<ServerInner>, addr: &str) -> Result<ObsHandle, String> {
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind obs {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
-    let stop = Arc::new(Stop::default());
-
-    let http_inner = Arc::clone(inner);
-    let http_stop = Arc::clone(&stop);
+    let stop = Arc::new(AtomicBool::new(false));
+    let (http_inner, http_stop) = (Arc::clone(inner), Arc::clone(&stop));
     let http = std::thread::Builder::new()
         .name("serve-obs".into())
         .spawn(move || http_loop(&http_inner, &listener, &http_stop))
         .map_err(|e| format!("spawn obs listener: {e}"))?;
-
-    let rate_stop = Arc::clone(&stop);
-    let interval = inner.cfg.snapshot_interval;
-    let rates = std::thread::Builder::new()
-        .name("serve-obs-rates".into())
-        .spawn(move || rate_loop(interval, &rate_stop))
-        .map_err(|e| format!("spawn obs snapshot thread: {e}"))?;
-
     Ok(ObsHandle {
         addr: local,
         stop,
         http: Some(http),
-        rates: Some(rates),
     })
 }
 
-/// The periodic snapshot differ: every `interval`, diff the previous
-/// registry snapshot against the current one and publish `*_per_sec`
-/// gauges.
-fn rate_loop(interval: Duration, (stopped, cv): &Stop) {
-    let mut prev = sunder_telemetry::snapshot();
-    let mut last = Instant::now();
-    loop {
-        let guard = stopped.lock().expect("obs stop lock poisoned");
-        let (guard, _) = cv
-            .wait_timeout_while(guard, interval, |stopped| !*stopped)
-            .expect("obs stop lock poisoned");
-        if *guard {
-            return;
-        }
-        drop(guard);
-        let cur = sunder_telemetry::snapshot();
-        sunder_telemetry::publish_rate_gauges(&prev, &cur, last.elapsed());
-        last = Instant::now();
-        prev = cur;
-    }
-}
-
-fn http_loop(inner: &Arc<ServerInner>, listener: &TcpListener, stop: &Stop) {
+fn http_loop(inner: &Arc<ServerInner>, listener: &TcpListener, stop: &AtomicBool) {
     loop {
         let sock = accept(listener);
-        if *stop.0.lock().expect("obs stop lock poisoned") {
+        if stop.load(Ordering::Acquire) {
             return;
         }
         if let Some(sock) = sock {

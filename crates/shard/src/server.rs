@@ -13,8 +13,8 @@
 //! * a **worker** that pops work items, feeds the session (each chunk
 //!   under its own deadline [`Budget`] wired to the session's
 //!   [`CancelToken`]), and writes replies. Every chunk runs inside
-//!   `catch_unwind`, so a panicking automaton (or an injected
-//!   [`FaultKind::Panic`]) poisons exactly one session: the client gets
+//!   `catch_unwind`, so a panicking automaton (or an injected `panic`
+//!   fault) poisons exactly one session: the client gets
 //!   an `Error` frame, the fault is attributed in telemetry, and every
 //!   other session keeps streaming.
 //!
@@ -29,10 +29,12 @@
 //! every session close notifies, up to a hard deadline, then cancels the
 //! stragglers' budgets and shuts their sockets down.
 //!
-//! Server-side fault injection reuses [`FaultPlan`]: worker-level
-//! directives (`panic ITEM`, `stall ITEM MS`) are matched against the
-//! trailing integer of the *tenant name* (`tenant "s7"` → plan item 7),
-//! so injection is deterministic no matter the order connections land.
+//! Server-side fault injection reuses [`FaultPlan::job_faults`], the
+//! decoder every worker pool shares: the plan item is the trailing
+//! integer of the *tenant name* (`tenant "s7"` → plan item 7), so
+//! injection is deterministic no matter the order connections land. The
+//! server acts out `panic` and `stall` on a session's first chunk;
+//! `transient` and `corrupt-input` have no meaning for a live stream.
 
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
@@ -45,7 +47,7 @@ use std::time::{Duration, Instant};
 use sunder_artifact::CompiledPipeline;
 use sunder_automata::partition::ShardSpec;
 use sunder_automata::{anml, AutomataError, Nfa};
-use sunder_resilience::{Budget, CancelToken, FaultKind, FaultPlan};
+use sunder_resilience::{Budget, CancelToken, FaultPlan, JobFaults};
 use sunder_sim::EngineKind;
 use sunder_transform::PipelineConfig;
 
@@ -95,9 +97,6 @@ pub struct ServerConfig {
     /// Slow-session threshold: a single chunk over this dumps the
     /// session's flight recorder (reason `slow`).
     pub slow_chunk: Option<Duration>,
-    /// How often the obs snapshot thread diffs counters into
-    /// `*_per_sec` rate gauges.
-    pub snapshot_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -118,7 +117,6 @@ impl Default for ServerConfig {
             flight_events: crate::flight::DEFAULT_FLIGHT_EVENTS,
             chunk_slo: Duration::from_millis(100),
             slow_chunk: None,
-            snapshot_interval: Duration::from_secs(1),
         }
     }
 }
@@ -620,40 +618,10 @@ impl<'a> FrameWriter<'a> {
 
 /// The trailing integer of a tenant name (`"s17"` → 17), used to key
 /// server-side fault-plan items deterministically under concurrent
-/// accepts.
+/// accepts. `None` without trailing digits or when they overflow.
 fn tenant_item(tenant: &str) -> Option<usize> {
-    let digits: String = tenant
-        .chars()
-        .rev()
-        .take_while(char::is_ascii_digit)
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect();
-    digits.parse().ok()
-}
-
-/// Worker-level faults the server acts out on a session's first chunk.
-#[derive(Default)]
-struct InjectedFaults {
-    panic: bool,
-    stall: Option<u64>,
-}
-
-fn injected_for(plan: &FaultPlan, tenant: &str) -> InjectedFaults {
-    let mut out = InjectedFaults::default();
-    let Some(item) = tenant_item(tenant) else {
-        return out;
-    };
-    for kind in plan.faults_for(item) {
-        match kind {
-            FaultKind::Panic => out.panic = true,
-            FaultKind::Stall { millis } => out.stall = Some(*millis),
-            // Connection-level faults are the *client's* to act out.
-            _ => {}
-        }
-    }
-    out
+    let stem = tenant.trim_end_matches(|c: char| c.is_ascii_digit());
+    tenant[stem.len()..].parse().ok()
 }
 
 fn session_fault(tenant: &str, kind: &str) {
@@ -720,7 +688,7 @@ impl SessionObs {
         if let Some(fr) = &mut flight {
             fr.record(
                 "session_open",
-                &[("tenant", tenant.to_string()), ("epoch", epoch.to_string())],
+                &[("tenant", tenant.into()), ("epoch", epoch.into())],
             );
         }
         let stage_us = |name| sunder_telemetry::histogram_handle(name, &[("tenant", tenant)]);
@@ -771,11 +739,11 @@ impl SessionObs {
             fr.record(
                 "chunk",
                 &[
-                    ("bytes", bytes.to_string()),
-                    ("wait_us", wait.as_micros().to_string()),
-                    ("service_us", service_us.to_string()),
-                    ("reply_us", reply_us.unwrap_or(0).to_string()),
-                    ("reports", reports.to_string()),
+                    ("bytes", bytes.into()),
+                    ("wait_us", (wait.as_micros() as u64).into()),
+                    ("service_us", service_us.into()),
+                    ("reply_us", reply_us.unwrap_or(0).into()),
+                    ("reports", reports.into()),
                 ],
             );
             if self.slow_chunk.is_some_and(|t| service > t) {
@@ -787,14 +755,14 @@ impl SessionObs {
     /// Records a terminal event; `dump_reason` writes the post-mortem.
     fn fault(&mut self, kind: &str, dump_reason: Option<&'static str>) {
         if let Some(fr) = &mut self.flight {
-            fr.record("error", &[("kind", kind.to_string())]);
+            fr.record("error", &[("kind", kind.into())]);
         }
         if let Some(reason) = dump_reason {
             self.dump(reason);
         }
     }
 
-    fn event(&mut self, name: &'static str, fields: &[(&'static str, String)]) {
+    fn event(&mut self, name: &'static str, fields: &[(&'static str, sunder_telemetry::Value)]) {
         if let Some(fr) = &mut self.flight {
             fr.record(name, fields);
         }
@@ -868,7 +836,9 @@ fn run_session(inner: &Arc<ServerInner>, id: ConnId, conn: &ConnHandle) {
         ],
     );
 
-    let faults = injected_for(&inner.cfg.fault_plan, &tenant);
+    let faults = tenant_item(&tenant)
+        .map(|item| inner.cfg.fault_plan.job_faults(item))
+        .unwrap_or_default();
     let mut obs = SessionObs::new(&inner.cfg, &tenant, id, db.epoch);
 
     // Reader thread: socket → bounded queue. Scoped so a dead worker
@@ -931,7 +901,7 @@ fn worker_loop(
     inner: &Arc<ServerInner>,
     session: &mut StreamSession,
     tenant: &str,
-    faults: &InjectedFaults,
+    faults: &JobFaults,
     queue: &WorkQueue,
     cancel: &CancelToken,
     writer: &mut FrameWriter<'_>,
@@ -944,7 +914,7 @@ fn worker_loop(
             Work::Frame(ClientFrame::Chunk(bytes)) => {
                 if first_chunk {
                     first_chunk = false;
-                    if let Some(millis) = faults.stall {
+                    if let Some(millis) = faults.stall_millis {
                         std::thread::sleep(Duration::from_millis(millis));
                     }
                 }
@@ -989,9 +959,9 @@ fn worker_loop(
                         obs.event(
                             "finish",
                             &[
-                                ("chunks", summary.chunks.to_string()),
-                                ("bytes", summary.bytes.to_string()),
-                                ("reports", summary.reports.to_string()),
+                                ("chunks", summary.chunks.into()),
+                                ("bytes", summary.bytes.into()),
+                                ("reports", summary.reports.into()),
                             ],
                         );
                         if writer.send(&ServerFrame::Reports(tail)) {
@@ -1011,7 +981,7 @@ fn worker_loop(
             Work::Frame(ClientFrame::Reload(text)) => {
                 match anml::parse(&text).and_then(|nfa| reload_db(inner, &nfa)) {
                     Ok(epoch) => {
-                        obs.event("reload", &[("epoch", epoch.to_string())]);
+                        obs.event("reload", &[("epoch", epoch.into())]);
                         if !writer.send(&ServerFrame::Reloaded { epoch }) {
                             return;
                         }
@@ -1060,8 +1030,56 @@ mod tests {
         assert_eq!(tenant_item("s17"), Some(17));
         assert_eq!(tenant_item("7"), Some(7));
         assert_eq!(tenant_item("tenant-003"), Some(3));
-        assert_eq!(tenant_item("alpha"), None);
+        assert_eq!(tenant_item("alpha"), None, "no digits");
         assert_eq!(tenant_item(""), None);
+        assert_eq!(tenant_item("0042"), Some(42), "all digits");
+        assert_eq!(tenant_item("s4x"), None, "digits not at the end");
+        let overflow = format!("s{}0", usize::MAX);
+        assert_eq!(tenant_item(&overflow), None, "overflows usize");
+    }
+
+    /// Streams one session as tenant `s0` against a server whose fault
+    /// plan is `plan`; returns its outcome and how long it took.
+    fn serve_s0(plan: &str) -> (crate::chaos::SessionOutcome, Duration) {
+        let nfa = sunder_automata::regex::compile_rule_set(&["ab+c"]).unwrap();
+        let cfg = ServerConfig {
+            fault_plan: FaultPlan::from_text(plan).unwrap(),
+            ..ServerConfig::default()
+        };
+        let server = MatchServer::start("127.0.0.1:0", &nfa, cfg).unwrap();
+        let input = b"abbc xx abc ".repeat(16);
+        let started = Instant::now();
+        let mut outcomes = crate::chaos::run_chaos(
+            server.local_addr(),
+            &[input],
+            &FaultPlan::none(),
+            &crate::chaos::ChaosOptions::default(),
+        );
+        (outcomes.remove(0), started.elapsed())
+    }
+
+    #[test]
+    fn stall_then_panic_from_job_faults_is_acted_out() {
+        let (outcome, took) = serve_s0("stall 0 150\npanic 0\n");
+        match outcome {
+            crate::chaos::SessionOutcome::Errored { code, .. } => assert_eq!(code, ERR_PANIC),
+            other => panic!("expected ERR_PANIC, got {other:?}"),
+        }
+        assert!(
+            took >= Duration::from_millis(150),
+            "the panic came after {took:?}, before the 150 ms stall"
+        );
+    }
+
+    #[test]
+    fn transient_and_corrupt_input_leave_a_live_session_clean() {
+        let (clean, _) = serve_s0("");
+        assert!(
+            matches!(&clean, crate::chaos::SessionOutcome::Completed { reports, .. } if !reports.is_empty()),
+            "{clean:?}"
+        );
+        let (faulted, _) = serve_s0("transient 0 2\ncorrupt-input 0 9\n");
+        assert_eq!(faulted, clean);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   monotone across scrapes;
 //! * `/statusz` carries sessions, per-tenant latency quantiles, and SLO
 //!   counters once traffic has flowed;
-//! * the injected panic produces a schema-valid flight-recorder
-//!   artifact attributed to the right tenant;
+//! * the injected panic produces a flight-recorder artifact in the
+//!   telemetry JSON-lines schema, attributed to the right tenant;
 //! * `/readyz` answers 200 before drain and 503 while draining.
 //!
 //! This test owns the process-global telemetry level; keep it the only
@@ -25,7 +25,7 @@ use sunder_oracle::PipelineConfig;
 use sunder_resilience::FaultPlan;
 use sunder_shard::chaos::{run_chaos, ChaosOptions, SessionOutcome};
 use sunder_shard::frame::{decode_server, read_raw, ClientFrame, ServerFrame, ERR_PANIC};
-use sunder_shard::{http_get, validate_flight, MatchServer, ServerConfig, ShardSpec};
+use sunder_shard::{http_get, MatchServer, ServerConfig, ShardSpec};
 use sunder_sim::EngineKind;
 use sunder_telemetry::exposition::sample_value;
 use sunder_telemetry::json::{self, Json};
@@ -129,15 +129,40 @@ fn obs_smoke_scrapes_flight_artifact_and_readiness() {
         })
         .unwrap_or_else(|| panic!("no s2 panic artifact among {artifacts:?}"));
     let text = std::fs::read_to_string(panic_artifact).unwrap();
-    let summary = validate_flight(&text).expect("flight artifact validates");
-    assert_eq!(summary.tenant, "s2");
-    assert_eq!(summary.reason, "panic");
-    assert_eq!(summary.epoch, 1);
-    assert!(summary.events > 0, "flight ring was empty");
-    assert!(
-        text.contains("\"wait_us\"") && text.contains("\"reply_us\""),
-        "chunk events carry the stage timings: {text}"
+    let summary = sunder_telemetry::validate_jsonl(&text).expect("flight artifact validates");
+    sunder_telemetry::chrome_trace_from_jsonl(&text).expect("flight artifact converts");
+    let events: Vec<Json> = text
+        .lines()
+        .skip(1)
+        .map(|l| json::parse(l).unwrap())
+        .collect();
+    assert_eq!(summary.instants, events.len());
+    let field = |e: &Json, key: &str| e.get("fields").and_then(|f| f.get(key)).cloned();
+    let identity = events.last().expect("a non-empty artifact");
+    assert_eq!(
+        identity.get("name").and_then(Json::as_str),
+        Some("flight.dump"),
+        "the artifact ends in its identity event"
     );
+    assert_eq!(field(identity, "tenant"), Some(Json::Str("s2".into())));
+    assert_eq!(field(identity, "reason"), Some(Json::Str("panic".into())));
+    assert_eq!(
+        field(identity, "epoch").as_ref().and_then(Json::as_u64),
+        Some(1)
+    );
+    let chunks: Vec<&Json> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("chunk"))
+        .collect();
+    assert!(!chunks.is_empty(), "no chunk events: {text}");
+    for chunk in chunks {
+        for key in ["wait_us", "reply_us"] {
+            assert!(
+                field(chunk, key).as_ref().and_then(Json::as_u64).is_some(),
+                "chunk event without an integer {key}: {text}"
+            );
+        }
+    }
 
     // /statusz reflects the traffic: sessions started, per-tenant
     // latency quantiles present for a surviving tenant.

@@ -111,3 +111,20 @@ pub struct Event {
     /// Attached fields.
     pub fields: Vec<Field>,
 }
+
+impl Event {
+    /// An instant event stamped now, on the calling thread.
+    pub fn instant(name: &'static str, fields: &[(&'static str, Value)]) -> Event {
+        Event {
+            kind: EventKind::Instant,
+            name,
+            ts_us: crate::recorder::now_us(),
+            dur_us: 0,
+            tid: crate::recorder::thread_id(),
+            fields: fields
+                .iter()
+                .map(|(k, v)| Field::new(k, v.clone()))
+                .collect(),
+        }
+    }
+}

@@ -56,11 +56,11 @@ pub use histogram::Pow2Histogram;
 pub use level::{enabled, level, set_level, spans_enabled, Level};
 pub use metrics::{
     counter_add, counter_handle, gauge_handle, gauge_set, histogram_handle, histogram_merge,
-    histogram_record, publish_rate_gauges, snapshot, CounterHandle, GaugeHandle, HistogramHandle,
-    MetricEntry, MetricValue, MetricsSnapshot,
+    histogram_record, snapshot, CounterHandle, GaugeHandle, HistogramHandle, MetricEntry,
+    MetricValue, MetricsSnapshot,
 };
 pub use progress::{progress, quiet, set_quiet};
-pub use recorder::DEFAULT_CAPACITY;
+pub use recorder::{Ring, DEFAULT_CAPACITY};
 pub use report::{BenchReport, Report};
 pub use span::{instant, span, SpanGuard};
 

@@ -14,7 +14,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::histogram::Pow2Histogram;
 use crate::level::enabled;
@@ -426,56 +425,6 @@ pub fn reset() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot diffing: counters → rate gauges.
-// ---------------------------------------------------------------------------
-
-/// Interns a derived `_per_sec` gauge name for a counter. The set of
-/// distinct counter names in a process is small and static, so the leak
-/// is bounded (it is the usual price of a `&'static str`-keyed registry).
-fn rate_name(base: &str) -> &'static str {
-    static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let derived = format!("{}_per_sec", base.strip_suffix("_total").unwrap_or(base));
-    let mut names = NAMES.lock().expect("rate name table poisoned");
-    if let Some(&n) = names.iter().find(|&&n| n == derived) {
-        return n;
-    }
-    let leaked: &'static str = Box::leak(derived.into_boxed_str());
-    names.push(leaked);
-    leaked
-}
-
-/// Diffs two registry snapshots taken `elapsed` apart and publishes one
-/// `<counter-stem>_per_sec` gauge per counter (e.g. `serve_bytes_total`
-/// → `serve_bytes_per_sec`), preserving labels. Counters absent from
-/// `prev` are treated as having started at zero. Returns the number of
-/// gauges published. This is what the obs snapshot thread calls
-/// periodically so scrapes see live rates, not just lifetime totals.
-pub fn publish_rate_gauges(
-    prev: &MetricsSnapshot,
-    cur: &MetricsSnapshot,
-    elapsed: Duration,
-) -> usize {
-    let secs = elapsed.as_secs_f64();
-    if secs <= 0.0 {
-        return 0;
-    }
-    let mut published = 0;
-    for e in &cur.entries {
-        let MetricValue::Counter(now) = e.value else {
-            continue;
-        };
-        let labels: Vec<(&str, &str)> = e.labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        let before = prev.counter(e.name, &labels).unwrap_or(0);
-        let rate = now.saturating_sub(before) as f64 / secs;
-        let static_labels: Vec<(&'static str, &str)> =
-            e.labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        gauge_set(rate_name(e.name), &static_labels, rate);
-        published += 1;
-    }
-    published
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,30 +550,6 @@ mod tests {
                 .count(),
             1
         );
-        reset();
-    }
-
-    #[test]
-    fn rate_gauges_diff_counters_per_second() {
-        let _lock = crate::test_lock();
-        reset();
-        set_level(Level::Metrics);
-        counter_add("serve_bytes_total", &[("t", "a")], 100);
-        let prev = snapshot();
-        counter_add("serve_bytes_total", &[("t", "a")], 300);
-        counter_add("fresh_total", &[], 50);
-        let cur = snapshot();
-        let n = publish_rate_gauges(&prev, &cur, Duration::from_secs(2));
-        assert_eq!(n, 2);
-        let snap = snapshot();
-        assert_eq!(
-            snap.gauge("serve_bytes_per_sec", &[("t", "a")]),
-            Some(150.0)
-        );
-        assert_eq!(snap.gauge("fresh_per_sec", &[]), Some(25.0));
-        // Zero elapsed publishes nothing (no divide-by-zero spikes).
-        assert_eq!(publish_rate_gauges(&prev, &cur, Duration::ZERO), 0);
-        set_level(Level::Off);
         reset();
     }
 

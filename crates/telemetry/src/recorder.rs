@@ -1,11 +1,12 @@
-//! The global ring-buffer event recorder.
+//! The global ring-buffer event recorder, and the [`Ring`] it keeps.
 //!
 //! A fixed-capacity ring holds the most recent events; when full, the
 //! oldest event is overwritten and a drop counter advances, so a runaway
 //! emitter can never exhaust memory or block the pipeline. Recording is a
 //! short critical section on a process-wide mutex — fine for the
 //! workspace's emission rates (events fire per benchmark, per window
-//! decision, or per stall episode, never per cycle).
+//! decision, or per stall episode, never per cycle). The daemon's
+//! per-session flight recorder keeps its own [`Ring`] of the same kind.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,10 +15,53 @@ use std::time::Instant;
 
 use crate::event::Event;
 
-struct Ring {
+/// A bounded event ring: pushing past capacity evicts the oldest event
+/// and counts it as dropped.
+#[derive(Debug, Clone)]
+pub struct Ring {
     events: VecDeque<Event>,
     capacity: usize,
     dropped: u64,
+}
+
+impl Ring {
+    /// An empty ring holding at most `capacity` events (at least one).
+    pub fn new(capacity: usize) -> Ring {
+        let capacity = capacity.max(1);
+        Ring {
+            events: VecDeque::with_capacity(capacity.min(4096)),
+            capacity,
+            dropped: 0,
+        }
+    }
+
+    /// Appends `event`, evicting the oldest when full.
+    pub fn push(&mut self, event: Event) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
+    }
+
+    /// Buffered events, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = &Event> {
+        self.events.iter()
+    }
+
+    /// Events lost to eviction since the ring was created or last taken.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Empties the ring, returning `(events, dropped)` and resetting the
+    /// drop counter.
+    pub fn take(&mut self) -> (Vec<Event>, u64) {
+        (
+            self.events.drain(..).collect(),
+            std::mem::take(&mut self.dropped),
+        )
+    }
 }
 
 static RECORDER: Mutex<Option<Ring>> = Mutex::new(None);
@@ -46,78 +90,62 @@ pub fn thread_id() -> u64 {
     TID.with(|t| *t)
 }
 
+fn recorder() -> std::sync::MutexGuard<'static, Option<Ring>> {
+    RECORDER.lock().expect("telemetry recorder poisoned")
+}
+
 /// Installs (or replaces) the global recorder with the given capacity.
 /// Any previously buffered events are discarded.
 pub fn install(capacity: usize) {
-    let capacity = capacity.max(1);
-    let mut guard = RECORDER.lock().expect("telemetry recorder poisoned");
-    *guard = Some(Ring {
-        events: VecDeque::with_capacity(capacity.min(4096)),
-        capacity,
-        dropped: 0,
-    });
+    *recorder() = Some(Ring::new(capacity));
 }
 
 /// `true` when a recorder is installed.
 pub fn installed() -> bool {
-    RECORDER
-        .lock()
-        .expect("telemetry recorder poisoned")
-        .is_some()
+    recorder().is_some()
 }
 
 /// Records one event. A no-op when no recorder is installed, so emitters
 /// only need the level fast check.
 pub fn record(event: Event) {
-    let mut guard = RECORDER.lock().expect("telemetry recorder poisoned");
-    if let Some(ring) = guard.as_mut() {
-        if ring.events.len() == ring.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(event);
+    if let Some(ring) = recorder().as_mut() {
+        ring.push(event);
     }
 }
 
 /// Drains every buffered event, returning `(events, dropped)` where
-/// `dropped` counts events lost to ring wraparound since install. The
+/// `dropped` counts events lost to ring wraparound since install or the
+/// last drain. The
 /// recorder stays installed and continues recording.
 pub fn drain() -> (Vec<Event>, u64) {
-    let mut guard = RECORDER.lock().expect("telemetry recorder poisoned");
-    match guard.as_mut() {
-        Some(ring) => {
-            let events = ring.events.drain(..).collect();
-            let dropped = ring.dropped;
-            ring.dropped = 0;
-            (events, dropped)
-        }
-        None => (Vec::new(), 0),
-    }
+    recorder().as_mut().map(Ring::take).unwrap_or_default()
 }
 
 /// Removes the recorder, returning whatever it held.
 pub fn uninstall() -> (Vec<Event>, u64) {
-    let mut guard = RECORDER.lock().expect("telemetry recorder poisoned");
-    match guard.take() {
-        Some(mut ring) => (ring.events.drain(..).collect(), ring.dropped),
-        None => (Vec::new(), 0),
-    }
+    recorder().take().map(|mut r| r.take()).unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
 
     fn ev(name: &'static str) -> Event {
-        Event {
-            kind: EventKind::Instant,
-            name,
-            ts_us: now_us(),
-            dur_us: 0,
-            tid: thread_id(),
-            fields: Vec::new(),
+        Event::instant(name, &[])
+    }
+
+    #[test]
+    fn ring_evicts_oldest_and_take_resets_the_drop_count() {
+        let mut ring = Ring::new(3);
+        for name in ["a", "b", "c", "d", "e"] {
+            ring.push(ev(name));
         }
+        let names: Vec<_> = ring.events().map(|e| e.name).collect();
+        assert_eq!(names, ["c", "d", "e"]);
+        assert_eq!(ring.dropped(), 2);
+        let (events, dropped) = ring.take();
+        assert_eq!((events.len(), dropped), (3, 2));
+        assert_eq!((ring.events().count(), ring.dropped()), (0, 0));
     }
 
     #[test]

@@ -92,20 +92,7 @@ pub fn instant(name: &'static str, fields: &[(&'static str, Value)]) {
     if !spans_enabled() {
         return;
     }
-    record(Event {
-        kind: EventKind::Instant,
-        name,
-        ts_us: now_us(),
-        dur_us: 0,
-        tid: thread_id(),
-        fields: fields
-            .iter()
-            .map(|(k, v)| Field {
-                key: k,
-                value: v.clone(),
-            })
-            .collect(),
-    });
+    record(Event::instant(name, fields));
 }
 
 #[cfg(test)]

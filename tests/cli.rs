@@ -381,6 +381,60 @@ fn serve_chaos_attributes_faults_and_exits_three() {
 }
 
 #[test]
+fn serve_chaos_flight_artifacts_are_telemetry_artifacts() {
+    // One event schema: the daemon's flight post-mortems are read by the
+    // same validator, Chrome export and report as any telemetry artifact.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = std::env::temp_dir().join(format!("sunder-cli-flights-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = bin()
+        .args(["serve-chaos", "--rules"])
+        .arg(root.join("ci/serve-rules.txt"))
+        .args(["--sessions", "32", "--fault-plan"])
+        .arg(root.join("ci/serve-chaos.plan"))
+        .arg("--flight-recorder-dir")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    for tenant in ["s3", "s22"] {
+        let name = names
+            .iter()
+            .find(|n| n.starts_with(&format!("flight-{tenant}-")) && n.ends_with("-panic.jsonl"))
+            .unwrap_or_else(|| panic!("no {tenant} panic artifact among {names:?}"));
+        let artifact = dir.join(name);
+        let chrome = dir.join(format!("{tenant}.chrome.json"));
+        let checked = bin()
+            .args(["telemetry-report", "--validate", "--input"])
+            .arg(&artifact)
+            .arg("--chrome")
+            .arg(&chrome)
+            .output()
+            .unwrap();
+        let report = bin()
+            .args(["telemetry-report", "--input"])
+            .arg(&artifact)
+            .output()
+            .unwrap();
+        for out in [checked, report] {
+            assert!(
+                out.status.success(),
+                "telemetry-report on {name}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        let doc = std::fs::read_to_string(&chrome).unwrap();
+        assert!(doc.contains("\"flight.dump\""), "{doc}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn serve_chaos_usage_error_exits_two() {
     let out = bin()
         .args(["serve-chaos", "--rules", "/nonexistent/rules.txt"])
