@@ -7,8 +7,8 @@
 //! under 64 concurrent sessions the events of the one session you care
 //! about are interleaved with everyone else's and may have been evicted
 //! long before the post-mortem. The flight recorder is the complement:
-//! each session keeps its *own* last-N events (chunk sizes, queue waits,
-//! service times, error codes) in a [`Ring`], costs a ring slot per event
+//! each session keeps its *own* last-N events (chunk sizes, service and
+//! reply times, error codes) in a [`Ring`], costs a ring slot per event
 //! while healthy, and writes one small artifact per casualty.
 //!
 //! The artifact is the workspace telemetry schema

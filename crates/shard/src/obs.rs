@@ -10,7 +10,7 @@
 //! * `GET /readyz` — readiness: `200 ready epoch=N`, or `503` while the
 //!   server is draining or a hot reload is compiling the next epoch;
 //! * `GET /statusz` — a JSON document ([`status_json`]): live sessions,
-//!   per-tenant quota usage, queue depth, cache hit rate, DB epoch, and
+//!   per-tenant quota usage, cache hit rate, DB epoch, and
 //!   per-tenant chunk-service and reply-write latency quantiles. The
 //!   stdin `status` command of `sunder serve` prints the *same*
 //!   document — one source of truth.
@@ -173,7 +173,7 @@ fn route(inner: &Arc<ServerInner>, path: &str) -> (u16, &'static str, String) {
 /// off; the latency quantiles appear once per-tenant histograms exist in
 /// the registry.
 pub(crate) fn status_json(inner: &ServerInner) -> Json {
-    let core = inner.snapshot();
+    let core = inner.core().snapshot();
     let hits = inner.cache.hits();
     let misses = inner.cache.misses();
     let lookups = hits + misses;
@@ -244,16 +244,6 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
                     .map(|(t, n)| (t, Json::Num(n as f64)))
                     .collect(),
             ),
-        ),
-        (
-            "queue".into(),
-            Json::Obj(vec![
-                ("queued".into(), Json::Num(core.queued as f64)),
-                (
-                    "depth_per_session".into(),
-                    Json::Num(inner.cfg.queue_depth as f64),
-                ),
-            ]),
         ),
         (
             "cache".into(),

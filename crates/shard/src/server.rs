@@ -2,21 +2,17 @@
 //!
 //! One [`MatchServer`] owns a TCP listener, a [`PipelineCache`], and the
 //! current pattern-DB epoch. Each accepted connection becomes one
-//! [`StreamSession`] driven by two threads:
-//!
-//! * a **reader** that parses length-prefixed frames off the socket and
-//!   pushes them into a *bounded* work queue — when the session's worker
-//!   falls behind, the push blocks, which stops the reader, which fills
-//!   the kernel socket buffer, which stalls the sender: end-to-end
-//!   backpressure with no unbounded buffering anywhere
-//!   (`serve_backpressure_stalls_total` counts the stalls);
-//! * a **worker** that pops work items, feeds the session (each chunk
-//!   under its own deadline [`Budget`] wired to the session's
-//!   [`CancelToken`]), and writes replies. Every chunk runs inside
-//!   `catch_unwind`, so a panicking automaton (or an injected `panic`
-//!   fault) poisons exactly one session: the client gets
-//!   an `Error` frame, the fault is attributed in telemetry, and every
-//!   other session keeps streaming.
+//! [`StreamSession`] run by one thread, which reads a frame off the
+//! socket, acts on it and writes the reply before it reads the next.
+//! Frames run strictly in order, and at most one decoded frame is held
+//! per session. Backpressure comes from the socket: while the thread
+//! steps a chunk it reads nothing, the kernel socket buffer fills, and
+//! the sender stalls, with no buffering in the server. Each chunk runs
+//! under its own deadline [`Budget`] wired to the session's
+//! [`CancelToken`] and inside `catch_unwind`, so a panicking automaton
+//! (or an injected `panic` fault) poisons exactly one session: the
+//! client gets an `Error` frame, the fault is attributed in telemetry,
+//! and every other session keeps streaming.
 //!
 //! **Policy** — admission, epochs, readiness and drain — lives in one
 //! socket-free `ServerCore` behind one mutex; this module is its I/O
@@ -27,7 +23,8 @@
 //! the new epoch; in-flight sessions finish on the `Arc` they pinned at
 //! `Hello`. **Graceful drain** stops admission, waits on a condvar that
 //! every session close notifies, up to a hard deadline, then cancels the
-//! stragglers' budgets and shuts their sockets down.
+//! stragglers' budgets and shuts their sockets down, which also ends a
+//! session thread blocked reading its next frame.
 //!
 //! Server-side fault injection reuses [`FaultPlan::job_faults`], the
 //! decoder every worker pool shares: the plan item is the trailing
@@ -36,7 +33,6 @@
 //! server acts out `panic` and `stall` on a session's first chunk;
 //! `transient` and `corrupt-input` have no meaning for a live stream.
 
-use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,7 +43,7 @@ use std::time::{Duration, Instant};
 use sunder_artifact::CompiledPipeline;
 use sunder_automata::partition::ShardSpec;
 use sunder_automata::{anml, AutomataError, Nfa};
-use sunder_resilience::{Budget, CancelToken, FaultPlan, JobFaults};
+use sunder_resilience::{Budget, CancelToken, FaultPlan};
 use sunder_sim::EngineKind;
 use sunder_transform::PipelineConfig;
 
@@ -57,7 +53,7 @@ use crate::frame::{
     ERR_BUSY, ERR_DEADLINE, ERR_INTERNAL, ERR_PANIC, ERR_PROTOCOL, ERR_RELOAD, ERR_VERSION,
     PROTOCOL_VERSION,
 };
-use crate::server_core::{ConnId, Refusal, ServerCore, Snapshot};
+use crate::server_core::{ConnId, Refusal, ServerCore};
 use crate::session::{SessionError, StreamSession};
 
 /// Tuning and robustness knobs for a [`MatchServer`].
@@ -73,7 +69,10 @@ pub struct ServerConfig {
     pub max_sessions: usize,
     /// Per-tenant cap on concurrently open sessions (`ERR_QUOTA`).
     pub per_tenant_sessions: usize,
-    /// Bounded work-queue depth per session (backpressure threshold).
+    /// Not read by the server: a session reads its next frame only
+    /// after it has answered the last, so it holds no queue. The
+    /// benchmark still reads this default as its open-loop backlog
+    /// threshold; the field goes once the benchmark stops naming it.
     pub queue_depth: usize,
     /// Cap on a frame's declared length.
     pub max_frame_bytes: u32,
@@ -141,74 +140,11 @@ pub struct DrainReport {
     pub duration: Duration,
 }
 
-/// Items flowing from a session's reader to its worker.
-enum Work {
-    Frame(ClientFrame),
-    /// Reader-side failure (frame error); worker reports and closes.
-    Bad(FrameError),
-    /// Socket EOF or transport error: no more input ever.
-    Eof,
-}
-
-/// The bounded reader→worker queue. Pushing past `depth` blocks the
-/// reader (that *is* the backpressure) and counts a stall. Every item
-/// is timestamped at enqueue so the worker can attribute queue wait to
-/// the tenant's latency histogram.
-struct WorkQueue {
-    items: Mutex<VecDeque<(Work, Instant)>>,
-    depth: usize,
-    cv: Condvar,
-    /// Pre-interned: the push path runs per frame.
-    stalls: sunder_telemetry::CounterHandle,
-}
-
-impl WorkQueue {
-    fn new(depth: usize) -> WorkQueue {
-        WorkQueue {
-            items: Mutex::new(VecDeque::new()),
-            depth: depth.max(1),
-            cv: Condvar::new(),
-            stalls: sunder_telemetry::counter_handle("serve_backpressure_stalls_total", &[]),
-        }
-    }
-
-    fn push(&self, item: Work) {
-        let enqueued = Instant::now();
-        let mut q = self.items.lock().unwrap();
-        if q.len() >= self.depth {
-            self.stalls.add(1);
-            while q.len() >= self.depth {
-                q = self.cv.wait(q).unwrap();
-            }
-        }
-        q.push_back((item, enqueued));
-        self.cv.notify_all();
-    }
-
-    /// Pops the next item plus how long it sat in the queue.
-    fn pop(&self) -> (Work, Duration) {
-        let mut q = self.items.lock().unwrap();
-        loop {
-            if let Some((item, enqueued)) = q.pop_front() {
-                self.cv.notify_all();
-                return (item, enqueued.elapsed());
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
-
-    /// Items waiting now.
-    fn len(&self) -> usize {
-        self.items.lock().unwrap().len()
-    }
-}
-
-/// What drain and `/statusz` reach into a live connection through.
+/// What drain reaches into a live connection through.
 #[derive(Clone)]
 pub(crate) struct ConnHandle {
     cancel: CancelToken,
     sock: Arc<TcpStream>,
-    queue: Arc<WorkQueue>,
 }
 
 pub(crate) struct ServerInner {
@@ -224,10 +160,6 @@ pub(crate) struct ServerInner {
 impl ServerInner {
     pub(crate) fn core(&self) -> MutexGuard<'_, ServerCore<ConnHandle>> {
         self.core.lock().expect("server core lock poisoned")
-    }
-
-    pub(crate) fn snapshot(&self) -> Snapshot {
-        self.core().snapshot(|conn| conn.queue.len())
     }
 }
 
@@ -481,7 +413,6 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> Vec<JoinHand
         let conn = ConnHandle {
             cancel: CancelToken::new(),
             sock: Arc::new(sock),
-            queue: Arc::new(WorkQueue::new(inner.cfg.queue_depth)),
         };
         let id = match inner.core().open(conn.clone()) {
             Ok(id) => id,
@@ -576,7 +507,7 @@ fn refuse(sock: &TcpStream, code: u16, message: &str) {
     let _ = sock.shutdown(Shutdown::Both);
 }
 
-/// A connection's send half. Only the worker thread ever sends, so it is
+/// A connection's send half. Only the session's thread ever sends, so it is
 /// plain owned state: each frame is encoded into the reusable buffer and
 /// leaves as one `write_all` on the raw socket.
 struct FrameWriter<'a> {
@@ -640,7 +571,7 @@ fn frame_error_code(e: &FrameError) -> u16 {
     }
 }
 
-/// Attributes a failed `feed`/`finish` — `None`: the worker panicked —
+/// Attributes a failed `feed`/`finish` — `None`: the session panicked —
 /// and sends the `Error` frame that ends the session.
 fn fail_session(
     tenant: &str,
@@ -667,7 +598,6 @@ fn fail_session(
 /// recorder.
 struct SessionObs {
     service_us: sunder_telemetry::HistogramHandle,
-    queue_wait_us: sunder_telemetry::HistogramHandle,
     reply_write_us: sunder_telemetry::HistogramHandle,
     slo_violations: sunder_telemetry::CounterHandle,
     chunks_total: sunder_telemetry::CounterHandle,
@@ -694,7 +624,6 @@ impl SessionObs {
         let stage_us = |name| sunder_telemetry::histogram_handle(name, &[("tenant", tenant)]);
         SessionObs {
             service_us: stage_us("serve_chunk_service_us"),
-            queue_wait_us: stage_us("serve_queue_wait_us"),
             reply_write_us: stage_us("serve_reply_write_us"),
             slo_violations: sunder_telemetry::counter_handle(
                 "serve_slo_violations_total",
@@ -714,21 +643,13 @@ impl SessionObs {
     /// chunk crossed the slow-session threshold. `reply` is the `reply`
     /// stage — encoding the `Reports` frame and writing it to the socket
     /// — and `None` for a chunk that failed before it had one.
-    fn chunk(
-        &mut self,
-        bytes: usize,
-        wait: Duration,
-        service: Duration,
-        reports: usize,
-        reply: Option<Duration>,
-    ) {
+    fn chunk(&mut self, bytes: usize, service: Duration, reports: usize, reply: Option<Duration>) {
         let service_us = service.as_micros() as u64;
         let reply_us = reply.map(|r| r.as_micros() as u64);
         self.chunks_total.add(1);
         self.bytes_total.add(bytes as u64);
         self.reports_total.add(reports as u64);
         self.service_us.record(service_us);
-        self.queue_wait_us.record(wait.as_micros() as u64);
         if let Some(us) = reply_us {
             self.reply_write_us.record(us);
         }
@@ -740,7 +661,6 @@ impl SessionObs {
                 "chunk",
                 &[
                     ("bytes", bytes.into()),
-                    ("wait_us", (wait.as_micros() as u64).into()),
                     ("service_us", service_us.into()),
                     ("reply_us", reply_us.unwrap_or(0).into()),
                     ("reports", reports.into()),
@@ -780,9 +700,8 @@ impl SessionObs {
     }
 }
 
-/// Runs one connection to completion: handshake, reader-thread spawn,
-/// worker loop. Always releases the connection in the core on the way
-/// out.
+/// Runs one connection to completion on its own thread. Always releases
+/// the connection in the core on the way out.
 fn serve_connection(inner: &Arc<ServerInner>, id: ConnId, conn: &ConnHandle) {
     sunder_telemetry::counter_add("serve_sessions_total", &[], 1);
     run_session(inner, id, conn);
@@ -790,7 +709,8 @@ fn serve_connection(inner: &Arc<ServerInner>, id: ConnId, conn: &ConnHandle) {
     close(inner, id);
 }
 
-/// The session proper, from `Hello` to its last reply.
+/// The session proper, from `Hello` to its last reply: each frame is
+/// read, acted on and answered before the next one is read.
 fn run_session(inner: &Arc<ServerInner>, id: ConnId, conn: &ConnHandle) {
     let sock = &*conn.sock;
     let mut reader = BufReader::new(sock);
@@ -841,84 +761,39 @@ fn run_session(inner: &Arc<ServerInner>, id: ConnId, conn: &ConnHandle) {
         .unwrap_or_default();
     let mut obs = SessionObs::new(&inner.cfg, &tenant, id, db.epoch);
 
-    // Reader thread: socket → bounded queue. Scoped so a dead worker
-    // path can't leak it past the connection.
-    let queue = &*conn.queue;
-    std::thread::scope(|scope| {
-        scope.spawn(move || loop {
-            let work = match read_frame(&mut reader, max_frame) {
-                Ok(Some(frame)) => Work::Frame(frame),
-                Ok(None) => Work::Eof,
-                Err(e) => Work::Bad(e),
-            };
-            // Protocol: nothing follows Finish, an error or the end.
-            let last = !matches!(&work, Work::Frame(f) if !matches!(f, ClientFrame::Finish));
-            queue.push(work);
-            if last {
-                break;
-            }
-        });
-
-        // Worker loop: queue → session → socket.
-        worker_loop(
-            inner,
-            &mut session,
-            &tenant,
-            &faults,
-            queue,
-            &conn.cancel,
-            &mut writer,
-            &mut obs,
-        );
-        // Unblock the socket so the reader thread (possibly mid-read)
-        // exits before the scope joins it.
-        let _ = sock.shutdown(Shutdown::Read);
-    });
-}
-
-/// Reads and decodes one client frame; `None` at a clean end of stream.
-fn read_frame(
-    reader: &mut impl std::io::Read,
-    max: u32,
-) -> Result<Option<ClientFrame>, FrameError> {
-    read_raw(reader, max)?
-        .map(|body| decode_client(&body))
-        .transpose()
-}
-
-/// The budget each `feed`/`finish` runs under: the session's cancel
-/// token, polled every 64 cycles, plus the configured chunk deadline.
-fn chunk_budget(inner: &ServerInner, cancel: &CancelToken) -> Budget {
-    let budget = Budget::with_cancel(cancel.clone()).check_every(64);
-    match inner.cfg.chunk_deadline {
-        Some(limit) => budget.deadline(limit),
-        None => budget,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    inner: &Arc<ServerInner>,
-    session: &mut StreamSession,
-    tenant: &str,
-    faults: &JobFaults,
-    queue: &WorkQueue,
-    cancel: &CancelToken,
-    writer: &mut FrameWriter<'_>,
-    obs: &mut SessionObs,
-) {
     let mut first_chunk = true;
     loop {
-        let (work, wait) = queue.pop();
-        match work {
-            Work::Frame(ClientFrame::Chunk(bytes)) => {
+        let frame = match read_frame(&mut reader, max_frame) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => {
+                // Client hung up without Finish: a mid-stream disconnect.
+                session_fault(&tenant, "disconnect");
+                obs.fault("disconnect", None);
+                return;
+            }
+            Err(e) => {
+                // A truncated frame IS a mid-frame hangup — on the wire
+                // it is indistinguishable from a deliberate disconnect,
+                // so it shares the disconnect attribution.
+                let kind = match e {
+                    FrameError::Truncated => "disconnect",
+                    _ => "protocol",
+                };
+                session_fault(&tenant, kind);
+                obs.fault(kind, None);
+                writer.error(frame_error_code(&e), e.to_string());
+                return;
+            }
+        };
+        match frame {
+            ClientFrame::Chunk(bytes) => {
                 if first_chunk {
                     first_chunk = false;
                     if let Some(millis) = faults.stall_millis {
                         std::thread::sleep(Duration::from_millis(millis));
                     }
                 }
-                let budget = chunk_budget(inner, cancel);
+                let budget = chunk_budget(inner, &conn.cancel);
                 let inject_panic = faults.panic && session.chunks() == 0;
                 let started = Instant::now();
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -933,26 +808,26 @@ fn worker_loop(
                         let count = reports.len();
                         let replying = Instant::now();
                         let sent = writer.send(&ServerFrame::Reports(reports));
-                        obs.chunk(bytes.len(), wait, service, count, Some(replying.elapsed()));
+                        obs.chunk(bytes.len(), service, count, Some(replying.elapsed()));
                         if !sent {
                             return;
                         }
                     }
                     Ok(Err(e)) => {
-                        obs.chunk(bytes.len(), wait, service, 0, None);
-                        fail_session(tenant, obs, writer, Some(&e));
+                        obs.chunk(bytes.len(), service, 0, None);
+                        fail_session(&tenant, &mut obs, &mut writer, Some(&e));
                         return;
                     }
                     Err(_) => {
-                        obs.chunk(bytes.len(), wait, service, 0, None);
-                        fail_session(tenant, obs, writer, None);
+                        obs.chunk(bytes.len(), service, 0, None);
+                        fail_session(&tenant, &mut obs, &mut writer, None);
                         return;
                     }
                 }
             }
-            Work::Frame(ClientFrame::Finish) => {
+            ClientFrame::Finish => {
                 match catch_unwind(AssertUnwindSafe(|| {
-                    session.finish(&chunk_budget(inner, cancel))
+                    session.finish(&chunk_budget(inner, &conn.cancel))
                 })) {
                     Ok(Ok((tail, summary))) => {
                         obs.reports_total.add(tail.len() as u64);
@@ -973,12 +848,12 @@ fn worker_loop(
                             });
                         }
                     }
-                    Ok(Err(e)) => fail_session(tenant, obs, writer, Some(&e)),
-                    Err(_) => fail_session(tenant, obs, writer, None),
+                    Ok(Err(e)) => fail_session(&tenant, &mut obs, &mut writer, Some(&e)),
+                    Err(_) => fail_session(&tenant, &mut obs, &mut writer, None),
                 }
                 return;
             }
-            Work::Frame(ClientFrame::Reload(text)) => {
+            ClientFrame::Reload(text) => {
                 match anml::parse(&text).and_then(|nfa| reload_db(inner, &nfa)) {
                     Ok(epoch) => {
                         obs.event("reload", &[("epoch", epoch.into())]);
@@ -992,32 +867,31 @@ fn worker_loop(
                     }
                 }
             }
-            Work::Frame(ClientFrame::Hello { .. }) => {
+            ClientFrame::Hello { .. } => {
                 writer.error(ERR_PROTOCOL, "duplicate Hello");
                 return;
             }
-            Work::Bad(e) => {
-                // A truncated frame IS a mid-frame hangup — on the wire
-                // it is indistinguishable from a deliberate disconnect,
-                // so it shares the disconnect attribution.
-                let kind = match e {
-                    FrameError::Truncated => "disconnect",
-                    _ => "protocol",
-                };
-                session_fault(tenant, kind);
-                obs.fault(kind, None);
-                writer.error(frame_error_code(&e), e.to_string());
-                return;
-            }
-            Work::Eof => {
-                // Client hung up without Finish: a mid-stream disconnect.
-                if !session.is_finished() {
-                    session_fault(tenant, "disconnect");
-                    obs.fault("disconnect", None);
-                }
-                return;
-            }
         }
+    }
+}
+
+/// Reads and decodes one client frame; `None` at a clean end of stream.
+fn read_frame(
+    reader: &mut impl std::io::Read,
+    max: u32,
+) -> Result<Option<ClientFrame>, FrameError> {
+    read_raw(reader, max)?
+        .map(|body| decode_client(&body))
+        .transpose()
+}
+
+/// The budget each `feed`/`finish` runs under: the session's cancel
+/// token, polled every 64 cycles, plus the configured chunk deadline.
+fn chunk_budget(inner: &ServerInner, cancel: &CancelToken) -> Budget {
+    let budget = Budget::with_cancel(cancel.clone()).check_every(64);
+    match inner.cfg.chunk_deadline {
+        Some(limit) => budget.deadline(limit),
+        None => budget,
     }
 }
 
@@ -1113,29 +987,5 @@ mod tests {
         });
         let workers = join_acceptor(accept, addr, Duration::from_secs(5));
         assert_eq!(workers.len(), 1, "the acceptor's handles come back");
-    }
-
-    #[test]
-    fn work_queue_blocks_at_depth_and_drains_in_order() {
-        let q = Arc::new(WorkQueue::new(2));
-        let producer = Arc::clone(&q);
-        let handle = std::thread::spawn(move || {
-            for i in 0..8u64 {
-                producer.push(Work::Frame(ClientFrame::Chunk(vec![i as u8])));
-            }
-            producer.push(Work::Eof);
-        });
-        let mut got = Vec::new();
-        loop {
-            match q.pop().0 {
-                Work::Frame(ClientFrame::Chunk(b)) => got.push(b[0]),
-                Work::Eof => break,
-                _ => unreachable!(),
-            }
-            // Slow consumer: the producer must block, not drop or grow.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        handle.join().unwrap();
-        assert_eq!(got, (0..8).collect::<Vec<u8>>());
     }
 }

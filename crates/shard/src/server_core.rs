@@ -53,8 +53,6 @@ pub(crate) struct Snapshot {
     pub(crate) started: u64,
     /// Open sessions per tenant, sorted by tenant.
     pub(crate) tenants: Vec<(String, usize)>,
-    /// Frames waiting in the live sessions' queues.
-    pub(crate) queued: usize,
 }
 
 struct Conn<C> {
@@ -208,9 +206,8 @@ impl<C> ServerCore<C> {
         }
     }
 
-    /// Everything `/statusz` reports from this state; `queued` counts the
-    /// frames waiting behind one connection.
-    pub(crate) fn snapshot(&self, queued: impl Fn(&C) -> usize) -> Snapshot {
+    /// Everything `/statusz` reports from this state.
+    pub(crate) fn snapshot(&self) -> Snapshot {
         Snapshot {
             epoch: self.db.epoch,
             draining: self.draining,
@@ -218,7 +215,6 @@ impl<C> ServerCore<C> {
             active: self.conns.len(),
             started: self.started,
             tenants: self.tenants.iter().map(|(t, n)| (t.clone(), *n)).collect(),
-            queued: self.stragglers().map(queued).sum(),
         }
     }
 }
@@ -347,7 +343,7 @@ mod tests {
         drain_begun: bool,
         at: &str,
     ) {
-        let snap = core.snapshot(|()| 0);
+        let snap = core.snapshot();
         assert_eq!(snap.active, conns.len(), "{at}: active count");
         assert!(
             snap.active <= MAX_SESSIONS,

@@ -156,7 +156,7 @@ fn obs_smoke_scrapes_flight_artifact_and_readiness() {
         .collect();
     assert!(!chunks.is_empty(), "no chunk events: {text}");
     for chunk in chunks {
-        for key in ["wait_us", "reply_us"] {
+        for key in ["service_us", "reply_us"] {
             assert!(
                 field(chunk, key).as_ref().and_then(Json::as_u64).is_some(),
                 "chunk event without an integer {key}: {text}"

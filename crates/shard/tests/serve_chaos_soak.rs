@@ -34,7 +34,6 @@ fn chaos_soak_64_sessions_with_faults_reload_and_drain() {
         engine: EngineKind::Adaptive,
         max_sessions: SESSIONS + 8,
         per_tenant_sessions: 4,
-        queue_depth: 4,
         drain_deadline: Duration::from_secs(3),
         // Worker-level injections: tenants s3 and s40 panic, s11 stalls.
         fault_plan: FaultPlan::from_text("panic 3\npanic 40\nstall 11 50\n").unwrap(),

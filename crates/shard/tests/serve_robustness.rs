@@ -1,5 +1,5 @@
 //! Robustness envelope of the streaming match service, over a real
-//! socket: protocol hardening, backpressure, admission control, hot
+//! socket: protocol hardening, pipelining, admission control, hot
 //! reload, panic isolation, per-chunk deadlines, and graceful drain.
 //!
 //! These tests drive `MatchServer` with hand-rolled clients (not the
@@ -259,23 +259,12 @@ fn malformed_frames_get_typed_errors_and_the_server_survives() {
     server.drain();
 }
 
-#[test]
-fn pipelined_chunks_respect_the_bounded_queue_without_deadlock() {
-    let nfa = rules();
-    let cfg = ServerConfig {
-        queue_depth: 2,
-        ..config()
-    };
-    let expected = reference(&nfa, &cfg, &INPUT.repeat(16));
-    let mut server = MatchServer::start("127.0.0.1:0", &nfa, cfg).unwrap();
-    let mut c = Client::connect(&server, "flood");
-    c.expect_ack();
-    // Fire every chunk before reading a single reply: the reader thread
-    // must block on the depth-2 queue (backpressure), not drop or grow.
-    let input = INPUT.repeat(16);
-    let chunks: Vec<&[u8]> = input.chunks(7).collect();
-    for chunk in &chunks {
-        c.send(&ClientFrame::Chunk(chunk.to_vec()));
+/// Sends every chunk of `input` (in `chunk`-byte pieces) and `Finish`
+/// before reading a single reply, then reads the replies in order.
+fn pipeline(c: &mut Client, input: &[u8], chunk: usize) -> Vec<(u64, u32)> {
+    let chunks: Vec<&[u8]> = input.chunks(chunk).collect();
+    for piece in &chunks {
+        c.send(&ClientFrame::Chunk(piece.to_vec()));
     }
     c.send(&ClientFrame::Finish);
     let mut reports = Vec::new();
@@ -286,7 +275,28 @@ fn pipelined_chunks_respect_the_bounded_queue_without_deadlock() {
         }
     }
     assert!(matches!(c.recv(), ServerFrame::Done { .. }));
-    assert_eq!(reports, expected);
+    reports
+}
+
+#[test]
+fn pipelined_chunks_are_answered_in_order_without_deadlock() {
+    let nfa = rules();
+    // Tenant s5 stalls 200 ms on its first of 64 pipelined chunks: the
+    // other 63 and `Finish` wait in the socket, not in the server.
+    let cfg = ServerConfig {
+        fault_plan: FaultPlan::from_text("stall 5 200\n").unwrap(),
+        ..config()
+    };
+    let (input, long) = (INPUT.repeat(16), INPUT.repeat(64));
+    let expected = reference(&nfa, &cfg, &input);
+    let expected_long = reference(&nfa, &cfg, &long);
+    let mut server = MatchServer::start("127.0.0.1:0", &nfa, cfg).unwrap();
+    let mut c = Client::connect(&server, "flood");
+    c.expect_ack();
+    assert_eq!(pipeline(&mut c, &input, 7), expected);
+    let mut stalled = Client::connect(&server, "s5");
+    stalled.expect_ack();
+    assert_eq!(pipeline(&mut stalled, &long, INPUT.len()), expected_long);
     server.drain();
 }
 

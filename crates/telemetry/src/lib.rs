@@ -61,7 +61,7 @@ pub use metrics::{
 };
 pub use progress::{progress, quiet, set_quiet};
 pub use recorder::{Ring, DEFAULT_CAPACITY};
-pub use report::{BenchReport, Report};
+pub use report::{BenchReport, InstantGroup, Report};
 pub use span::{instant, span, SpanGuard};
 
 /// How to initialize telemetry for a run.

@@ -5,7 +5,9 @@
 //! on metrics, `bench` field on spans/instants — and renders a
 //! per-benchmark breakdown: wall time, simulated cycles, reports, stall
 //! share by cause, and engine decisions. Records that carry no `bench`
-//! dimension are summarized globally.
+//! dimension are summarized globally. An artifact with no per-benchmark
+//! records at all (a daemon's flight dump, say) is summarized by its
+//! instants instead, grouped by name.
 
 use crate::export::validate_jsonl;
 use crate::histogram::Pow2Histogram;
@@ -51,6 +53,55 @@ impl BenchReport {
     }
 }
 
+/// Every instant of one name in an artifact.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct InstantGroup {
+    /// The instants' name.
+    pub name: String,
+    /// How many instants carry it.
+    pub count: u64,
+    /// Integer fields, in first-seen order, with every value in artifact
+    /// order.
+    pub ints: Vec<(String, Vec<u64>)>,
+    /// Every other field, in first-seen order, with its distinct values
+    /// rendered, in first-seen order.
+    pub values: Vec<(String, Vec<String>)>,
+}
+
+impl InstantGroup {
+    fn add(&mut self, fields: Option<&Json>) {
+        self.count += 1;
+        let Some(Json::Obj(pairs)) = fields else {
+            return;
+        };
+        for (key, value) in pairs {
+            if let Some(v) = value.as_u64() {
+                match self.ints.iter_mut().find(|(k, _)| k == key) {
+                    Some((_, vs)) => vs.push(v),
+                    None => self.ints.push((key.clone(), vec![v])),
+                }
+                continue;
+            }
+            let v = value
+                .as_str()
+                .map_or_else(|| value.render(), str::to_string);
+            match self.values.iter_mut().find(|(k, _)| k == key) {
+                Some((_, vs)) if !vs.contains(&v) => vs.push(v),
+                Some(_) => {}
+                None => self.values.push((key.clone(), vec![v])),
+            }
+        }
+    }
+}
+
+/// The nearest-rank `p` quantile of `values` (not empty).
+fn nearest_rank(values: &[u64], p: f64) -> u64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    let rank = (p * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// A full parsed artifact, grouped per benchmark.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
@@ -79,6 +130,8 @@ pub struct Report {
     /// Every histogram metric in the artifact as `(name, rendered
     /// labels, histogram)`, sorted — the input to the quantile table.
     pub histograms: Vec<(String, String, Pow2Histogram)>,
+    /// Every instant grouped by name, in first-seen order.
+    pub instant_groups: Vec<InstantGroup>,
 }
 
 fn bench_of(obj: &Json, key: &str) -> Option<String> {
@@ -133,6 +186,17 @@ impl Report {
                     }
                 }
                 "instant" => {
+                    let group = match report.instant_groups.iter().position(|g| g.name == name) {
+                        Some(i) => &mut report.instant_groups[i],
+                        None => {
+                            report.instant_groups.push(InstantGroup {
+                                name: name.to_string(),
+                                ..InstantGroup::default()
+                            });
+                            report.instant_groups.last_mut().expect("just pushed")
+                        }
+                    };
+                    group.add(obj.get("fields"));
                     let tagged = bench_of(&obj, "fields");
                     match (name, tagged) {
                         ("engine.switch", Some(b)) => {
@@ -234,6 +298,7 @@ impl Report {
         }
         if self.benches.is_empty() {
             out.push_str("no per-benchmark records in artifact\n");
+            self.render_instants(&mut out);
             return out;
         }
         out.push('\n');
@@ -291,6 +356,31 @@ impl Report {
             }
         }
         out
+    }
+
+    /// The instants by name: a count, each other field's distinct
+    /// values, and a sum, p50 and p99 for each integer field.
+    fn render_instants(&self, out: &mut String) {
+        if self.instant_groups.is_empty() {
+            return;
+        }
+        out.push_str("\ninstants by name (integer fields: sum, nearest-rank p50 and p99):\n");
+        for g in &self.instant_groups {
+            out.push_str(&format!("  {:<24} count={}", g.name, g.count));
+            for (key, values) in &g.values {
+                out.push_str(&format!(" {key}={}", values.join(",")));
+            }
+            out.push('\n');
+            for (key, values) in &g.ints {
+                out.push_str(&format!(
+                    "    {:<22} sum={} p50={} p99={}\n",
+                    key,
+                    values.iter().fold(0u64, |sum, v| sum.saturating_add(*v)),
+                    nearest_rank(values, 0.5),
+                    nearest_rank(values, 0.99)
+                ));
+            }
+        }
     }
 }
 
@@ -363,6 +453,67 @@ mod tests {
         assert!(text.contains("histogram quantiles"));
         assert!(text.contains("chunk_service_us{tenant=s1}"));
         assert!(text.contains("204.2"));
+    }
+
+    #[test]
+    fn an_artifact_without_benchmarks_is_summarized_by_its_instants() {
+        let mut lines = vec![
+            r#"{"type":"meta","version":1,"tool":"sunder-telemetry","level":"spans","events":7,"dropped":0,"metrics":0}"#.to_string(),
+            r#"{"type":"instant","name":"session_open","ts_us":0,"tid":1,"fields":{"tenant":"s3","epoch":1}}"#.to_string(),
+        ];
+        for (i, service) in [40u64, 10, 30, 20].into_iter().enumerate() {
+            lines.push(format!(
+                r#"{{"type":"instant","name":"chunk","ts_us":{},"tid":1,"fields":{{"bytes":64,"service_us":{service},"reply_us":{}}}}}"#,
+                i + 1,
+                service / 10
+            ));
+        }
+        lines.push(
+            r#"{"type":"instant","name":"error","ts_us":5,"tid":1,"fields":{"kind":"panic"}}"#
+                .to_string(),
+        );
+        lines.push(r#"{"type":"instant","name":"flight.dump","ts_us":6,"tid":1,"fields":{"tenant":"s3","session":7,"epoch":1,"reason":"panic"}}"#.to_string());
+        let text = lines.join("\n") + "\n";
+        let report = Report::from_jsonl(&text).unwrap();
+        assert!(report.benches.is_empty());
+        let names: Vec<&str> = report
+            .instant_groups
+            .iter()
+            .map(|g| g.name.as_str())
+            .collect();
+        assert_eq!(names, ["session_open", "chunk", "error", "flight.dump"]);
+        let chunk = &report.instant_groups[1];
+        assert_eq!(chunk.count, 4);
+        assert_eq!(
+            chunk.ints[1],
+            ("service_us".to_string(), vec![40, 10, 30, 20])
+        );
+        let text = report.render_text();
+        assert!(text.contains("no per-benchmark records"), "{text}");
+        assert!(
+            text.contains("chunk                    count=4\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("service_us             sum=100 p50=20 p99=40\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("reply_us               sum=10 p50=2 p99=4\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("error                    count=1 kind=panic\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("flight.dump              count=1 tenant=s3 reason=panic\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("session                sum=7 p50=7 p99=7\n"),
+            "{text}"
+        );
     }
 
     #[test]

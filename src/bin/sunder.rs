@@ -82,8 +82,8 @@ const USAGE: &str = "usage:
                  [--engine sparse|dense|adaptive] [--verify]
   sunder serve   (--rules <file> | --program <file.saml>) [--addr <host:port>]
                  [--shards <n>] [--config <name>] [--engine <name>]
-                 [--max-sessions <n>] [--queue-depth <n>] [--chunk-deadline-ms <n>]
-                 [--drain-deadline-ms <n>] [--obs-addr <host:port>]
+                 [--max-sessions <n>] [--per-tenant <n>] [--chunk-deadline-ms <n>]
+                 [--drain-deadline-ms <n>] [--fault-plan <file>] [--obs-addr <host:port>]
                  [--flight-recorder-dir <dir>] [--flight-events <n>]
                  [--chunk-slo-ms <n>] [--slow-chunk-ms <n>]
                  (stdin commands: reload <file|file.sdb> | status | quit)
@@ -100,7 +100,45 @@ struct Flags<'a> {
     args: &'a [String],
 }
 
+/// The flags that name the pattern DB ([`load_nfa`]).
+const DB_FLAGS: &[&str] = &["--rules", "--program"];
+
+/// The value flags both serve commands take: the pattern DB's and those
+/// [`parse_server_config`] reads.
+const SERVER_FLAGS: &[&str] = &[
+    "--rules",
+    "--program",
+    "--config",
+    "--shards",
+    "--engine",
+    "--max-sessions",
+    "--per-tenant",
+    "--chunk-deadline-ms",
+    "--drain-deadline-ms",
+    "--fault-plan",
+    "--obs-addr",
+    "--flight-recorder-dir",
+    "--flight-events",
+    "--chunk-slo-ms",
+    "--slow-chunk-ms",
+];
+
 impl<'a> Flags<'a> {
+    /// Checks `args` against the flags a command accepts: each of
+    /// `values` takes the argument after it, each of `switches` stands
+    /// alone, and any other `--flag` is an error.
+    fn parse(args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Flags<'a>, String> {
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if values.contains(&arg.as_str()) {
+                it.next();
+            } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+                return Err(format!("unknown flag {arg}"));
+            }
+        }
+        Ok(Flags { args })
+    }
+
     fn value(&self, key: &str) -> Option<&'a str> {
         self.args
             .iter()
@@ -214,7 +252,11 @@ impl ReportSink for PrintSink {
 /// Runs the cycle-level machine model. A `.sdb` program runs the
 /// automaton it stores, at the rate of the config it was compiled for.
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::parse(
+        args,
+        &[DB_FLAGS, &["--input", "--config"]].concat(),
+        &["--fifo", "--summarize", "--trace"],
+    )?;
     let builder = Engine::builder().fifo(flags.flag("--fifo"));
     let (engine, program) = match flags.value("--program") {
         Some(path) if path.ends_with(".sdb") => {
@@ -286,7 +328,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// by default, schema validation with `--validate`, Chrome `trace_event`
 /// conversion with `--chrome OUT` (loadable in Perfetto).
 fn cmd_telemetry_report(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::parse(args, &["--input", "--chrome"], &["--validate"])?;
     let path = flags.required("--input")?;
     let text =
         fs::read_to_string(path).map_err(|e| format!("read telemetry artifact {path}: {e}"))?;
@@ -318,7 +360,15 @@ fn cmd_telemetry_report(args: &[String]) -> Result<(), String> {
 fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
     use sunder::shard::{run_batch, verify_stream, BatchOptions, CompiledPipeline, ShardSpec};
 
-    let flags = Flags { args };
+    let flags = Flags::parse(
+        args,
+        &[
+            DB_FLAGS,
+            &["--inputs", "--shards", "--workers", "--config", "--engine"],
+        ]
+        .concat(),
+        &["--verify"],
+    )?;
     let nfa = load_nfa(&flags)?;
 
     let inputs_arg = flags.required("--inputs")?;
@@ -407,7 +457,6 @@ fn parse_server_config(flags: &Flags) -> Result<sunder::shard::ServerConfig, Str
         engine: parse_engine(flags)?,
         max_sessions: parse_num(flags, "--max-sessions", defaults.max_sessions)?,
         per_tenant_sessions: parse_num(flags, "--per-tenant", defaults.per_tenant_sessions)?,
-        queue_depth: parse_num(flags, "--queue-depth", defaults.queue_depth)?,
         chunk_deadline: match flags.value("--chunk-deadline-ms") {
             Some(v) => {
                 Some(Duration::from_millis(v.parse().map_err(|e| {
@@ -461,7 +510,7 @@ fn parse_server_config(flags: &Flags) -> Result<sunder::shard::ServerConfig, Str
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use sunder::shard::MatchServer;
 
-    let flags = Flags { args };
+    let flags = Flags::parse(args, &[SERVER_FLAGS, &["--addr"]].concat(), &[])?;
     let nfa = load_nfa(&flags)?;
     let cfg = parse_server_config(&flags)?;
     // An obs listener without metrics would scrape an empty registry, so
@@ -546,7 +595,11 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
     use std::time::Duration;
     use sunder::telemetry::json::Json;
 
-    let flags = Flags { args };
+    let flags = Flags::parse(
+        args,
+        &["--addr", "--iterations", "--interval-ms", "--timeout-ms"],
+        &["--json", "--check-metrics"],
+    )?;
     let addr_str = flags.value("--addr").unwrap_or("127.0.0.1:7701");
     let addr = addr_str
         .to_socket_addrs()
@@ -596,8 +649,8 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("/statusz is not valid JSON: {e}"))?;
         if i == 0 {
             println!(
-                "{:>8} {:>6} {:>8} {:>8} {:>7} {:>8} {:>9} {:>6}",
-                "uptime_s", "epoch", "active", "started", "queued", "hit_rate", "state", "slo"
+                "{:>8} {:>6} {:>8} {:>8} {:>8} {:>9} {:>6}",
+                "uptime_s", "epoch", "active", "started", "hit_rate", "state", "slo"
             );
         }
         let state = if doc.get("draining").map(|d| *d == Json::Bool(true)) == Some(true) {
@@ -612,12 +665,11 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
             _ => 0u64,
         };
         println!(
-            "{:>8} {:>6} {:>8} {:>8} {:>7} {:>8.3} {:>9} {:>6}",
+            "{:>8} {:>6} {:>8} {:>8} {:>8.3} {:>9} {:>6}",
             num(&doc, &["uptime_s"]),
             num(&doc, &["epoch"]),
             num(&doc, &["sessions", "active"]),
             num(&doc, &["sessions", "started"]),
-            num(&doc, &["queue", "queued"]),
             num(&doc, &["cache", "hit_rate"]),
             state,
             slo,
@@ -663,7 +715,14 @@ fn run_serve_chaos(args: &[String]) -> Result<u8, String> {
     use sunder::shard::{expected_reports, run_chaos, ChaosOptions, MatchServer, SessionOutcome};
     use sunder::telemetry::{self, Value};
 
-    let flags = Flags { args };
+    let chaos = [
+        "--sessions",
+        "--seed",
+        "--chunk-size",
+        "--artifact",
+        "--reload-rules",
+    ];
+    let flags = Flags::parse(args, &[SERVER_FLAGS, &chaos].concat(), &[])?;
     let nfa = load_nfa(&flags)?;
     let sessions: usize = parse_num(&flags, "--sessions", 16)?;
     if sessions == 0 {
@@ -818,7 +877,7 @@ fn run_serve_chaos(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::parse(args, &["--rules"], &[])?;
     let rules = read_rules(flags.required("--rules")?)?;
     let nfa = sunder::automata::regex::compile_rule_set(&rules).map_err(|e| e.to_string())?;
     println!("static: {}", StaticStats::of(&nfa));
@@ -828,7 +887,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::parse(args, &["--benchmark"], &["--small"])?;
     let name = flags.required("--benchmark")?;
     let bench = Benchmark::ALL
         .iter()
@@ -868,7 +927,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 fn cmd_compile_db(args: &[String]) -> Result<(), String> {
     use sunder::shard::{CompiledPipeline, ShardSpec};
 
-    let flags = Flags { args };
+    let flags = Flags::parse(
+        args,
+        &[DB_FLAGS, &["-o", "--shards", "--config", "--engine"]].concat(),
+        &[],
+    )?;
     let nfa = load_nfa(&flags)?;
     let config = parse_config(&flags, PipelineConfig::Identity)?;
     let engine = parse_engine(&flags)?;
@@ -897,6 +960,7 @@ fn cmd_compile_db(args: &[String]) -> Result<(), String> {
 fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
     use sunder::artifact::MappedDb;
 
+    Flags::parse(args, &[], &[])?;
     let path = args
         .iter()
         .find(|a| !a.starts_with("--"))
@@ -953,7 +1017,11 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
     use sunder::artifact::{corrupt, MappedDb};
     use sunder::shard::{CompiledPipeline, ShardSpec};
 
-    let flags = Flags { args };
+    let flags = Flags::parse(
+        args,
+        &["--dir", "--shards", "--config", "--engine"],
+        &["--paper"],
+    )?;
     // Default to the flagship stride-2 pipeline: the cold-load gate
     // compares mapping against *recompiling*, and the identity config
     // (no transform work at all) makes that comparison degenerate.

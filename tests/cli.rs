@@ -421,7 +421,7 @@ fn serve_chaos_flight_artifacts_are_telemetry_artifacts() {
             .arg(&artifact)
             .output()
             .unwrap();
-        for out in [checked, report] {
+        for out in [&checked, &report] {
             assert!(
                 out.status.success(),
                 "telemetry-report on {name}: {}",
@@ -430,8 +430,55 @@ fn serve_chaos_flight_artifacts_are_telemetry_artifacts() {
         }
         let doc = std::fs::read_to_string(&chrome).unwrap();
         assert!(doc.contains("\"flight.dump\""), "{doc}");
+        // The default text summarises the dump: its identity, the error
+        // that ended the session, and the chunk timings.
+        let text = String::from_utf8_lossy(&report.stdout);
+        for needle in [
+            format!("tenant={tenant}"),
+            "reason=panic".into(),
+            "error                    count=1 kind=panic".into(),
+            "service_us".into(),
+        ] {
+            assert!(text.contains(&needle), "no {needle:?} in:\n{text}");
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unknown_flags_are_errors() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let rules = root.join("ci/serve-rules.txt");
+    let input = write_temp("flags-input.bin", b"abc");
+    let [rules, input] = [&rules, &input].map(|p| p.to_str().unwrap());
+    // serve-chaos keeps its exit 2 for a usage error.
+    for (args, flag, code) in [
+        (
+            vec!["serve", "--queue-depth", "4", "--rules", rules],
+            "--queue-depth",
+            1,
+        ),
+        (
+            vec![
+                "run", "--confg", "stride2", "--rules", rules, "--input", input,
+            ],
+            "--confg",
+            1,
+        ),
+        (
+            vec!["serve-chaos", "--sesions", "4", "--rules", rules],
+            "--sesions",
+            2,
+        ),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
